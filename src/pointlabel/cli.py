@@ -46,14 +46,20 @@ def write_manifest(path, command, settings, inputs, timings):
 # ---------------------------------------------------------------------------
 # block store (preprocess output, train input)
 
+# parent indices are stored as float32, which is exact up to 2^24
+MAX_STORE_POINTS = 2 ** 24
+
+
 def write_block_store(out_dir, cloud, all_blocks, scales):
+    if len(cloud) > MAX_STORE_POINTS:
+        raise ValueError(f"cloud holds {len(cloud)} points; the block store "
+                         f"indexes at most {MAX_STORE_POINTS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pio.save_points(out_dir / "points.txt", cloud)
     tensors = []
     for i, b in enumerate(all_blocks):
         tensors.append((f"b{i}.features", b.features))
-        # float32 carries indices exactly up to 2^24 (~16.7M points)
         tensors.append((f"b{i}.parent", b.parent_idx.astype(np.float32)))
         if b.labels is not None:
             tensors.append((f"b{i}.labels", b.labels.astype(np.float32)))
@@ -76,15 +82,30 @@ def read_block_store(in_dir):
     if not lines or not lines[0].startswith("scales "):
         raise pio.ParseError("blocks.manifest: missing scales line")
     scales = infer.ScaleConfig.parse(lines[0][len("scales "):])
+    entries = lines[1:]
+    stored = sum(name.endswith(".features") for name in tensors)
+    if len(entries) != stored:
+        raise pio.ParseError(f"blocks.manifest lists {len(entries)} blocks but "
+                             f"blocks.bin holds {stored}")
     out = []
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(entries):
         f = line.split()
+        features = tensors.get(f"b{i}.features")
+        parent = tensors.get(f"b{i}.parent")
         labels = tensors.get(f"b{i}.labels")
+        if len(f) != 7 or features is None or parent is None:
+            raise pio.ParseError(f"block {i}: manifest line or tensors missing")
+        rows = len(features)
+        sizes = (int(f[4]), parent.size, rows if labels is None else labels.size)
+        if sizes != (rows, rows, rows):
+            raise pio.ParseError(
+                f"block {i}: {rows} feature rows but sample_count {sizes[0]}, "
+                f"{sizes[1]} parents, {sizes[2]} labels")
         out.append(blk.Block(
             origin_x=float(f[1]), origin_y=float(f[2]), size=float(f[3]),
             scale_id=int(f[0]),
-            features=tensors[f"b{i}.features"],
-            parent_idx=tensors[f"b{i}.parent"].reshape(-1).astype(np.int64),
+            features=features,
+            parent_idx=parent.reshape(-1).astype(np.int64),
             labels=None if labels is None else labels.reshape(-1).astype(np.int32),
             replica=int(f[5])))
     return out, scales

@@ -3,10 +3,13 @@
 Prediction tiles the scene at each configured scale, runs every sampled
 block through the network in eval mode, and accumulates each sampled
 row's probability vector onto its source point (overlapping blocks and
-repeated rows all vote; votes are averaged). Scales are then averaged
-per point over the scales that covered it, and points never sampled at
-any scale copy the class probabilities of their nearest covered
-neighbor.
+repeated rows all vote; votes are averaged). A block's test-time repeats
+are exact copies of a row, so each distinct source point is forwarded
+once: in eval mode every layer but the max-pool acts row by row, and the
+max over a set does not change when members repeat. Scales are then
+averaged per point over the scales that covered it, and points never
+sampled at any scale copy the class probabilities of their nearest
+covered neighbor.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -86,8 +89,12 @@ def predict_scale(cloud, params, scale, scale_id=0, seed=0, feature_columns=None
         x = block.features
         if feature_columns is not None:
             x = x[:, feature_columns]
-        q = network.forward(x, params, "eval").q
-        return block.parent_idx, q
+        # features come from the full sample (centering counts repeats);
+        # only the forward is restricted to one row per source point
+        _, first, inverse = np.unique(block.parent_idx, return_index=True,
+                                      return_inverse=True)
+        q = network.forward(x[first], params, "eval").q
+        return block.parent_idx, q[inverse]
 
     jobs = list(enumerate(footprints))
     if threads > 1:

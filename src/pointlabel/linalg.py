@@ -1,15 +1,14 @@
 """Minimal dense 2D-array numerics shared by the rest of the package.
 
 Arrays are plain numpy ndarrays with float32 storage semantics: float32
-inputs produce float32 results, but sums inside matmul and the reductions
-accumulate in float64 so results are stable and bit-reproducible from run
-to run. float64 inputs stay float64 (used by the gradient-check shadow
-path).
+inputs produce float32 results, but sums inside matmul accumulate in
+float64 so results are stable and bit-reproducible from run to run.
+float64 inputs stay float64 (used by the gradient-check shadow path).
 """
 
 import numpy as np
 
-__all__ = ["ShapeError", "matmul", "reduce", "argmax_row"]
+__all__ = ["ShapeError", "matmul"]
 
 
 class ShapeError(ValueError):
@@ -38,45 +37,3 @@ def matmul(a, b):
     if a.dtype == np.float32 and b.dtype == np.float32:
         return out.astype(np.float32)
     return out
-
-
-def reduce(m, axis, kind):
-    """Reduce a matrix along rows or columns.
-
-    axis="rows" collapses the row dimension (output has one entry per
-    column), axis="cols" collapses columns. kind is one of "max", "mean",
-    "var"; variance is the biased (divide-by-n) estimator. For float32
-    input the variance of a constant axis is exactly 0.
-    """
-    m = _as_2d(m, "m")
-    if axis == "rows":
-        ax = 0
-    elif axis == "cols":
-        ax = 1
-    else:
-        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    if m.shape[ax] == 0:
-        raise ValueError(f"cannot reduce over empty axis {axis!r} of shape {m.shape}")
-    if kind == "max":
-        return m.max(axis=ax)
-    if kind == "mean":
-        out = m.mean(axis=ax, dtype=np.float64)
-    elif kind == "var":
-        mu = m.mean(axis=ax, dtype=np.float64, keepdims=True)
-        d = m.astype(np.float64, copy=False) - mu
-        out = np.mean(d * d, axis=ax)
-    else:
-        raise ValueError(f"kind must be 'max', 'mean' or 'var', got {kind!r}")
-    if m.dtype == np.float32:
-        return out.astype(np.float32)
-    return out
-
-
-def argmax_row(v):
-    """Index of the largest entry of a vector; ties go to the lowest index."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("argmax of an empty vector")
-    return int(np.argmax(v))

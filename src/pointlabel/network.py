@@ -133,23 +133,6 @@ def _check_chain(encoder_specs, head_specs):
 
 
 # ---------------------------------------------------------------------------
-# activations
-
-def relu(x):
-    return np.maximum(x, 0)
-
-
-def sigmoid(x):
-    """1 / (1 + e^-x), mapping into [0,1]."""
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def tanh_activation(x):
-    """2*sigmoid(2x) - 1, mapping into [-1,1]."""
-    return 2.0 * sigmoid(2.0 * x) - 1.0
-
-
-# ---------------------------------------------------------------------------
 # single shared-weight layer
 
 @dataclass
@@ -436,13 +419,6 @@ def iter_tensors(params, learnable_only=True):
                 if not learnable_only:
                     yield f"{prefix}{i}.running_mean", lp.running_mean
                     yield f"{prefix}{i}.running_var", lp.running_var
-
-
-def set_tensor(params, name, value):
-    layer_name, attr = name.split(".")
-    chain = params.encoder if layer_name.startswith("enc") else params.head
-    idx = int(layer_name[4:]) if layer_name.startswith("head") else int(layer_name[3:])
-    setattr(chain[idx], attr, value)
 
 
 def param_count(params):

@@ -63,15 +63,21 @@ def lr_at(epoch_current, config):
     return config.lr_initial * (1.0 - epoch_current / config.epoch_total)
 
 
+def _first_non_finite(grads):
+    """Name of the first gradient tensor holding a NaN or infinity, or None."""
+    return next((name for name, g in grads.items()
+                 if not np.all(np.isfinite(g))), None)
+
+
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update, in place on params.
 
     Rejects the whole step (no tensor touched) if any gradient is
     non-finite, naming the offending tensor.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for tensor {name}")
+    bad = _first_non_finite(grads)
+    if bad is not None:
+        raise ValueError(f"non-finite gradient for tensor {bad}")
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
@@ -189,8 +195,8 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     batch at that epoch's learning rate, then scores the validation set.
     Weights are snapshotted whenever the validation loss improves; after
     `patience` non-improving epochs training stops and the best snapshot
-    is returned. A non-finite training loss aborts with the last good
-    snapshot flagged as diverged.
+    is returned. A non-finite training loss or gradient aborts before the
+    offending step with the last good snapshot flagged as diverged.
     """
     if not train_blocks or not val_blocks:
         raise ValueError("need non-empty train and validation block sets")
@@ -217,7 +223,6 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
         nll_sum = 0.0
         correct = 0
         seen = 0
-        diverged = False
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             xs, ys = [], []
@@ -233,15 +238,13 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
             nll_sum += network.cross_entropy(trace.q, by) * len(bx)
             correct += int((trace.q.argmax(axis=1) == by).sum())
             seen += len(bx)
-            if not math.isfinite(nll_sum):
-                diverged = True
-                break
+            if (not math.isfinite(nll_sum)
+                    or _first_non_finite(grads) is not None):
+                log.error("training diverged (non-finite loss or gradient) "
+                          "at epoch %d; keeping last good checkpoint", epoch)
+                return FitResult(best, history, best_epoch, diverged=True)
             adam_step(params, grads, state, lr, config.beta1, config.beta2,
                       config.epsilon)
-        if diverged:
-            log.error("training loss diverged at epoch %d; keeping last good "
-                      "checkpoint", epoch)
-            return FitResult(best, history, best_epoch, diverged=True)
         train_loss = nll_sum / seen
         train_acc = correct / seen
         val_loss, val_acc = evaluate_blocks(val_blocks, params, feature_columns)

@@ -70,6 +70,33 @@ class TestPreprocess:
         assert all(b.features.shape == (b.sample_count, 9) for b in blocks)
         assert all(b.labels is not None for b in blocks)
 
+    @pytest.mark.parametrize("edit", ["drop_last", "repeat_last",
+                                      "sample_count"])
+    def test_block_store_manifest_checked(self, fixture_dir, edit):
+        prep = run_preprocess(fixture_dir)
+        path = prep / "blocks.manifest"
+        lines = path.read_text().splitlines()
+        if edit == "drop_last":
+            lines = lines[:-1]
+        elif edit == "repeat_last":
+            lines = lines + lines[-1:]
+        else:
+            f = lines[1].split()
+            f[4] = str(int(f[4]) + 1)
+            lines[1] = " ".join(f)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pio.ParseError, match="block"):
+            cli.read_block_store(prep)
+
+    def test_store_refuses_clouds_beyond_float32_indices(self, tmp_path):
+        # zero strides: 2^24 + 1 points without allocating them
+        xyz = np.broadcast_to(np.zeros(3), (2 ** 24 + 1, 3))
+        cloud = PointCloud(xyz)
+        assert cloud.xyz.strides[0] == 0
+        with pytest.raises(ValueError, match="16777216"):
+            cli.write_block_store(tmp_path / "store", cloud, [], ())
+        assert not (tmp_path / "store").exists()
+
     def test_no_dtm_keeps_heights(self, fixture_dir):
         prep = run_preprocess(fixture_dir, out="prep2", extra=("--no-dtm",))
         cloud = pio.load_points(prep / "points.txt")

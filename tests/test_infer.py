@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pointlabel import infer
+from pointlabel import blocks as blk
+from pointlabel import infer, network
 from pointlabel.io import PointCloud
 
-from conftest import toy_params
+from conftest import strata_scene, toy_params
 
 
 def uniform_params():
@@ -67,6 +68,36 @@ class TestPredictScale:
         norm = f.normalized()
         assert np.allclose(norm[f.covered].sum(axis=1), 1.0)
         assert np.allclose(norm[f.covered], 1.0 / 3.0)
+
+    def test_sparse_blocks_forward_each_point_once(self, monkeypatch):
+        cloud = strata_scene(n_points=300, seed=3)
+        params = toy_params(seed=5)
+        sc = infer.ScaleConfig(6.0, 2.0, 256)
+        extent = blk.SceneExtent.of(cloud)
+        sums = np.zeros((len(cloud), 3))
+        counts = np.zeros(len(cloud), dtype=np.int64)
+        expected_rows = []
+        for bi, fp in enumerate(blk.tile_blocks(cloud, sc.size, sc.overlap)):
+            block = blk.sample_block(cloud, fp, sc.sample_count, False,
+                                     blk.block_rng(4, 1, bi), extent, 1)
+            q = network.forward(block.features, params, "eval").q
+            np.add.at(sums, block.parent_idx, q.astype(np.float64))
+            np.add.at(counts, block.parent_idx, 1)
+            expected_rows.append(len(np.unique(block.parent_idx)))
+        assert sum(expected_rows) < sc.sample_count * len(expected_rows)
+
+        forwarded = []
+        real_forward = network.forward
+
+        def counting_forward(x, *args, **kwargs):
+            forwarded.append(len(x))
+            return real_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", counting_forward)
+        f = infer.predict_scale(cloud, params, sc, scale_id=1, seed=4)
+        assert forwarded == expected_rows
+        assert f.probs.tobytes() == sums.tobytes()
+        assert np.array_equal(f.counts, counts)
 
     def test_threaded_matches_serial(self, scene):
         params = toy_params(seed=7)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointlabel.linalg import ShapeError, argmax_row, matmul, reduce
+from pointlabel.linalg import ShapeError, matmul
 
 
 def f32(x):
@@ -48,58 +48,3 @@ class TestMatmul:
         a = rng.standard_normal((64, 32)).astype(np.float32)
         b = rng.standard_normal((32, 16)).astype(np.float32)
         assert np.array_equal(matmul(a, b), matmul(a, b))
-
-
-class TestReduce:
-    def test_max_over_rows(self):
-        assert np.array_equal(reduce(f32([[1, 5], [3, 2]]), "rows", "max"),
-                              f32([3, 5]))
-
-    def test_mean_over_rows(self):
-        assert np.array_equal(reduce(f32([[1], [2], [3]]), "rows", "mean"),
-                              f32([2]))
-
-    def test_var_is_biased(self):
-        # ((1-2)^2 + 0 + (3-2)^2) / 3
-        out = reduce(f32([[1], [2], [3]]), "rows", "var")
-        assert out[0] == pytest.approx(2.0 / 3.0, rel=1e-6)
-
-    def test_cols_axis(self):
-        assert np.array_equal(reduce(f32([[1, 5], [3, 2]]), "cols", "max"),
-                              f32([5, 3]))
-
-    def test_single_row_max_is_that_row(self):
-        row = f32([[7, -1, 2]])
-        assert np.array_equal(reduce(row, "rows", "max"), row[0])
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError, match="empty axis"):
-            reduce(np.zeros((0, 3), dtype=np.float32), "rows", "max")
-
-    def test_max_permutation_invariant(self, rng):
-        m = rng.standard_normal((17, 5)).astype(np.float32)
-        p = rng.permutation(17)
-        assert np.array_equal(reduce(m[p], "rows", "max"),
-                              reduce(m, "rows", "max"))
-
-    def test_var_nonnegative_and_constant_rows_exact_zero(self, rng):
-        m = rng.standard_normal((13, 7)).astype(np.float32)
-        assert (reduce(m, "rows", "var") >= 0).all()
-        const = np.full((9, 4), 0.1, dtype=np.float32)
-        assert np.array_equal(reduce(const, "rows", "var"),
-                              np.zeros(4, dtype=np.float32))
-
-
-class TestArgmaxRow:
-    def test_basic(self):
-        assert argmax_row(f32([0.1, 0.7, 0.2])) == 1
-
-    def test_tie_goes_to_lowest_index(self):
-        assert argmax_row(f32([0.5, 0.5])) == 0
-
-    def test_singleton(self):
-        assert argmax_row(f32([3])) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            argmax_row(np.zeros(0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointlabel import network as net
 from pointlabel.linalg import ShapeError
@@ -189,6 +190,29 @@ class TestForward:
         q = net.forward(x, params, "eval").q
         assert np.array_equal(q[0], q[-1])
 
+    @settings(max_examples=40, deadline=None)
+    @given(n_unique=st.integers(1, 40), n_repeats=st.integers(0, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_forwarding_distinct_rows_once_is_exact(self, n_unique, n_repeats,
+                                                    seed):
+        # eval mode is row-wise up to the max-pool, and a max does not
+        # change when members repeat
+        rng = np.random.default_rng(seed)
+        params = toy_params(seed=seed % 1000)
+        for lp in params.encoder + params.head[:-1]:
+            for t in (lp.gamma, lp.beta, lp.running_mean):
+                t[:] = rng.normal(0.0, 0.5, t.shape)
+            lp.running_var[:] = rng.uniform(0.2, 3.0, lp.running_var.shape)
+        rows = rng.standard_normal((n_unique, 9)).astype(np.float32)
+        source = rng.permutation(np.concatenate(
+            [np.arange(n_unique), rng.integers(0, n_unique, n_repeats)]))
+        x = rows[source]
+        _, first, inverse = np.unique(source, return_index=True,
+                                      return_inverse=True)
+        full = net.forward(x, params, "eval").q
+        once = net.forward(x[first], params, "eval").q[inverse]
+        assert full.tobytes() == once.tobytes()
+
     def test_eval_deterministic(self, rng):
         params = toy_params()
         x = rng.standard_normal((16, 9)).astype(np.float32)
@@ -317,17 +341,6 @@ class TestBackward:
                 fd = (up - dn) / (2 * delta)
                 an = grads[name].reshape(-1)[k]
                 assert abs(an - fd) <= max(1e-4 * max(abs(an), abs(fd)), 1e-8), name
-
-
-class TestActivations:
-    def test_sigmoid_range(self):
-        x = np.linspace(-5, 5, 101)
-        s = net.sigmoid(x)
-        assert (s > 0).all() and (s < 1).all()
-
-    def test_tanh_identity(self):
-        x = np.linspace(-5.0, 5.0, 201)
-        assert np.allclose(net.tanh_activation(x), np.tanh(x), atol=1e-6)
 
 
 class TestCheckpoint:

@@ -243,6 +243,38 @@ class TestFit:
                                       net.iter_tensors(r2.params, False)):
             assert a1.tobytes() == a2.tobytes(), n1
 
+    @pytest.mark.parametrize("fault", ["gradient", "loss"])
+    def test_non_finite_step_returns_last_good_snapshot(self, rng, monkeypatch,
+                                                        fault):
+        train, val = self.build_sets(rng)
+        enc, head = self.toy_specs()
+        steps = []
+        real_backward, real_loss = net.backward, net.cross_entropy
+
+        def backward(trace, labels, params):
+            steps.append(None)
+            grads = real_backward(trace, labels, params)
+            if fault == "gradient" and len(steps) == 5:
+                grads["enc0.W"][0, 0] = np.nan
+            return grads
+
+        def loss(q, labels):
+            value = real_loss(q, labels)
+            return np.nan if fault == "loss" and len(steps) == 5 else value
+
+        monkeypatch.setattr(net, "backward", backward)
+        monkeypatch.setattr(net, "cross_entropy", loss)
+        # 8 blocks in batches of 4: the fifth step opens the third epoch
+        result = tr.fit(train, val, toy_fit_config(epoch_total=5),
+                        encoder_specs=enc, head_specs=head, n_classes=3)
+        assert result.diverged
+        assert len(steps) == 5 and len(result.history) == 2
+        losses = [h.val_loss for h in result.history]
+        assert losses[result.best_epoch] == min(losses)
+        monkeypatch.undo()
+        got, _ = tr.evaluate_blocks(val, result.params)
+        assert got == pytest.approx(min(losses))
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
             tr.fit([], [], toy_fit_config())
