@@ -8,7 +8,7 @@ float64 inputs stay float64 (used by the gradient-check shadow path).
 
 import numpy as np
 
-__all__ = ["ShapeError", "matmul"]
+__all__ = ["ShapeError", "matmul", "argmax_row"]
 
 
 class ShapeError(ValueError):
@@ -37,3 +37,13 @@ def matmul(a, b):
     if a.dtype == np.float32 and b.dtype == np.float32:
         return out.astype(np.float32)
     return out
+
+
+def argmax_row(v):
+    """Index of the largest entry of a vector; ties go to the lowest index."""
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise ShapeError(f"expected a vector, got shape {v.shape}")
+    if v.size == 0:
+        raise ValueError("argmax of an empty vector")
+    return int(np.argmax(v))

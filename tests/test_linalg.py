@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointlabel.linalg import ShapeError, matmul
+from pointlabel.linalg import ShapeError, argmax_row, matmul
 
 
 def f32(x):
@@ -48,3 +48,18 @@ class TestMatmul:
         a = rng.standard_normal((64, 32)).astype(np.float32)
         b = rng.standard_normal((32, 16)).astype(np.float32)
         assert np.array_equal(matmul(a, b), matmul(a, b))
+
+
+class TestArgmaxRow:
+    def test_basic(self):
+        assert argmax_row(f32([0.1, 0.7, 0.2])) == 1
+
+    def test_tie_goes_to_lowest_index(self):
+        assert argmax_row(f32([0.5, 0.5])) == 0
+
+    def test_singleton(self):
+        assert argmax_row(f32([3])) == 0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            argmax_row(np.zeros(0))
