@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import PointCloud, SamplingError, BoundsError, sample_raster
+from .io import (PointCloud, SamplingError, BoundsError, _sample,
+                 raster_overhang, sample_raster)
 from .linalg import ShapeError
 
 log = logging.getLogger(__name__)
@@ -93,24 +94,17 @@ class Block:
 def attribute_spectral(cloud, image):
     """Attach (IR,R,G) to every point by bilinear lookup in the image.
 
-    Existing spectral values are overwritten. Sampling failures re-raise
-    with the offending point index.
+    Existing spectral values are overwritten. A sampling failure re-raises
+    with the index of the first failing point.
     """
     if image.bands != 3:
         raise ShapeError(f"spectral image must have 3 bands, got {image.bands}")
-    spectral = np.empty((len(cloud), 3), dtype=np.float64)
-    clamped = 0
-    for i in range(len(cloud)):
-        x, y = cloud.xyz[i, 0], cloud.xyz[i, 1]
-        try:
-            spectral[i] = sample_raster(image, x, y, "bilinear")
-        except (SamplingError, BoundsError) as exc:
-            raise type(exc)(f"point {i}: {exc}") from None
-        px = (x - image.origin_x) / image.cell_size
-        py = (image.origin_y - y) / image.cell_size
-        if not (0 <= px <= image.width - 1 and 0 <= py <= image.height - 1):
-            clamped += 1
-            log.debug("point %d outside the pixel-center span; edge-clamped", i)
+    x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
+    try:
+        spectral = sample_raster(image, x, y, "bilinear")
+    except (SamplingError, BoundsError) as exc:
+        raise type(exc)(f"point {exc.index}: {exc}") from None
+    clamped = int(raster_overhang(image, x, y)[0].sum())
     if clamped:
         log.warning("attribute_spectral: %d point(s) beyond the image "
                     "footprint took edge-clamped values", clamped)
@@ -119,24 +113,20 @@ def attribute_spectral(cloud, image):
 
 def normalize_height(cloud, dtm):
     """Subtract the terrain height under each point (raw difference, no
-    clamping at zero). Points over nodata terrain are dropped; the drop
-    count is logged."""
+    clamping at zero). Points over nodata terrain or outside the DTM
+    extent are dropped; both counts are logged."""
     if dtm.bands != 1:
         raise ShapeError(f"DTM must be single-band, got {dtm.bands} bands")
-    z = np.empty(len(cloud), dtype=np.float64)
-    keep = np.ones(len(cloud), dtype=bool)
-    for i in range(len(cloud)):
-        try:
-            z[i] = cloud.xyz[i, 2] - sample_raster(dtm, cloud.xyz[i, 0],
-                                                   cloud.xyz[i, 1], "bilinear")[0]
-        except (SamplingError, BoundsError):
-            keep[i] = False
-    dropped = int((~keep).sum())
-    if dropped:
-        log.warning("normalize_height: dropped %d point(s) over nodata terrain",
-                    dropped)
-    xyz = cloud.xyz[keep].copy()
-    xyz[:, 2] = z[keep]
+    terrain, outside, empty = _sample(dtm, cloud.xyz[:, 0], cloud.xyz[:, 1],
+                                      "bilinear")
+    nodata = empty[:, 0] & ~outside
+    keep = ~(outside | nodata)
+    if not keep.all():
+        log.warning("normalize_height: dropped %d point(s) over nodata "
+                    "terrain and %d outside the DTM extent",
+                    int(nodata.sum()), int(outside.sum()))
+    xyz = cloud.xyz[keep]
+    xyz[:, 2] -= terrain[keep, 0]
     return PointCloud(xyz,
                       cloud.spectral[keep] if cloud.spectral is not None else None,
                       cloud.labels[keep] if cloud.labels is not None else None)

@@ -120,10 +120,18 @@ def cmd_preprocess(args):
     cloud = pio.load_points(args.points, columns=columns)
     image = pio.read_ppm_image(args.image)
     cloud = blk.attribute_spectral(cloud, image)
+    x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
+    clamped, _ = pio.raster_overhang(image, x, y)
+    counts = {"attribution_clamped": int(clamped.sum()),
+              "dtm_dropped_nodata": 0, "dtm_dropped_outside": 0}
     inputs = [args.points, args.image]
     if not args.no_dtm:
         dtm = pio.read_ascii_grid(args.dtm)
+        outside = int(pio.raster_overhang(dtm, x, y)[1].sum())
+        attributed = len(cloud)
         cloud = blk.normalize_height(cloud, dtm)
+        counts["dtm_dropped_outside"] = outside
+        counts["dtm_dropped_nodata"] = attributed - len(cloud) - outside
         inputs.append(args.dtm)
     t1 = time.perf_counter()
     scales = infer.ScaleConfig.parse(args.scales)
@@ -134,7 +142,7 @@ def cmd_preprocess(args):
     write_manifest(Path(args.out) / "run_manifest.txt", "preprocess",
                    {"seed": args.seed, "scales": args.scales,
                     "augment": args.augment, "no_dtm": args.no_dtm,
-                    "points": len(cloud), "blocks": len(all_blocks)},
+                    "points": len(cloud), "blocks": len(all_blocks), **counts},
                    inputs, {"attribution": t1 - t0, "blocking": t2 - t1})
     print(f"preprocess: {len(cloud)} points -> {len(all_blocks)} blocks "
           f"in {args.out}")

@@ -50,15 +50,10 @@ def write_container(fh, layers, tensors):
 
 
 def _read_line(fh):
-    # manual byte-wise readline: the stream mixes text lines and raw payloads
-    buf = bytearray()
-    while True:
-        c = fh.read(1)
-        if not c:
-            raise ContainerError("unexpected end of container")
-        if c == b"\n":
-            return bytes(buf)
-        buf += c
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise ContainerError("unexpected end of container")
+    return line[:-1]
 
 
 def read_container(fh):

@@ -29,8 +29,12 @@ __all__ = [
     "PointCloud", "Raster", "ParseError", "SchemaError", "SamplingError",
     "BoundsError", "parse_points", "parse_points_columns", "write_points",
     "load_points", "save_points", "parse_ascii_grid", "write_ascii_grid",
-    "read_ascii_grid", "read_ppm_image", "write_ppm_image", "sample_raster",
+    "read_ascii_grid", "read_ppm_image", "write_ppm_image", "raster_overhang",
+    "sample_raster",
 ]
+
+# rows write_points formats at a time: bounds its Python-float lists
+WRITE_CHUNK_ROWS = 4096
 
 SCHEMAS = {"xyz": (False, False), "xyzL": (False, True),
            "xyzirg": (True, False), "xyzirgL": (True, True)}
@@ -44,11 +48,20 @@ class SchemaError(ParseError):
     """Input structure disagrees with the declared schema."""
 
 
-class SamplingError(ValueError):
+class _QueryError(ValueError):
+    """A raster query failed; index is its position among the queries of
+    the sample_raster call (0 for a scalar call)."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
+
+
+class SamplingError(_QueryError):
     """Raster query could not produce a value (nodata neighborhood)."""
 
 
-class BoundsError(ValueError):
+class BoundsError(_QueryError):
     """Raster query outside the clamped extent."""
 
 
@@ -188,17 +201,24 @@ def write_points(cloud, labels=None, probs=None):
         if probs.ndim != 2 or len(probs) != len(cloud):
             raise ShapeError(
                 f"probs shape {probs.shape} does not match point count {len(cloud)}")
-    out = []
-    for i in range(len(cloud)):
-        cols = [f"{v:.6f}" for v in cloud.xyz[i]]
-        if cloud.spectral is not None:
-            cols += [f"{v:.6f}" for v in cloud.spectral[i]]
-        if labels is not None:
-            cols.append(str(int(labels[i])))
-        if probs is not None:
-            cols += [f"{v:.6f}" for v in probs[i]]
-        out.append(" ".join(cols))
-    return "\n".join(out) + ("\n" if out else "")
+    # one format per column layout, applied to float64 rows; a label goes
+    # through float64 exactly and "%d" truncates it as int() does
+    cols, fmt = [cloud.xyz], ["%.6f %.6f %.6f"]
+    if cloud.spectral is not None:
+        cols.append(cloud.spectral)
+        fmt.append("%.6f %.6f %.6f")
+    if labels is not None:
+        cols.append(labels.reshape(-1, 1))
+        fmt.append("%d")
+    if probs is not None:
+        cols.append(probs)
+        fmt += ["%.6f"] * probs.shape[1]
+    fmt = " ".join(fmt) + "\n"
+    parts = []
+    for start in range(0, len(cloud), WRITE_CHUNK_ROWS):
+        rows = np.hstack([c[start:start + WRITE_CHUNK_ROWS] for c in cols])
+        parts.append("".join([fmt % tuple(r) for r in rows.tolist()]))
+    return "".join(parts)
 
 
 COLUMN_NAMES = ("x", "y", "z", "ir", "r", "g", "label")
@@ -417,56 +437,108 @@ def write_ppm_image(path, raster, maxval=255, world_path=None):
 # ---------------------------------------------------------------------------
 # raster sampling
 
-def sample_raster(raster, x, y, mode="bilinear"):
-    """Sample every band of a raster at world coordinates (x, y).
-
-    Bilinear blends the 4 surrounding pixel centers; nodata neighbors are
-    excluded and the remaining weights renormalized. Queries up to half a
-    cell outside the outermost pixel centers clamp to the edge; anything
-    farther raises BoundsError. Nearest mode breaks half-way ties toward
-    the lower pixel index.
-    """
-    cell = raster.cell_size
-    px = (x - raster.origin_x) / cell
-    py = (raster.origin_y - y) / cell
-    w, h = raster.width, raster.height
+def _pixel_coords(raster, x, y):
+    """Fractional pixel coordinates (px, py) of world points, with pixel
+    centers on integers, and the mask of points beyond the half-cell
+    margin around the outermost pixel centers, which no query may reach."""
+    px = (x - raster.origin_x) / raster.cell_size
+    py = (raster.origin_y - y) / raster.cell_size
     margin = 0.5 + 1e-9
-    if not (-margin <= px <= w - 1 + margin) or not (-margin <= py <= h - 1 + margin):
-        raise BoundsError(
-            f"query ({x}, {y}) outside raster extent (pixel coords {px:.3f}, {py:.3f})")
-    px = min(max(px, 0.0), float(w - 1))
-    py = min(max(py, 0.0), float(h - 1))
-    i0 = min(int(math.floor(px)), max(w - 2, 0))
-    j0 = min(int(math.floor(py)), max(h - 2, 0))
-    i1 = min(i0 + 1, w - 1)
-    j1 = min(j0 + 1, h - 1)
+    outside = ~((-margin <= px) & (px <= raster.width - 1 + margin)
+                & (-margin <= py) & (py <= raster.height - 1 + margin))
+    return px, py, outside
+
+
+def raster_overhang(raster, x, y):
+    """Masks (clamped, outside) of world points (arrays) against a raster's
+    footprint: clamped points lie in the half-cell margin beyond the
+    outermost pixel centers and sample edge-clamped values; outside points
+    lie beyond that margin and cannot be sampled."""
+    px, py, outside = _pixel_coords(raster, x, y)
+    span = ((0 <= px) & (px <= raster.width - 1)
+            & (0 <= py) & (py <= raster.height - 1))
+    return ~span & ~outside, outside
+
+
+def _sample(raster, x, y, mode):
+    """Array core of sample_raster; raises nothing for a failing query.
+
+    Returns (values, outside, empty): values is (N, bands), outside marks
+    queries beyond the clamped extent, and empty (N, bands) marks bands
+    without a value (every bilinear neighbor, or the nearest pixel, is
+    nodata). Values of failing queries are meaningless.
+    """
+    if mode not in ("bilinear", "nearest"):
+        raise ValueError(f"mode must be 'bilinear' or 'nearest', got {mode!r}")
+    w, h = raster.width, raster.height
+    px, py, outside = _pixel_coords(raster, x, y)
+    # outside queries (NaN included) are parked on pixel 0 so that indexing
+    # stays valid; their values are never used
+    px = np.where(outside, 0.0, np.minimum(np.maximum(px, 0.0), float(w - 1)))
+    py = np.where(outside, 0.0, np.minimum(np.maximum(py, 0.0), float(h - 1)))
+    i0 = np.minimum(np.floor(px).astype(np.intp), max(w - 2, 0))
+    j0 = np.minimum(np.floor(py).astype(np.intp), max(h - 2, 0))
+    i1 = np.minimum(i0 + 1, w - 1)
+    j1 = np.minimum(j0 + 1, h - 1)
     fx = px - i0
     fy = py - j0
 
     if mode == "nearest":
-        i = i0 if fx <= 0.5 else i1
-        j = j0 if fy <= 0.5 else j1
-        vals = raster.data[:, j, i]
-        if np.any(vals == raster.nodata):
-            raise SamplingError(f"nodata at nearest pixel ({i}, {j})")
-        return vals.copy()
-    if mode != "bilinear":
-        raise ValueError(f"mode must be 'bilinear' or 'nearest', got {mode!r}")
+        values = raster.data[:, np.where(fy <= 0.5, j0, j1),
+                             np.where(fx <= 0.5, i0, i1)].T
+        return values, outside, values == raster.nodata
 
+    # per band, accumulate the neighbors in this order from 0.0, a nodata
+    # neighbor adding 0.0 to both sums: every value then equals, bit for
+    # bit, what a per-point loop over the same formula computes
     neighbors = ((j0, i0, (1 - fx) * (1 - fy)), (j0, i1, fx * (1 - fy)),
                  (j1, i0, (1 - fx) * fy), (j1, i1, fx * fy))
-    out = np.zeros(raster.bands, dtype=np.float64)
-    for band in range(raster.bands):
-        acc = 0.0
-        wsum = 0.0
+    values = np.empty((len(px), raster.bands), dtype=np.float64)
+    empty = np.empty((len(px), raster.bands), dtype=bool)
+    for band, plane in enumerate(raster.data):
+        acc = np.zeros(len(px))
+        wsum = np.zeros(len(px))
         for j, i, wgt in neighbors:
-            v = raster.data[band, j, i]
-            if v == raster.nodata:
-                continue
-            acc += wgt * v
-            wsum += wgt
-        if wsum <= 0.0:
-            raise SamplingError(
-                f"no valid raster neighbors at ({x}, {y}) in band {band}")
-        out[band] = acc / wsum
-    return out
+            v = plane[j, i]
+            valid = v != raster.nodata
+            acc += np.where(valid, wgt * v, 0.0)
+            wsum += np.where(valid, wgt, 0.0)
+        empty[:, band] = wsum <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values[:, band] = acc / wsum
+    return values, outside, empty
+
+
+def sample_raster(raster, x, y, mode="bilinear"):
+    """Sample every band of a raster at world coordinates (x, y).
+
+    x and y are scalars, giving a (bands,) result, or equal-length 1-D
+    arrays, giving an (N, bands) result. Bilinear blends the 4 surrounding
+    pixel centers; nodata neighbors are excluded and the remaining weights
+    renormalized. Queries up to half a cell outside the outermost pixel
+    centers clamp to the edge; anything farther raises BoundsError. A
+    query without a valid value raises SamplingError. Of several failing
+    queries, the one with the lowest index is reported, its extent checked
+    before its nodata; the exception's `index` holds that index. Nearest
+    mode breaks half-way ties toward the lower pixel index.
+    """
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if x.shape != y.shape:
+        raise ShapeError(f"x has {x.size} coordinates, y has {y.size}")
+    values, outside, empty = _sample(raster, x, y, mode)
+    failed = outside | empty.any(axis=1)
+    if failed.any():
+        k = int(failed.argmax())
+        if outside[k]:
+            px, py, _ = _pixel_coords(raster, x[k], y[k])
+            raise BoundsError(f"query ({x[k]}, {y[k]}) outside raster extent "
+                              f"(pixel coords {px:.3f}, {py:.3f})", k)
+        band = int(empty[k].argmax())
+        if mode == "nearest":
+            raise SamplingError(f"nodata at the nearest pixel to "
+                                f"({x[k]}, {y[k]}) in band {band}", k)
+        raise SamplingError(f"no valid raster neighbors at ({x[k]}, {y[k]}) "
+                            f"in band {band}", k)
+    return values[0] if scalar else values

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pointlabel import blocks as blk
-from pointlabel.io import PointCloud, Raster
+from pointlabel.io import BoundsError, PointCloud, Raster, SamplingError
 from pointlabel.linalg import ShapeError
 
 
@@ -39,6 +39,16 @@ class TestAttributeSpectral:
         with pytest.raises(ValueError, match="point 1"):
             blk.attribute_spectral(cloud, flat_image())
 
+    def test_error_names_first_failing_point(self):
+        img = flat_image()
+        img.data[:, :3, :3] = img.nodata
+        # point 0 sits over all-nodata pixels, point 1 outside the image
+        cloud = cloud_of([[0.0, 64.0, 0.0], [500.0, 500.0, 0.0]])
+        with pytest.raises(SamplingError, match="point 0"):
+            blk.attribute_spectral(cloud, img)
+        with pytest.raises(BoundsError, match="point 0"):
+            blk.attribute_spectral(cloud_of(cloud.xyz[::-1]), img)
+
     def test_wrong_band_count(self):
         dtm = Raster(np.zeros((1, 4, 4)), origin_x=0, origin_y=4, cell_size=1)
         with pytest.raises(ShapeError):
@@ -72,6 +82,18 @@ class TestNormalizeHeight:
         out = blk.normalize_height(cloud, dtm)
         assert len(out) == 1
         assert out.labels[0] == 1
+
+
+    def test_drop_causes_counted_separately(self, caplog):
+        data = np.full((8, 8), 2.0)
+        data[4, 4] = -9999.0
+        dtm = Raster(data, origin_x=-1, origin_y=8, cell_size=1)
+        cloud = cloud_of([[1.0, 1.0, 5.0], [3.0, 4.0, 5.0], [20.0, 1.0, 5.0]])
+        with caplog.at_level("WARNING", logger="pointlabel.blocks"):
+            out = blk.normalize_height(cloud, dtm)
+        assert len(out) == 1
+        assert ("dropped 1 point(s) over nodata terrain and 1 outside the "
+                "DTM extent") in caplog.text
 
 
 class TestTileBlocks:

@@ -102,6 +102,26 @@ class TestPreprocess:
         cloud = pio.load_points(prep / "points.txt")
         assert cloud.xyz[:, 2].min() >= 0.0
 
+    def test_manifest_counts_clamped_and_dropped_points(self, fixture_dir):
+        # the DTM is one column narrower than the image and has one nodata
+        # cell; three points beyond the scene: over that nodata cell, past
+        # the DTM's extent, and past it inside the image's half-cell margin
+        cloud = pio.load_points(fixture_dir / "points.txt")
+        extra = [[10.5, 11.5, 3.0], [11.5, 5.0, 3.0], [11.8, 5.0, 3.0]]
+        pio.save_points(fixture_dir / "points.txt", PointCloud(
+            np.vstack([cloud.xyz, extra]), None,
+            np.concatenate([cloud.labels, [0, 0, 0]])))
+        data = np.full((14, 13), 1.0)
+        data[0, 12] = -9999.0
+        dtm = Raster(data, origin_x=-1.5, origin_y=11.5, cell_size=1.0)
+        (fixture_dir / "dtm.asc").write_text(pio.write_ascii_grid(dtm))
+        prep = run_preprocess(fixture_dir)
+        lines = (prep / "run_manifest.txt").read_text().splitlines()
+        assert "attribution_clamped=1" in lines
+        assert "dtm_dropped_nodata=1" in lines
+        assert "dtm_dropped_outside=2" in lines
+        assert f"points={len(cloud)}" in lines
+
     def test_dtm_required_without_no_dtm(self, fixture_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["preprocess", "--points", "p", "--image", "i",

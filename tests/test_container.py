@@ -56,6 +56,15 @@ def test_truncated_payload_rejected():
         read_container(clipped)
 
 
+def test_truncated_header_line_rejected():
+    buf = io.BytesIO()
+    write_container(buf, 1, [("t", np.ones((2, 2), dtype=np.float32))])
+    raw = buf.getvalue()
+    cut = raw.index(b"tensor t 2 2\n") + len(b"tensor t 2")
+    with pytest.raises(ContainerError, match="unexpected end"):
+        read_container(io.BytesIO(raw[:cut]))
+
+
 def test_whitespace_in_name_rejected():
     with pytest.raises(ValueError, match="whitespace"):
         write_container(io.BytesIO(), 1, [("a b", np.ones((1, 1)))])

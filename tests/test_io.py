@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointlabel.io import (BoundsError, ParseError, PointCloud, Raster,
                            SamplingError, SchemaError, load_points,
@@ -72,6 +75,44 @@ class TestWritePoints:
                 assert np.allclose(back.spectral, cloud.spectral, atol=1e-6)
             if has_label:
                 assert np.array_equal(back.labels, cloud.labels)
+
+    def test_text_matches_per_value_reference(self, rng):
+        def reference(cloud, labels, probs):
+            out = []
+            for i in range(len(cloud)):
+                cols = [f"{v:.6f}" for v in cloud.xyz[i]]
+                if cloud.spectral is not None:
+                    cols += [f"{v:.6f}" for v in cloud.spectral[i]]
+                if labels is not None:
+                    cols.append(str(int(labels[i])))
+                if probs is not None:
+                    cols += [f"{v:.6f}" for v in probs[i]]
+                out.append(" ".join(cols))
+            return "\n".join(out) + ("\n" if out else "")
+
+        # -0.0, values that round at the 6th decimal either way, and a
+        # length that spans several formatting chunks
+        awkward = [-0.0, 0.0, 5e-7, -5e-7, 0.0000005000001, 1.2345675,
+                   -1.2345665, 123456.9999995, 1e-12, -1e-12]
+        n = 9000
+        for has_spectral, has_labels, n_probs in [
+                (False, False, None), (True, False, None), (False, True, None),
+                (True, True, None), (True, True, 4), (False, False, 2)]:
+            xyz = rng.uniform(-1e5, 1e5, (n, 3))
+            xyz.flat[:len(awkward)] = awkward
+            spectral = rng.uniform(0, 255, (n, 3)) if has_spectral else None
+            if has_spectral:
+                spectral[-1] = awkward[:3]
+            cloud = PointCloud(xyz, spectral,
+                               rng.integers(0, 9, n) if has_labels else None)
+            probs = None
+            if n_probs:
+                probs = rng.random((n, n_probs)).astype(np.float32)
+                probs[0, :2] = [-0.0, 5e-7]
+            assert (write_points(cloud, probs=probs)
+                    == reference(cloud, cloud.labels, probs))
+        labels = rng.integers(0, 9, n)
+        assert write_points(cloud, labels=labels) == reference(cloud, labels, None)
 
     def test_file_roundtrip_auto_schema(self, rng, tmp_path):
         cloud = PointCloud(rng.uniform(0, 10, (20, 3)),
@@ -242,3 +283,108 @@ class TestSampleRaster:
                              np.full((2, 2), 30.0)]),
                    origin_x=0, origin_y=0, cell_size=1)
         assert np.array_equal(sample_raster(r, 0.5, -0.5), [10.0, 20.0, 30.0])
+
+
+def scalar_sample(raster, x, y, mode):
+    """Reference: the per-point sampler the array sampler replaced."""
+    cell = raster.cell_size
+    px = (x - raster.origin_x) / cell
+    py = (raster.origin_y - y) / cell
+    w, h = raster.width, raster.height
+    margin = 0.5 + 1e-9
+    if not (-margin <= px <= w - 1 + margin) or not (-margin <= py <= h - 1 + margin):
+        raise BoundsError("outside")
+    px = min(max(px, 0.0), float(w - 1))
+    py = min(max(py, 0.0), float(h - 1))
+    i0 = min(int(math.floor(px)), max(w - 2, 0))
+    j0 = min(int(math.floor(py)), max(h - 2, 0))
+    i1 = min(i0 + 1, w - 1)
+    j1 = min(j0 + 1, h - 1)
+    fx = px - i0
+    fy = py - j0
+    if mode == "nearest":
+        vals = raster.data[:, j0 if fy <= 0.5 else j1, i0 if fx <= 0.5 else i1]
+        if np.any(vals == raster.nodata):
+            raise SamplingError("nodata")
+        return vals.copy()
+    neighbors = ((j0, i0, (1 - fx) * (1 - fy)), (j0, i1, fx * (1 - fy)),
+                 (j1, i0, (1 - fx) * fy), (j1, i1, fx * fy))
+    out = np.zeros(raster.bands, dtype=np.float64)
+    for band in range(raster.bands):
+        acc = 0.0
+        wsum = 0.0
+        for j, i, wgt in neighbors:
+            v = raster.data[band, j, i]
+            if v == raster.nodata:
+                continue
+            acc += wgt * v
+            wsum += wgt
+        if wsum <= 0.0:
+            raise SamplingError("no valid neighbors")
+        out[band] = acc / wsum
+    return out
+
+
+class TestSampleRasterArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(bands=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
+           cell=st.one_of(st.sampled_from([0.25, 1.0, 2.0]), st.floats(0.05, 20.0)),
+           ox=st.one_of(st.integers(-999, 999).map(float), st.floats(-1e4, 1e4)),
+           oy=st.one_of(st.integers(-999, 999).map(float), st.floats(-1e4, 1e4)),
+           nodata_share=st.sampled_from([0.0, 0.2, 0.6]),
+           n=st.integers(1, 40), mode=st.sampled_from(["bilinear", "nearest"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scalar_reference_bit_for_bit(self, bands, h, w, cell, ox, oy,
+                                                  nodata_share, n, mode, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(-50.0, 300.0, (bands, h, w))
+        data[rng.random(data.shape) < nodata_share] = -9999.0
+        r = Raster(data, origin_x=ox, origin_y=oy, cell_size=cell)
+        # pixel coordinates: anywhere from well outside to the far margin,
+        # exact pixel centers and midpoints between them (nearest-mode
+        # ties), and points on the half-cell margin
+        kind = rng.integers(0, 3, n)
+        px = np.where(kind == 0, rng.uniform(-1.5, w + 0.5, n),
+                      np.where(kind == 1, rng.integers(0, 2 * w - 1, n) / 2,
+                               rng.choice([-0.5, w - 0.5], n)))
+        py = np.where(kind == 0, rng.uniform(-1.5, h + 0.5, n),
+                      np.where(kind == 1, rng.integers(0, 2 * h - 1, n) / 2,
+                               rng.choice([-0.5, h - 0.5], n)))
+        x = ox + px * cell
+        y = oy - py * cell
+        expected = []
+        for xi, yi in zip(x, y):
+            try:
+                expected.append(scalar_sample(r, xi, yi, mode))
+            except (BoundsError, SamplingError) as exc:
+                expected.append(type(exc))
+        failed = [k for k, e in enumerate(expected) if isinstance(e, type)]
+        if failed:
+            with pytest.raises(expected[failed[0]]) as info:
+                sample_raster(r, x, y, mode)
+            assert info.value.index == failed[0]
+        ok = [k for k in range(n) if k not in failed]
+        got = sample_raster(r, x[ok], y[ok], mode)
+        assert got.shape == (len(ok), bands)
+        want = np.array([expected[k] for k in ok]).reshape(len(ok), bands)
+        assert got.tobytes() == want.tobytes()
+        if ok:
+            one = sample_raster(r, float(x[ok[0]]), float(y[ok[0]]), mode)
+            assert one.shape == (bands,)
+            assert one.tobytes() == want[0].tobytes()
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ShapeError):
+            sample_raster(grid([[1.0]]), np.zeros(2), np.zeros(3))
+
+    def test_lowest_failing_query_reported_bounds_first(self):
+        r = grid([[1.0, -9999.0], [2.0, 3.0]])
+        # query 1 is over nodata (nearest), query 2 outside the extent
+        x = np.array([0.0, 1.0, 9.0])
+        y = np.array([0.0, 0.0, 0.0])
+        with pytest.raises(SamplingError) as info:
+            sample_raster(r, x, y, "nearest")
+        assert info.value.index == 1
+        with pytest.raises(BoundsError) as info:
+            sample_raster(r, x[::-1], y, "nearest")
+        assert info.value.index == 0
