@@ -27,12 +27,12 @@ print(np.round(trace.q, 3))
 perm = rng.permutation(len(x))
 trace_p = net.forward(x[perm], params, "eval")
 assert np.array_equal(trace_p.q, trace.q[perm])
-assert trace_p.g.tobytes() == trace.g.tobytes()
+assert trace_p.g_segments.tobytes() == trace.g_segments.tobytes()
 print("permuted input -> identically permuted output, bitwise-equal "
       "global feature")
 
 # the global feature is the column-wise max over the points
-assert np.array_equal(trace.g, trace.pooled_input.max(axis=0))
+assert np.array_equal(trace.g_segments[0], trace.pooled_input.max(axis=0))
 print("global feature == column max of the deepest per-point features")
 
 # training mode normalizes with batch statistics and returns a trace

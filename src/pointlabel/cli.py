@@ -119,31 +119,33 @@ def cmd_preprocess(args):
     columns = args.columns.split(",") if args.columns else None
     cloud = pio.load_points(args.points, columns=columns)
     image = pio.read_ppm_image(args.image)
+    dtm = None if args.no_dtm else pio.read_ascii_grid(args.dtm)
+    t1 = time.perf_counter()
     cloud = blk.attribute_spectral(cloud, image)
     x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
     clamped, _ = pio.raster_overhang(image, x, y)
     counts = {"attribution_clamped": int(clamped.sum()),
               "dtm_dropped_nodata": 0, "dtm_dropped_outside": 0}
     inputs = [args.points, args.image]
-    if not args.no_dtm:
-        dtm = pio.read_ascii_grid(args.dtm)
+    if dtm is not None:
         outside = int(pio.raster_overhang(dtm, x, y)[1].sum())
         attributed = len(cloud)
         cloud = blk.normalize_height(cloud, dtm)
         counts["dtm_dropped_outside"] = outside
         counts["dtm_dropped_nodata"] = attributed - len(cloud) - outside
         inputs.append(args.dtm)
-    t1 = time.perf_counter()
+    t2 = time.perf_counter()
     scales = infer.ScaleConfig.parse(args.scales)
     all_blocks = blk.build_blocks(cloud, scales, args.seed, training=True,
                                   augment_copies=args.augment)
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     write_block_store(args.out, cloud, all_blocks, scales)
     write_manifest(Path(args.out) / "run_manifest.txt", "preprocess",
                    {"seed": args.seed, "scales": args.scales,
                     "augment": args.augment, "no_dtm": args.no_dtm,
                     "points": len(cloud), "blocks": len(all_blocks), **counts},
-                   inputs, {"attribution": t1 - t0, "blocking": t2 - t1})
+                   inputs, {"load": t1 - t0, "attribution": t2 - t1,
+                            "blocking": t3 - t2})
     print(f"preprocess: {len(cloud)} points -> {len(all_blocks)} blocks "
           f"in {args.out}")
     return 0
@@ -217,9 +219,7 @@ def cmd_predict(args):
     t1 = time.perf_counter()
     pio.save_points(args.out, cloud, labels=labels)
     if args.probs:
-        with open(args.probs, "w", encoding="utf-8") as fh:
-            for row in probs:
-                fh.write(" ".join(f"{v:.6f}" for v in row) + "\n")
+        np.savetxt(args.probs, probs, fmt="%.6f")
     write_manifest(str(args.out) + ".manifest", "predict",
                    {"seed": args.seed, "scales": args.scales,
                     "threads": args.threads, "features": mode,

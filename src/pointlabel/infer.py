@@ -131,21 +131,10 @@ def average_scales(fields):
     return ProbabilityField(out, covered_scales)
 
 
-def _nearest_covered_brute(query_xyz, covered_xyz):
-    """Index into covered_xyz of each query's nearest point; ties -> lowest
-    index. Chunked so memory stays bounded."""
-    out = np.empty(len(query_xyz), dtype=np.int64)
-    step = max(1, int(4e7 // max(len(covered_xyz), 1)))
-    for s in range(0, len(query_xyz), step):
-        q = query_xyz[s:s + step]
-        d2 = ((q[:, None, :] - covered_xyz[None, :, :]) ** 2).sum(axis=2)
-        out[s:s + step] = d2.argmin(axis=1)
-    return out
-
-
-def _nearest_covered_kdtree(query_xyz, covered_xyz):
-    """kd-tree accelerated nearest covered point, with the lowest-index
-    tie-break re-derived exactly from the candidate distances."""
+def _nearest_covered(query_xyz, covered_xyz):
+    """Index into covered_xyz of each query's nearest point by a kd-tree;
+    ties go to the lowest index, re-derived exactly from the candidates'
+    squared distances."""
     from scipy.spatial import cKDTree
 
     tree = cKDTree(covered_xyz)
@@ -163,7 +152,7 @@ def _nearest_covered_kdtree(query_xyz, covered_xyz):
     return out
 
 
-def interpolate_labels(field, cloud, method="auto"):
+def interpolate_labels(field, cloud):
     """Final per-point labels from an averaged probability field.
 
     Uncovered points copy the class probabilities of their 3D-nearest
@@ -171,22 +160,13 @@ def interpolate_labels(field, cloud, method="auto"):
     label is then the argmax of its probability vector.
     """
     covered = field.covered
-    n_cov = int(covered.sum())
-    if n_cov == 0:
+    if not covered.any():
         raise ValueError("no covered points to interpolate from")
     probs = field.normalized()
     uncovered = np.flatnonzero(~covered)
     if len(uncovered):
         cov_idx = np.flatnonzero(covered)
-        cov_xyz = cloud.xyz[cov_idx]
-        if method == "auto":
-            method = "brute" if len(uncovered) * n_cov <= 2_000_000 else "kdtree"
-        if method == "brute":
-            nearest = _nearest_covered_brute(cloud.xyz[uncovered], cov_xyz)
-        elif method == "kdtree":
-            nearest = _nearest_covered_kdtree(cloud.xyz[uncovered], cov_xyz)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        nearest = _nearest_covered(cloud.xyz[uncovered], cloud.xyz[cov_idx])
         probs[uncovered] = probs[cov_idx[nearest]]
     return probs.argmax(axis=1), probs
 
@@ -195,13 +175,13 @@ def interpolate_labels(field, cloud, method="auto"):
 # full multi-scale pipeline
 
 def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, feature_columns=None,
-            threads=1, nn_method="auto"):
+            threads=1):
     """Tile, forward and merge every scale; returns (labels, probabilities)."""
     fields = [predict_scale(cloud, params, sc, scale_id, seed, feature_columns,
                             threads)
               for scale_id, sc in enumerate(scales)]
     merged = average_scales(fields)
-    return interpolate_labels(merged, cloud, nn_method)
+    return interpolate_labels(merged, cloud)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Point-cloud and raster text formats.
 
 Point files are whitespace-delimited UTF-8 text, one point per line, with
-`#` starting a comment. Supported column layouts ("schemas"):
+`#` starting a comment. A column layout names each column; without one,
+the column count of the first data line picks a named layout:
 
     xyz      x y z
     xyzL     x y z label
     xyzirg   x y z ir r g
     xyzirgL  x y z ir r g label
 
-Raw survey exports with extra columns (intensity, return counts) go
-through parse_points_columns with an explicit layout instead.
+Raw survey exports with extra columns (intensity, return counts) pass an
+explicit layout instead, "-" marking a column to discard.
 
 Rasters come from two carriers: ESRI ASCII grids (DTM/DSM heights) and
 plain-text PPM `P3` images (IR,R,G bands) with a 6-line ESRI world file
@@ -27,17 +28,19 @@ from .linalg import ShapeError
 
 __all__ = [
     "PointCloud", "Raster", "ParseError", "SchemaError", "SamplingError",
-    "BoundsError", "parse_points", "parse_points_columns", "write_points",
-    "load_points", "save_points", "parse_ascii_grid", "write_ascii_grid",
-    "read_ascii_grid", "read_ppm_image", "write_ppm_image", "raster_overhang",
-    "sample_raster",
+    "BoundsError", "parse_points", "write_points", "load_points",
+    "save_points", "parse_ascii_grid", "write_ascii_grid", "read_ascii_grid",
+    "read_ppm_image", "write_ppm_image", "raster_overhang", "sample_raster",
 ]
 
 # rows write_points formats at a time: bounds its Python-float lists
 WRITE_CHUNK_ROWS = 4096
 
-SCHEMAS = {"xyz": (False, False), "xyzL": (False, True),
-           "xyzirg": (True, False), "xyzirgL": (True, True)}
+COLUMN_NAMES = ("x", "y", "z", "ir", "r", "g", "label")
+# named layouts (xyz, xyzL, xyzirg, xyzirgL) by column count
+LAYOUTS = {3: COLUMN_NAMES[:3], 4: COLUMN_NAMES[:3] + ("label",),
+           6: COLUMN_NAMES[:6], 7: COLUMN_NAMES}
+MAX_LABEL = 2 ** 31 - 1
 
 
 class ParseError(ValueError):
@@ -139,48 +142,132 @@ class Raster:
 # ---------------------------------------------------------------------------
 # point files
 
-def parse_points(stream, has_spectral, has_label):
-    """Parse a point file from an iterable of text lines.
+def _check_layout(columns):
+    columns = tuple(c.strip() for c in columns)
+    for c in columns:
+        if c not in COLUMN_NAMES and c != "-":
+            raise ValueError(f"unknown column name {c!r}")
+    for c in COLUMN_NAMES:
+        if columns.count(c) > 1:
+            raise ValueError(f"column layout names {c!r} more than once")
+    for c in ("x", "y", "z"):
+        if c not in columns:
+            raise ValueError(f"column layout must name {c!r}")
+    if 0 < sum(c in columns for c in ("ir", "r", "g")) < 3:
+        raise ValueError("spectral columns must be all of ir, r, g or none")
+    return columns
 
-    Lines are whitespace-delimited; blank lines and `#` comments are
-    skipped; point order is preserved. Raises SchemaError on a wrong
-    column count and ParseError on anything non-numeric or non-finite.
+
+def _convert(lines, layout):
+    """Convert data lines of the layout's width in one numpy pass.
+
+    Returns the kept coordinate and spectral columns as float64 (N, k) in
+    x,y,z,ir,r,g order, and the int64 labels or None; "-" columns are not
+    read. Raises ValueError if any value is malformed.
     """
+    names = [c for c in COLUMN_NAMES[:-1] if c in layout]
+    fields = [("v", np.float64, (len(names),))]
+    usecols = [layout.index(c) for c in names]
+    if "label" in layout:
+        fields.append(("label", np.int64))
+        usecols.append(layout.index("label"))
+    if lines:
+        table = np.loadtxt(lines, dtype=fields, usecols=usecols,
+                           comments=None, ndmin=1)
+    else:
+        table = np.zeros(0, dtype=fields)
+    return table["v"], table["label"] if "label" in layout else None
+
+
+def _first_invalid(values, labels, layout):
+    """(row, reason) of the first row holding a non-finite value or a label
+    outside 0..MAX_LABEL, or None."""
+    bad_value = ~np.isfinite(values)
+    bad = bad_value.any(axis=1)
+    if labels is not None:
+        bad |= (labels < 0) | (labels > MAX_LABEL)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    if bad_value[row].any():
+        name = [c for c in COLUMN_NAMES if c in layout][int(bad_value[row].argmax())]
+        return row, f"non-finite {name}"
+    return row, f"label {labels[row]} outside 0..{MAX_LABEL}"
+
+
+def _malformed(line, layout):
+    """What _convert rejects in one line: its first malformed column."""
+    for name, tok in zip(layout, line.split()):
+        if name == "-":
+            continue
+        try:
+            _convert([tok], (name,))
+        except ValueError:
+            kind = "an integer" if name == "label" else "a number"
+            return f"{name} {tok!r} is not {kind}"
+    return f"malformed line {line.strip()!r}"
+
+
+def parse_points(stream, columns=None):
+    """Parse a point file from an iterable of text lines (or one string).
+
+    columns names each column (x, y, z, ir, r, g, label, or "-" for a
+    column to discard); x, y and z are required, and ir, r, g go together.
+    Without it, the first data line's column count picks the named layout.
+    Blank lines and `#` comments are skipped; point order is preserved.
+    Every kept value must be finite and a label an integer in
+    0..2^31-1. The first bad line is reported by its 1-based number: a
+    wrong column count raises SchemaError, any other bad value ParseError.
+    """
+    layout = None if columns is None else _check_layout(columns)
     if isinstance(stream, str):
         stream = stream.splitlines()
-    ncols = 3 + (3 if has_spectral else 0) + (1 if has_label else 0)
-    xyz, spectral, labels = [], [], []
+    lines, linenos, width_error = [], [], None
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        width = len(line.split())
+        if not width:
             continue
-        toks = line.split()
-        if len(toks) != ncols:
-            raise SchemaError(
-                f"line {lineno}: expected {ncols} columns, got {len(toks)}")
-        try:
-            vals = [float(t) for t in toks[:3 + (3 if has_spectral else 0)]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError(f"line {lineno}: non-finite value")
-        xyz.append(vals[:3])
-        if has_spectral:
-            spectral.append(vals[3:6])
-        if has_label:
+        if layout is None:
+            layout = LAYOUTS.get(width)
+            if layout is None:
+                raise SchemaError(f"line {lineno}: {width} columns match no "
+                                  f"named layout (3, 4, 6 or 7 columns)")
+        if width != len(layout):
+            width_error = SchemaError(f"line {lineno}: expected {len(layout)} "
+                                      f"columns, got {width}")
+            break
+        lines.append(line)
+        linenos.append(lineno)
+    layout = layout or LAYOUTS[3]
+    # a bad value before the first wrong column count is reported first
+    malformed = None
+    try:
+        values, labels = _convert(lines, layout)
+    except ValueError:
+        # bisect for the first line that does not convert
+        lo, hi = 0, len(lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                lab = int(toks[-1])
+                _convert(lines[lo:mid], layout)
+                lo = mid
             except ValueError:
-                raise ParseError(f"line {lineno}: label must be an integer") from None
-            if lab < 0:
-                raise ParseError(f"line {lineno}: negative label {lab}")
-            labels.append(lab)
-    n = len(xyz)
-    return PointCloud(
-        np.array(xyz, dtype=np.float64).reshape(n, 3),
-        np.array(spectral, dtype=np.float64).reshape(n, 3) if has_spectral else None,
-        np.array(labels, dtype=np.int32) if has_label else None,
-    )
+                hi = mid
+        malformed = lo
+        values, labels = _convert(lines[:lo], layout)
+    invalid = _first_invalid(values, labels, layout)
+    if invalid is not None:
+        row, reason = invalid
+        raise ParseError(f"line {linenos[row]}: {reason}")
+    if malformed is not None:
+        raise ParseError(f"line {linenos[malformed]}: "
+                         f"{_malformed(lines[malformed], layout)}")
+    if width_error is not None:
+        raise width_error
+    return PointCloud(values[:, :3].copy(),
+                      values[:, 3:6].copy() if "ir" in layout else None,
+                      labels)
 
 
 def write_points(cloud, labels=None, probs=None):
@@ -221,83 +308,10 @@ def write_points(cloud, labels=None, probs=None):
     return "".join(parts)
 
 
-COLUMN_NAMES = ("x", "y", "z", "ir", "r", "g", "label")
-
-
-def parse_points_columns(stream, columns):
-    """Parse a point file with an explicit column layout.
-
-    columns is a sequence naming each raw column: x, y, z, ir, r, g,
-    label, or "-" for a column to discard (intensity, return counts and
-    similar extras in raw survey files). x, y and z are required.
-    """
-    columns = [c.strip() for c in columns]
-    for c in columns:
-        if c not in COLUMN_NAMES and c != "-":
-            raise ValueError(f"unknown column name {c!r}")
-    for c in ("x", "y", "z"):
-        if columns.count(c) != 1:
-            raise ValueError(f"column layout must name {c!r} exactly once")
-    if isinstance(stream, str):
-        stream = stream.splitlines()
-    spectral_cols = [c for c in ("ir", "r", "g") if c in columns]
-    if spectral_cols and len(spectral_cols) != 3:
-        raise ValueError("spectral columns must be all of ir, r, g or none")
-    has_label = "label" in columns
-    pos = {c: columns.index(c) for c in columns if c != "-"}
-    xyz, spectral, labels = [], [], []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) != len(columns):
-            raise SchemaError(f"line {lineno}: expected {len(columns)} "
-                              f"columns, got {len(toks)}")
-        try:
-            xyz.append([float(toks[pos[c]]) for c in ("x", "y", "z")])
-            if spectral_cols:
-                spectral.append([float(toks[pos[c]]) for c in ("ir", "r", "g")])
-            if has_label:
-                labels.append(int(toks[pos["label"]]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in xyz[-1]):
-            raise ParseError(f"line {lineno}: non-finite coordinate")
-    n = len(xyz)
-    return PointCloud(
-        np.array(xyz, dtype=np.float64).reshape(n, 3),
-        np.array(spectral, dtype=np.float64).reshape(n, 3) if spectral_cols else None,
-        np.array(labels, dtype=np.int32) if has_label else None,
-    )
-
-
-def detect_schema(path):
-    """Schema name inferred from the first data line's column count."""
-    counts = {3: "xyz", 4: "xyzL", 6: "xyzirg", 7: "xyzirgL"}
+def load_points(path, columns=None):
+    """Read a point file; see parse_points for columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            n = len(line.split())
-            if n not in counts:
-                raise SchemaError(f"{path}: {n} columns match no known schema")
-            return counts[n]
-    return "xyz"  # empty file
-
-
-def load_points(path, schema="auto", columns=None):
-    if columns is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_points_columns(fh, columns)
-    if schema == "auto":
-        schema = detect_schema(path)
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown schema {schema!r}")
-    has_spectral, has_label = SCHEMAS[schema]
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_points(fh, has_spectral, has_label)
+        return parse_points(fh, columns)
 
 
 def save_points(path, cloud, labels=None, probs=None):

@@ -215,36 +215,7 @@ def pointwise_backward(d_out, spec, params, trace):
 
 
 # ---------------------------------------------------------------------------
-# pooling, concat, classifier math
-
-def global_max_pool(f):
-    """Column-wise max over the rows (points) plus the winning row index
-    per column (lowest index on ties) for gradient routing."""
-    f = np.asarray(f)
-    if f.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {f.shape}")
-    if len(f) == 0:
-        raise ValueError("cannot pool an empty point set")
-    return f.max(axis=0), f.argmax(axis=0)
-
-
-def concat_local_global(local_feats, global_feat, local_width=None,
-                        global_width=None):
-    """Append the pooled global vector to every per-point feature row."""
-    local_feats = np.asarray(local_feats)
-    global_feat = np.asarray(global_feat)
-    if local_feats.ndim != 2 or global_feat.ndim != 1:
-        raise ShapeError(f"expected (N,k) and (m,), got {local_feats.shape} "
-                         f"and {global_feat.shape}")
-    if local_width is not None and local_feats.shape[1] != local_width:
-        raise ShapeError(f"local features width {local_feats.shape[1]}, "
-                         f"expected {local_width}")
-    if global_width is not None and global_feat.shape[0] != global_width:
-        raise ShapeError(f"global feature width {global_feat.shape[0]}, "
-                         f"expected {global_width}")
-    rep = np.broadcast_to(global_feat, (len(local_feats), len(global_feat)))
-    return np.concatenate([local_feats, rep], axis=1)
-
+# classifier math
 
 def softmax_rows(logits):
     """Row-wise softmax with max-subtraction, so huge logits cannot
@@ -280,20 +251,6 @@ class ForwardTrace:
     argmax_segments: np.ndarray   # (S, G) winning absolute row per column
     logits: np.ndarray
     q: np.ndarray                 # (N, C) class probabilities
-
-    @property
-    def g(self):
-        """Pooled global feature; a vector for a single-block forward."""
-        return self.g_segments[0] if len(self.segments) == 1 else self.g_segments
-
-    @property
-    def argmax_rows(self):
-        return (self.argmax_segments[0] if len(self.segments) == 1
-                else self.argmax_segments)
-
-    @property
-    def local_feats(self):
-        return self.encoder_traces[LOCAL_LAYER].f_out
 
     @property
     def pooled_input(self):

@@ -83,7 +83,7 @@ def test_c02_permutation_invariance():
         unperm = np.empty_like(t1.q)
         unperm[perm] = t1.q
         assert np.array_equal(unperm, t0.q)
-        assert t0.g.tobytes() == t1.g.tobytes()
+        assert t0.g_segments.tobytes() == t1.g_segments.tobytes()
     print("criterion 2: 200 clouds exactly permutation-invariant")
 
 

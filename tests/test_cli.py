@@ -97,6 +97,24 @@ class TestPreprocess:
             cli.write_block_store(tmp_path / "store", cloud, [], ())
         assert not (tmp_path / "store").exists()
 
+    def test_manifest_times_load_attribution_and_blocking(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        lines = (prep / "run_manifest.txt").read_text().splitlines()
+        timings = [line.split("=")[0] for line in lines
+                   if line.startswith("timing.")]
+        assert timings == ["timing.load", "timing.attribution",
+                           "timing.blocking"]
+
+    def test_columns_flag_checks_values(self, fixture_dir, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("1 2 3 180 1 0\n1 2 3 180 1 -1\n")
+        rc = cli.main(["preprocess", "--points", str(raw),
+                       "--image", str(fixture_dir / "image.ppm"),
+                       "--no-dtm", "--out", str(tmp_path / "prep"),
+                       "--columns", "x,y,z,-,-,label"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: line 2: label -1")
+
     def test_no_dtm_keeps_heights(self, fixture_dir):
         prep = run_preprocess(fixture_dir, out="prep2", extra=("--no-dtm",))
         cloud = pio.load_points(prep / "points.txt")
@@ -202,6 +220,29 @@ class TestPredictEvaluate:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-4)
         assert (fixture_dir / "labeled.txt.manifest").exists()
 
+    def test_probs_file_matches_per_value_formatting(self, fixture_dir,
+                                                     monkeypatch):
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep) / "model.ckpt"
+        seen = {}
+        predict = cli.infer.predict
+
+        def spy(*args, **kwargs):
+            seen["probs"] = predict(*args, **kwargs)[1]
+            seen["probs"][:2, 0] = [-0.0, 5e-7]   # sign and rounding edges
+            return seen["probs"].argmax(axis=1), seen["probs"]
+
+        monkeypatch.setattr(cli.infer, "predict", spy)
+        out = fixture_dir / "probs.txt"
+        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
+                       "--model", str(model),
+                       "--out", str(fixture_dir / "labeled.txt"),
+                       "--scales", SCALES, "--probs", str(out)])
+        assert rc == 0
+        want = "".join(" ".join(f"{v:.6f}" for v in row) + "\n"
+                       for row in seen["probs"])
+        assert out.read_text() == want
+
     def test_predict_deterministic(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
         model = run_train(fixture_dir, prep) / "model.ckpt"
@@ -243,6 +284,18 @@ class TestPredictEvaluate:
         assert csv.startswith("class,precision,recall,f1")
         text = capsys.readouterr().out
         assert "F1 Score" in text and "Overall accuracy" in text
+
+
+    def test_evaluate_rejects_label_beyond_int32(self, fixture_dir, capsys):
+        text = "1 2 3 0\n1 2 3 99999999999\n"
+        (fixture_dir / "pred.txt").write_text(text)
+        (fixture_dir / "truth.txt").write_text(text.replace("99999999999", "1"))
+        rc = cli.main(["evaluate", "--pred", str(fixture_dir / "pred.txt"),
+                       "--truth", str(fixture_dir / "truth.txt"),
+                       "--out", str(fixture_dir / "report.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
 class TestRaster2Points:

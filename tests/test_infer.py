@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointlabel import blocks as blk
 from pointlabel import infer, network
@@ -15,6 +16,13 @@ def uniform_params():
     params.head[-1].W[:] = 0.0
     params.head[-1].b[:] = 0.0
     return params
+
+
+def brute_nearest(query_xyz, covered_xyz):
+    """Reference: index into covered_xyz of each query's nearest point by
+    exhaustive search over squared distances; ties go to the lowest index."""
+    d2 = ((query_xyz[:, None, :] - covered_xyz[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
 
 
 def field(probs, counts):
@@ -166,17 +174,31 @@ class TestInterpolateLabels:
         with pytest.raises(ValueError):
             infer.interpolate_labels(f, self.cloud([[0, 0, 0]]))
 
-    def test_kdtree_matches_brute(self, rng):
-        n = 400
-        xyz = rng.uniform(0, 20, (n, 3))
-        counts = (rng.uniform(0, 1, n) < 0.5).astype(np.int64)
-        probs = rng.uniform(0, 1, (n, 3)) * counts[:, None]
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(2, 300), covered_share=st.floats(0.05, 0.95),
+           lattice=st.booleans(), step=st.sampled_from([0.25, 1.0, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kdtree_matches_brute(self, n, covered_share, lattice, step, seed):
+        # lattice clouds put uncovered points at exactly equal distances
+        # from several covered ones (cell centers, edge midpoints)
+        rng = np.random.default_rng(seed)
+        if lattice:
+            xyz = rng.integers(0, 4, (n, 3)) * step
+            xyz = xyz + rng.integers(0, 2, (n, 3)) * (step / 2)
+        else:
+            xyz = rng.uniform(0, 20, (n, 3))
+        counts = (rng.uniform(0, 1, n) < covered_share).astype(np.int64)
+        counts[rng.integers(0, n)] = 1
+        probs = rng.uniform(0.1, 1, (n, 3)) * counts[:, None]
         f = field(probs, counts)
-        cloud = self.cloud(xyz)
-        la, pa = infer.interpolate_labels(f, cloud, method="brute")
-        lb, pb = infer.interpolate_labels(f, cloud, method="kdtree")
-        assert np.array_equal(la, lb)
-        assert np.array_equal(pa, pb)
+        labels, got = infer.interpolate_labels(f, self.cloud(xyz))
+        want = f.normalized()
+        cov = np.flatnonzero(counts > 0)
+        unc = np.flatnonzero(counts == 0)
+        if len(unc):
+            want[unc] = want[cov[brute_nearest(xyz[unc], xyz[cov])]]
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(labels, want.argmax(axis=1))
 
 
 class TestEvaluate:

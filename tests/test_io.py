@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointlabel.io import (BoundsError, ParseError, PointCloud, Raster,
-                           SamplingError, SchemaError, load_points,
-                           parse_ascii_grid, parse_points,
-                           parse_points_columns, read_ppm_image,
+from pointlabel.io import (LAYOUTS, BoundsError, ParseError, PointCloud,
+                           Raster, SamplingError, SchemaError, load_points,
+                           parse_ascii_grid, parse_points, read_ppm_image,
                            sample_raster, save_points, write_ascii_grid,
                            write_points, write_ppm_image)
 from pointlabel.linalg import ShapeError
@@ -15,37 +14,179 @@ from pointlabel.linalg import ShapeError
 
 class TestParsePoints:
     def test_xyz_only(self):
-        cloud = parse_points("1.0 2.0 3.0\n", False, False)
+        cloud = parse_points("1.0 2.0 3.0\n", LAYOUTS[3])
         assert len(cloud) == 1
         assert np.array_equal(cloud.xyz[0], [1.0, 2.0, 3.0])
         assert cloud.spectral is None and cloud.labels is None
 
     def test_full_schema(self):
-        cloud = parse_points("0 0 0 255 0 0 5\n", True, True)
+        cloud = parse_points("0 0 0 255 0 0 5\n", LAYOUTS[7])
         assert cloud.spectral[0, 0] == 255
         assert cloud.labels[0] == 5
 
     def test_missing_column_reports_line(self):
         with pytest.raises(SchemaError, match="line 1"):
-            parse_points("1.0 2.0\n", False, False)
+            parse_points("1.0 2.0\n", LAYOUTS[3])
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# header\n\n1 2 3  # trailing comment\n4 5 6\n"
-        cloud = parse_points(text, False, False)
+        cloud = parse_points(text, LAYOUTS[3])
         assert len(cloud) == 2
         assert cloud.xyz[1, 0] == 4
 
     def test_bad_number_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_points("1 2 3\n1 x 3\n", False, False)
+            parse_points("1 2 3\n1 x 3\n", LAYOUTS[3])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParseError, match="non-finite"):
-            parse_points("1 2 nan\n", False, False)
+            parse_points("1 2 nan\n", LAYOUTS[3])
 
     def test_order_preserved(self):
-        cloud = parse_points("3 0 0\n1 0 0\n2 0 0\n", False, False)
+        cloud = parse_points("3 0 0\n1 0 0\n2 0 0\n", LAYOUTS[3])
         assert np.array_equal(cloud.xyz[:, 0], [3, 1, 2])
+
+
+class TestReader:
+    """One reader for named and explicit layouts, with the same checks."""
+
+    def test_layout_from_first_data_line(self):
+        cloud = parse_points("# x y z label\n\n1 2 3 4\n5 6 7 8\n")
+        assert np.array_equal(cloud.labels, [4, 8]) and cloud.spectral is None
+        cloud = parse_points("1 2 3 4 5 6\n")
+        assert np.array_equal(cloud.spectral, [[4, 5, 6]]) and cloud.labels is None
+        with pytest.raises(SchemaError, match="line 3: 5 columns"):
+            parse_points("# header\n\n1 2 3 4 5\n")
+
+    def test_empty_input(self):
+        assert len(parse_points("")) == 0
+        cloud = parse_points("# nothing\n\n", ["x", "y", "z", "label"])
+        assert len(cloud) == 0 and cloud.labels.shape == (0,)
+
+    def test_discarded_columns_not_parsed(self):
+        cloud = parse_points("1 2 3 first nan 5\n",
+                             ["x", "y", "z", "-", "-", "label"])
+        assert np.array_equal(cloud.labels, [5])
+
+    def test_duplicate_column_rejected(self):
+        with pytest.raises(ValueError, match="'label' more than once"):
+            parse_points("1 2 3 4 4\n", ["x", "y", "z", "label", "label"])
+
+    @pytest.mark.parametrize("text, columns, line", [
+        ("1 2 3 0\n4 5 6 -1\n", ["x", "y", "z", "label"], 2),
+        ("1 2 3 -1 0\n", ["x", "y", "z", "label", "-"], 1),
+        ("1 2 3 4 5 6 0\n1 2 3 4 nan 6 0\n", None, 2),
+        ("1 2 3 nan 5 6\n", ["x", "y", "z", "ir", "r", "g"], 1),
+        ("9 8 7 1 2 3\n", ["ir", "r", "g", "x", "y", "z"], None),
+        ("1 2 3 0\n\n1 2 3 99999999999\n", None, 3),
+        ("1 2 3 99999999999\n", ["x", "y", "z", "label"], 1),
+        ("1 2 3 2147483648\n", None, 1),
+        ("1 2 3 99999999999999999999999\n", None, 1),
+        ("1 2 3 5.0\n", None, 1),
+        ("1 2 inf\n", ["x", "y", "z"], 1),
+    ])
+    def test_bad_value_names_its_line(self, text, columns, line):
+        if line is None:
+            cloud = parse_points(text, columns)
+            assert np.array_equal(cloud.xyz, [[1, 2, 3]])
+            assert np.array_equal(cloud.spectral, [[9, 8, 7]])
+            return
+        with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+            parse_points(text, columns)
+        assert not isinstance(info.value, SchemaError)
+
+    def test_line_numpy_splits_differently_rejected(self):
+        # a carriage return inside one line of an in-memory iterable
+        with pytest.raises(ParseError, match="^line 2: malformed line"):
+            parse_points(["1 2 3\n", "1 2\r3\n"])
+
+    def test_largest_label_accepted(self):
+        cloud = parse_points("1 2 3 2147483647\n")
+        assert cloud.labels[0] == 2 ** 31 - 1
+
+    BAD_LINES = {"width": (SchemaError, "1 2 3"),
+                 "number": (ParseError, "1 x 3 0"),
+                 "nan": (ParseError, "1 2 nan 0"),
+                 "negative": (ParseError, "1 2 3 -4"),
+                 "huge": (ParseError, "1 2 3 99999999999"),
+                 "fraction": (ParseError, "1 2 3 5.0")}
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_good=st.integers(1, 60), explicit=st.booleans(),
+           bad=st.lists(st.tuples(st.integers(1, 60), st.sampled_from(sorted(BAD_LINES))),
+                        min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_first_bad_line_reported(self, n_good, explicit, bad, seed):
+        rng = np.random.default_rng(seed)
+        lines = [f"{x:.3f} {y:.3f} {z:.3f} {lab}" for (x, y, z), lab in
+                 zip(rng.uniform(-50, 50, (n_good, 3)), rng.integers(0, 9, n_good))]
+        for pos, kind in bad:
+            lines.insert(min(pos, len(lines)), kind)
+        # comments and blank lines shift line numbers, not data rows
+        text = []
+        for line in lines:
+            if rng.random() < 0.2:
+                text.append(["", "# comment", "   "][rng.integers(0, 3)])
+            text.append(line)
+        first = next(i for i, line in enumerate(text) if line in self.BAD_LINES)
+        error, body = self.BAD_LINES[text[first]]
+        text = [self.BAD_LINES[line][1] if line in self.BAD_LINES else line
+                for line in text]
+        with pytest.raises(error, match=f"^line {first + 1}: ") as info:
+            parse_points("\n".join(text) + "\n",
+                         LAYOUTS[4] if explicit or first == 0 else None)
+        assert (error is SchemaError) == isinstance(info.value, SchemaError)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=3, max_size=60).map(lambda v: v[:len(v) // 3 * 3]),
+           style=st.sampled_from(["repr", "e", "f"]), digits=st.integers(0, 25))
+    def test_values_match_float_bit_for_bit(self, values, style, digits):
+        # the whole-table conversion rounds every token as float() does
+        tokens = [repr(v) if style == "repr" else f"{v:.{digits}{style}}"
+                  for v in values]
+        tokens = [t for t in tokens if math.isfinite(float(t))]
+        tokens = tokens[:len(tokens) // 3 * 3]
+        text = "".join(" ".join(tokens[i:i + 3]) + "\n"
+                       for i in range(0, len(tokens), 3))
+        want = np.array([float(t) for t in tokens]).reshape(-1, 3)
+        assert parse_points(text).xyz.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), has_spectral=st.booleans(),
+           has_labels=st.booleans(), explicit=st.booleans(),
+           extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_write_parse_roundtrip(self, n, has_spectral, has_labels, explicit,
+                                   extra, seed):
+        rng = np.random.default_rng(seed)
+        cloud = PointCloud(rng.uniform(-1e4, 1e4, (n, 3)),
+                           rng.uniform(0, 255, (n, 3)) if has_spectral else None,
+                           rng.integers(0, 2 ** 31, n) if has_labels else None)
+        text = write_points(cloud)
+        layout = LAYOUTS[3 + 3 * has_spectral + has_labels]
+        columns = None
+        if explicit:
+            # reorder the columns and interleave discarded ones holding
+            # text that is no number
+            columns = list(layout) + ["-"] * extra
+            order = rng.permutation(len(columns))
+            columns = [columns[k] for k in order]
+            rows = []
+            for line in text.splitlines():
+                toks = line.split() + ["n/a"] * extra
+                rows.append(" ".join(toks[k] for k in order) + "\n")
+            text = "".join(rows)
+        back = parse_points(text, columns)
+        assert write_points(back) == write_points(cloud)
+        assert np.allclose(back.xyz, cloud.xyz, rtol=0, atol=1e-6)
+        if has_spectral:
+            assert np.allclose(back.spectral, cloud.spectral, rtol=0, atol=1e-6)
+        else:
+            assert back.spectral is None
+        if has_labels:
+            assert np.array_equal(back.labels, cloud.labels)
+        else:
+            assert back.labels is None
 
 
 class TestWritePoints:
@@ -64,12 +205,13 @@ class TestWritePoints:
     def test_roundtrip_random_clouds(self, rng):
         for has_spectral, has_label in [(False, False), (True, False),
                                         (False, True), (True, True)]:
+            layout = LAYOUTS[3 + 3 * has_spectral + has_label]
             n = 1000
             cloud = PointCloud(
                 rng.uniform(-100, 100, (n, 3)),
                 rng.uniform(0, 255, (n, 3)) if has_spectral else None,
                 rng.integers(0, 9, n).astype(np.int32) if has_label else None)
-            back = parse_points(write_points(cloud), has_spectral, has_label)
+            back = parse_points(write_points(cloud), layout)
             assert np.allclose(back.xyz, cloud.xyz, atol=1e-6)
             if has_spectral:
                 assert np.allclose(back.spectral, cloud.spectral, atol=1e-6)
@@ -129,27 +271,27 @@ class TestParseColumns:
     def test_discard_extra_columns(self):
         # x y z intensity return_count label
         text = "1 2 3 180 2 5\n4 5 6 190 1 7\n"
-        cloud = parse_points_columns(text, ["x", "y", "z", "-", "-", "label"])
+        cloud = parse_points(text, ["x", "y", "z", "-", "-", "label"])
         assert len(cloud) == 2
         assert np.array_equal(cloud.xyz[0], [1, 2, 3])
         assert np.array_equal(cloud.labels, [5, 7])
         assert cloud.spectral is None
 
     def test_reordered_columns(self):
-        cloud = parse_points_columns("3 1 2\n", ["z", "x", "y"])
+        cloud = parse_points("3 1 2\n", ["z", "x", "y"])
         assert np.array_equal(cloud.xyz[0], [1, 2, 3])
 
     def test_spectral_requires_all_three(self):
         with pytest.raises(ValueError, match="ir, r, g"):
-            parse_points_columns("1 2 3 4\n", ["x", "y", "z", "ir"])
+            parse_points("1 2 3 4\n", ["x", "y", "z", "ir"])
 
     def test_missing_coordinate_rejected(self):
         with pytest.raises(ValueError, match="'z'"):
-            parse_points_columns("1 2\n", ["x", "y"])
+            parse_points("1 2\n", ["x", "y"])
 
     def test_wrong_width_reports_line(self):
         with pytest.raises(SchemaError, match="line 1"):
-            parse_points_columns("1 2 3 4\n", ["x", "y", "z"])
+            parse_points("1 2 3 4\n", ["x", "y", "z"])
 
 
 class TestWritePointsProbs:

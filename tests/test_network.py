@@ -84,42 +84,6 @@ class TestPointwise:
 
 
 class TestPoolConcatSoftmax:
-    def test_pool_single_row(self):
-        g, am = net.global_max_pool(f32([[1, 2, 3]]))
-        assert np.array_equal(g, [1, 2, 3]) and (am == 0).all()
-
-    def test_pool_is_order_free(self, rng):
-        f = rng.standard_normal((20, 8)).astype(np.float32)
-        g0, _ = net.global_max_pool(f)
-        g1, _ = net.global_max_pool(f[rng.permutation(20)])
-        assert np.array_equal(g0, g1)
-
-    def test_pool_values_and_routing(self):
-        g, am = net.global_max_pool(f32([[1, 5], [3, 2]]))
-        assert np.array_equal(g, [3, 5])
-        assert np.array_equal(am, [1, 0])
-
-    def test_pool_empty_rejected(self):
-        with pytest.raises(ValueError):
-            net.global_max_pool(np.zeros((0, 4), dtype=np.float32))
-
-    def test_concat_layout(self, rng):
-        f2 = rng.standard_normal((3, 64)).astype(np.float32)
-        g = rng.standard_normal(2048).astype(np.float32)
-        out = net.concat_local_global(f2, g, 64, 2048)
-        assert out.shape == (3, 2112)
-        assert np.array_equal(out[:, 64:], np.broadcast_to(g, (3, 2048)))
-        assert np.array_equal(out[:, :64], f2)
-
-    def test_concat_identical_rows(self):
-        f2 = np.ones((2, 4), dtype=np.float32)
-        out = net.concat_local_global(f2, np.arange(8, dtype=np.float32))
-        assert np.array_equal(out[0], out[1])
-
-    def test_concat_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            net.concat_local_global(np.ones((2, 3)), np.ones(8), local_width=64)
-
     def test_softmax_symmetry(self):
         assert np.allclose(net.softmax_rows(f32([[0, 0]])), [[0.5, 0.5]])
 
@@ -181,7 +145,7 @@ class TestForward:
         p = rng.permutation(32)
         t0 = net.forward(x, params, "eval")
         t1 = net.forward(x[p], params, "eval")
-        assert t0.g.tobytes() == t1.g.tobytes()
+        assert t0.g_segments.tobytes() == t1.g_segments.tobytes()
 
     def test_duplicated_rows_identical_probs(self, rng):
         params = toy_params()
@@ -223,11 +187,22 @@ class TestForward:
         params = toy_params()
         x = rng.standard_normal((16, 9)).astype(np.float32)
         tr = net.forward(x, params, "eval")
-        assert np.array_equal(tr.g, tr.pooled_input.max(axis=0))
+        assert np.array_equal(tr.g_segments[0], tr.pooled_input.max(axis=0))
 
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(ShapeError):
             net.forward(np.ones((4, 5), dtype=np.float32), toy_params(), "eval")
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_empty_input_rejected(self, mode):
+        with pytest.raises(ValueError, match="empty"):
+            net.forward(np.zeros((0, 9), dtype=np.float32), toy_params(), mode)
+
+    def test_empty_block_rejected(self, rng):
+        # stacked blocks must each hold a row for the max-pool
+        x = rng.standard_normal((4, 9)).astype(np.float32)
+        with pytest.raises(ValueError, match="partition"):
+            net.forward(x, toy_params(), "eval", segments=(4, 0))
 
 
 class TestBackward:
@@ -264,9 +239,9 @@ class TestBackward:
         dg = d[:, params.encoder_specs[net.LOCAL_LAYER].out_width:].sum(axis=0)
         f5 = trace.pooled_input
         routed = np.zeros_like(f5)
-        routed[trace.argmax_rows, np.arange(f5.shape[1])] = dg
+        routed[trace.argmax_segments[0], np.arange(f5.shape[1])] = dg
         winners = np.zeros_like(f5, dtype=bool)
-        winners[trace.argmax_rows, np.arange(f5.shape[1])] = True
+        winners[trace.argmax_segments[0], np.arange(f5.shape[1])] = True
         assert (routed[~winners] == 0).all()
 
     @staticmethod
@@ -275,7 +250,7 @@ class TestBackward:
         straddle a non-differentiable point and are not a valid oracle."""
         parts = [tr.mask.tobytes() for tr in
                  trace.encoder_traces + trace.head_traces if tr.mask is not None]
-        parts.append(trace.argmax_rows.tobytes())
+        parts.append(trace.argmax_segments.tobytes())
         return b"".join(parts)
 
     def test_gradients_match_finite_differences(self, rng):
