@@ -201,7 +201,7 @@ def cmd_train(args):
 def cmd_predict(args):
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
-    params = network.load_checkpoint(args.model)
+    params = network.fold_batch_norm(network.load_checkpoint(args.model))
     in_width = params.encoder_specs[0].in_width
     mode = WIDTH_TO_FEATURES.get(in_width)
     if mode is None:
@@ -213,10 +213,11 @@ def cmd_predict(args):
     if not cloud.has_spectral:
         cloud = pio.PointCloud(cloud.xyz, np.zeros((len(cloud), 3)), cloud.labels)
     scales = infer.ScaleConfig.parse(args.scales)
+    t1 = time.perf_counter()
     labels, probs = infer.predict(cloud, params, scales, seed=args.seed,
                                   feature_columns=FEATURE_COLUMNS[mode],
                                   threads=args.threads)
-    t1 = time.perf_counter()
+    t2 = time.perf_counter()
     pio.save_points(args.out, cloud, labels=labels)
     if args.probs:
         np.savetxt(args.probs, probs, fmt="%.6f")
@@ -224,7 +225,8 @@ def cmd_predict(args):
                    {"seed": args.seed, "scales": args.scales,
                     "threads": args.threads, "features": mode,
                     "points": len(cloud)},
-                   [args.points, args.model], {"predict": t1 - t0})
+                   [args.points, args.model],
+                   {"load": t1 - t0, "predict": t2 - t1})
     print(f"predict: labeled {len(cloud)} points -> {args.out}")
     return 0
 

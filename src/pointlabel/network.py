@@ -1,7 +1,17 @@
 """1D fully-convolutional point network: shared per-point linear layers
-with batch normalization and ReLU, a global max-pool over the points,
-local/global feature concatenation, a small classifier head, softmax and
-cross-entropy. Forward and backward are both implemented here by hand.
+with batch normalization and ReLU, a global max-pool over the points, a
+small classifier head on each point's local feature and its block's
+global feature, softmax and cross-entropy. Forward and backward are both
+implemented here by hand.
+
+The first head layer reads the concatenation `[local_i, g]` of a point's
+local feature and its block's pooled feature, but that (N, local + G)
+array is never built: with W split into W_l and W_g, its pre-activation
+is `local_i·W_l + (g·W_g + b)`, and the global term is computed once per
+block (PointNet's segmentation head, Qi et al., arXiv 1612.00593). For
+inference, `fold_batch_norm` turns every eval-mode batch norm into its
+layer's W and b, so a loaded model runs matmul, bias, ReLU and max-pool
+only.
 
 Shapes follow the per-block convention: the "batch" dimension of every
 layer is the N points of one block, so batch normalization standardizes
@@ -20,7 +30,7 @@ from .linalg import ShapeError, matmul
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LOG_CLAMP = 1e-12
-LOCAL_LAYER = 1           # encoder layer whose output feeds the concat
+LOCAL_LAYER = 1           # encoder layer whose output is head0's local input
 DEFAULT_ENCODER_WIDTHS = (64, 64, 128, 512, 2048)
 DEFAULT_HEAD_WIDTHS = (256, 128)
 
@@ -66,9 +76,11 @@ def default_architecture(in_width=9, n_classes=9,
                          head_widths=DEFAULT_HEAD_WIDTHS):
     """Layer chains for the two stages.
 
-    The encoder ends in the pooled (global) width; the head consumes the
-    concatenated local+global vector and ends in a linear classifier
-    layer (no BN/ReLU in front of the softmax).
+    The encoder ends in the pooled (global) width; the first head layer
+    takes each point's local feature (encoder layer LOCAL_LAYER) together
+    with its block's global feature, so its in_width is their sum, and
+    the head ends in a linear classifier layer (no BN/ReLU in front of
+    the softmax).
     """
     if len(encoder_widths) < 2:
         raise ValueError("encoder needs at least 2 layers")
@@ -137,7 +149,7 @@ def _check_chain(encoder_specs, head_specs):
 
 @dataclass
 class LayerTrace:
-    f_in: np.ndarray
+    f_in: np.ndarray                 # per-row input (the local part if g is set)
     s: np.ndarray                    # pre-BN pre-activation
     s_hat: np.ndarray | None         # normalized, pre gamma/beta
     inv_std: np.ndarray | None
@@ -145,14 +157,27 @@ class LayerTrace:
     batch_var: np.ndarray | None
     mask: np.ndarray | None          # ReLU gate (pre-activation > 0)
     f_out: np.ndarray
+    g: np.ndarray | None = None      # (S, G) per-block input, read by every row
+    segments: tuple | None = None    # rows per block when g is set
 
 
 def _colstat(x, stat):
     return stat(x, axis=0, dtype=np.float64).astype(x.dtype)
 
 
-def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM):
+def _offsets(segments):
+    """First row of each block."""
+    return np.concatenate([[0], np.cumsum(segments)[:-1]]).astype(np.intp)
+
+
+def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM,
+                      g=None, segments=None):
     """Shared linear map over the rows, then BN and ReLU as configured.
+
+    With `g` (S, G), row i's input is `[f_in_i, g_s]`, g_s being the row
+    of its block (`segments` lists the rows per block): the first rows of
+    W act on f_in and the last G on g, whose term g·W_g + b is computed
+    once per block and repeated over that block's rows.
 
     Train mode normalizes with the batch statistics of the N input rows
     (biased variance, eps under the square root) and advances the running
@@ -161,9 +186,18 @@ def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     f_in = np.asarray(f_in)
-    if f_in.ndim != 2 or f_in.shape[1] != spec.in_width:
-        raise ShapeError(f"layer expects (N,{spec.in_width}), got {f_in.shape}")
-    s = matmul(f_in, params.W) + params.b
+    local_w = spec.in_width - (0 if g is None else g.shape[1])
+    if f_in.ndim != 2 or f_in.shape[1] != local_w:
+        raise ShapeError(f"layer expects (N,{local_w}), got {f_in.shape}")
+    if g is None:
+        s = matmul(f_in, params.W) + params.b
+    else:
+        if (segments is None or len(segments) != len(g)
+                or sum(segments) != len(f_in)):
+            raise ShapeError(f"segments {segments} do not match {len(g)} "
+                             f"global rows and {len(f_in)} local rows")
+        s = matmul(f_in, params.W[:local_w])
+        s += np.repeat(matmul(g, params.W[local_w:]) + params.b, segments, axis=0)
     s_hat = inv_std = mu = var = None
     if spec.has_bn:
         if mode == "train":
@@ -192,11 +226,17 @@ def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM):
         f_out = np.where(mask, z, np.asarray(0, dtype=z.dtype))
     else:
         f_out = z
-    return f_out, LayerTrace(f_in, s, s_hat, inv_std, mu, var, mask, f_out)
+    return f_out, LayerTrace(f_in, s, s_hat, inv_std, mu, var, mask, f_out,
+                             g, segments)
 
 
 def pointwise_backward(d_out, spec, params, trace):
-    """Analytic gradients of one layer; returns (d_in, {name: grad})."""
+    """Analytic gradients of one layer; returns (d_in, {name: grad}).
+
+    For a layer with a per-block input g, d_in is the pair (gradient into
+    f_in, gradient into g); both, and W's g rows, come from the
+    per-block sums of the pre-activation gradient.
+    """
     d = d_out
     if spec.has_relu:
         d = d * trace.mask
@@ -208,10 +248,16 @@ def pointwise_backward(d_out, spec, params, trace):
         # biased-variance batch-statistics chain rule
         d = trace.inv_std * (ds_hat - _colstat(ds_hat, np.mean)
                              - trace.s_hat * _colstat(ds_hat * trace.s_hat, np.mean))
-    grads["W"] = matmul(trace.f_in.T, d)
     grads["b"] = _colstat(d, np.sum)
-    d_in = matmul(d, params.W.T)
-    return d_in, grads
+    if trace.g is None:
+        grads["W"] = matmul(trace.f_in.T, d)
+        return matmul(d, params.W.T), grads
+    local_w = trace.f_in.shape[1]
+    d_seg = np.add.reduceat(d.astype(np.float64), _offsets(trace.segments),
+                            axis=0).astype(d.dtype)
+    grads["W"] = np.vstack([matmul(trace.f_in.T, d), matmul(trace.g.T, d_seg)])
+    return (matmul(d, params.W[:local_w].T),
+            matmul(d_seg, params.W[local_w:].T)), grads
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +294,8 @@ class ForwardTrace:
     head_traces: list
     segments: tuple               # rows per block in this forward
     g_segments: np.ndarray        # (S, G) pooled feature per block
-    argmax_segments: np.ndarray   # (S, G) winning absolute row per column
+    argmax_segments: np.ndarray | None  # (S, G) winning absolute row per
+                                        # column; None in eval mode
     logits: np.ndarray
     q: np.ndarray                 # (N, C) class probabilities
 
@@ -271,8 +318,10 @@ def forward(x, params, mode="eval", segments=None):
 
     `segments` lists the per-block row counts when several blocks are
     stacked into one call: batch statistics then cover all rows (the
-    whole mini-batch) while pooling and the local/global concatenation
-    stay per block. The default is one block. Output probabilities have
+    whole mini-batch) while pooling and the global term of the first head
+    layer stay per block. The default is one block. Only train mode
+    records the pool's winning rows, which backward routes through; eval
+    mode takes the max alone. Output probabilities have
     one row per input row for any N >= 1 (train mode needs N >= 2 for the
     batch statistics), and permuting a block's input rows permutes its
     output rows identically.
@@ -291,19 +340,18 @@ def forward(x, params, mode="eval", segments=None):
     for spec, lp in zip(params.encoder_specs, params.encoder):
         f, tr = pointwise_forward(f, spec, lp, mode, params.momentum)
         enc_traces.append(tr)
-    g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
-    am_seg = np.empty((len(segments), f.shape[1]), dtype=np.int64)
-    offset = 0
-    for s, rows in enumerate(segments):
-        part = f[offset:offset + rows]
-        g_seg[s] = part.max(axis=0)
-        am_seg[s] = part.argmax(axis=0) + offset
-        offset += rows
-    local = enc_traces[LOCAL_LAYER].f_out
-    rep = np.repeat(g_seg, segments, axis=0)
-    f = np.concatenate([local, rep], axis=1)
-    head_traces = []
-    for spec, lp in zip(params.head_specs, params.head):
+    offsets = _offsets(segments)
+    g_seg = np.maximum.reduceat(f, offsets, axis=0)
+    am_seg = None
+    if mode == "train":
+        am_seg = np.empty(g_seg.shape, dtype=np.int64)
+        for s, (start, rows) in enumerate(zip(offsets, segments)):
+            am_seg[s] = f[start:start + rows].argmax(axis=0) + start
+    f, tr = pointwise_forward(enc_traces[LOCAL_LAYER].f_out, params.head_specs[0],
+                              params.head[0], mode, params.momentum,
+                              g=g_seg, segments=segments)
+    head_traces = [tr]
+    for spec, lp in zip(params.head_specs[1:], params.head[1:]):
         f, tr = pointwise_forward(f, spec, lp, mode, params.momentum)
         head_traces.append(tr)
     q = softmax_rows(f)
@@ -338,11 +386,7 @@ def backward(trace, labels, params):
                                   trace.head_traces[i])
         for k, v in g.items():
             grads[f"head{i}.{k}"] = v
-    local_w = params.encoder_specs[LOCAL_LAYER].out_width
-    d_local = d[:, :local_w]
-    offsets = np.concatenate([[0], np.cumsum(trace.segments)[:-1]])
-    dg_seg = np.add.reduceat(d[:, local_w:].astype(np.float64), offsets,
-                             axis=0).astype(d.dtype)
+    d_local, dg_seg = d
     f5 = trace.pooled_input
     d = np.zeros_like(f5)
     cols = np.arange(f5.shape[1])
@@ -401,10 +445,43 @@ def copy_params(params):
     return params_astype(params, params.encoder[0].W.dtype)
 
 
+def fold_batch_norm(params):
+    """Fold every batch norm's eval-mode affine map into its layer's W and
+    b, in place; returns params.
+
+    Eval-mode batch norm maps s = x·W + b to gamma·(s - mean)/sqrt(var +
+    eps) + beta column by column, so with k = gamma/sqrt(var + eps) the
+    layer computes the same from W·diag(k) and (b - mean)·k + beta alone
+    (Jacob et al., arXiv 1712.05877, section 3.2). k and the bias are
+    formed in float64 and each weight is rounded once to its dtype. Folded
+    layers become has_bn=False and keep their ReLU; layers without batch
+    norm are left as they are, so a second fold changes nothing. The
+    result is for eval-mode forwards only: train mode would not normalize,
+    and save_checkpoint refuses it.
+    """
+    for specs, layers in ((params.encoder_specs, params.encoder),
+                          (params.head_specs, params.head)):
+        for i, (spec, lp) in enumerate(zip(specs, layers)):
+            if not spec.has_bn:
+                continue
+            k = lp.gamma / np.sqrt(lp.running_var.astype(np.float64) + BN_EPS)
+            np.multiply(lp.W, k, out=lp.W, casting="unsafe")
+            lp.b = ((lp.b - lp.running_mean.astype(np.float64)) * k
+                    + lp.beta).astype(lp.b.dtype)
+            lp.gamma = lp.beta = lp.running_mean = lp.running_var = None
+            specs[i] = LayerSpec(spec.in_width, spec.out_width, has_bn=False,
+                                 has_relu=spec.has_relu)
+    return params
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
 def save_checkpoint(path, params):
+    if any(spec.has_relu != spec.has_bn for spec, _ in params.layers()):
+        # load_checkpoint infers every layer's ReLU from its batch norm
+        raise ValueError("cannot checkpoint a layer whose ReLU does not "
+                         "follow a batch norm (batch norm folded?)")
     tensors = [("meta.momentum", np.array([[params.momentum]], dtype=np.float32))]
     tensors += list(iter_tensors(params, learnable_only=False))
     n_layers = len(params.encoder) + len(params.head)

@@ -1,3 +1,6 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -254,6 +257,60 @@ class TestPredictEvaluate:
             assert rc == 0
             outs.append((fixture_dir / name).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_folded_predict_matches_unfolded_checkpoint(self, fixture_dir):
+        # the CLI folds batch norm into the weights; the loaded checkpoint
+        # as it is, through infer.predict, is the reference; this recipe
+        # gives a model that predicts all three classes
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep, epochs=6,
+                          extra=("--lr", "0.003")) / "model.ckpt"
+        out, probs_out = fixture_dir / "labeled.txt", fixture_dir / "probs.txt"
+        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
+                       "--model", str(model), "--out", str(out),
+                       "--scales", SCALES, "--seed", "3", "--threads", "2",
+                       "--probs", str(probs_out)])
+        assert rc == 0
+        params = cli.network.load_checkpoint(model)
+        assert all(s.has_bn for s in params.encoder_specs)
+        labels, probs = cli.infer.predict(
+            pio.load_points(prep / "points.txt"), params,
+            cli.infer.ScaleConfig.parse(SCALES), seed=3)
+        assert len(np.unique(labels)) == 3
+        assert np.array_equal(pio.load_points(out).labels, labels)
+        assert np.abs(np.loadtxt(probs_out) - probs).max() <= 1e-5
+
+    def test_manifest_times_load_apart_from_predict(self, fixture_dir,
+                                                    monkeypatch):
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep) / "model.ckpt"
+        load_points, predict = cli.pio.load_points, cli.infer.predict
+        spent = {}
+
+        def slow_load(*args, **kwargs):
+            time.sleep(0.3)
+            return load_points(*args, **kwargs)
+
+        def timed_predict(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = predict(*args, **kwargs)
+            spent["predict"] = time.perf_counter() - t0
+            return result
+
+        monkeypatch.setattr(cli.pio, "load_points", slow_load)
+        monkeypatch.setattr(cli.infer, "predict", timed_predict)
+        out = fixture_dir / "labeled.txt"
+        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
+                       "--model", str(model), "--out", str(out),
+                       "--scales", SCALES])
+        assert rc == 0
+        lines = Path(str(out) + ".manifest").read_text().splitlines()
+        timings = {k: float(v.rstrip("s")) for k, v in
+                   (line.split("=") for line in lines
+                    if line.startswith("timing."))}
+        assert list(timings) == ["timing.load", "timing.predict"]
+        assert timings["timing.load"] >= 0.3
+        assert abs(timings["timing.predict"] - spent["predict"]) < 0.1
 
     def test_missing_model_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

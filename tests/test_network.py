@@ -224,11 +224,13 @@ class TestBackward:
             net.backward(trace, np.zeros(8, dtype=int), params)
 
     def test_non_winning_pool_rows_get_zero_gradient(self, rng):
-        # gradient wrt the pooled input is nonzero only at argmax rows
+        # gradient wrt the pooled input is nonzero only at each block's
+        # argmax rows, and each block's winners lie in that block
         params = toy_params(dtype=np.float64)
+        segments = (4, 1, 5)
         x = rng.standard_normal((10, 9))
         labels = rng.integers(0, 3, 10)
-        trace = net.forward(x, params, "train")
+        trace = net.forward(x, params, "train", segments=segments)
         # recompute the pool routing gradient the way backward does
         d = trace.q.copy()
         d[np.arange(10), labels] -= 1.0
@@ -236,13 +238,21 @@ class TestBackward:
         for i in reversed(range(len(params.head))):
             d, _ = net.pointwise_backward(d, params.head_specs[i],
                                           params.head[i], trace.head_traces[i])
-        dg = d[:, params.encoder_specs[net.LOCAL_LAYER].out_width:].sum(axis=0)
+        _, dg_seg = d
+        assert dg_seg.shape == trace.g_segments.shape
         f5 = trace.pooled_input
+        cols = np.arange(f5.shape[1])
         routed = np.zeros_like(f5)
-        routed[trace.argmax_segments[0], np.arange(f5.shape[1])] = dg
         winners = np.zeros_like(f5, dtype=bool)
-        winners[trace.argmax_segments[0], np.arange(f5.shape[1])] = True
+        start = 0
+        for s, rows in enumerate(segments):
+            am = trace.argmax_segments[s]
+            assert ((am >= start) & (am < start + rows)).all()
+            routed[am, cols] += dg_seg[s]
+            winners[am, cols] = True
+            start += rows
         assert (routed[~winners] == 0).all()
+        assert np.count_nonzero(routed) > 0
 
     @staticmethod
     def _gate_signature(trace):
@@ -358,3 +368,171 @@ class TestParamCount:
                   + (8 * 3 + 3)
                   + 2 * (8 + 8 + 16 + 16 + 32 + 16 + 8))
         assert net.param_count(params) == expect
+
+
+def _concat_reference(x, params, mode, segments, labels):
+    """The network with head0 reading the built (N, local + G)
+    concat/repeat of each row's local feature and its block's pooled
+    feature; returns (q, grads or None in eval mode)."""
+    f, enc_traces = x, []
+    for spec, lp in zip(params.encoder_specs, params.encoder):
+        f, tr = net.pointwise_forward(f, spec, lp, mode, params.momentum)
+        enc_traces.append(tr)
+    offsets = np.concatenate([[0], np.cumsum(segments)[:-1]])
+    parts = [f[o:o + rows] for o, rows in zip(offsets, segments)]
+    g = np.stack([part.max(axis=0) for part in parts])
+    am = np.stack([part.argmax(axis=0) + o for part, o in zip(parts, offsets)])
+    local = enc_traces[net.LOCAL_LAYER].f_out
+    h = np.concatenate([local, np.repeat(g, segments, axis=0)], axis=1)
+    head_traces = []
+    for spec, lp in zip(params.head_specs, params.head):
+        h, tr = net.pointwise_forward(h, spec, lp, mode, params.momentum)
+        head_traces.append(tr)
+    q = net.softmax_rows(h)
+    if mode == "eval":
+        return q, None
+    n = len(q)
+    d = q.copy()
+    d[np.arange(n), labels] -= 1
+    d /= n
+    grads = {}
+    for i in reversed(range(len(params.head))):
+        d, gr = net.pointwise_backward(d, params.head_specs[i], params.head[i],
+                                       head_traces[i])
+        grads.update({f"head{i}.{k}": v for k, v in gr.items()})
+    d_local = d[:, :local.shape[1]]
+    dg = np.add.reduceat(d[:, local.shape[1]:], offsets, axis=0)
+    d = np.zeros_like(f)
+    for s in range(len(segments)):
+        d[am[s], np.arange(f.shape[1])] += dg[s]
+    for i in reversed(range(len(params.encoder))):
+        if i == net.LOCAL_LAYER:
+            d = d + d_local
+        d, gr = net.pointwise_backward(d, params.encoder_specs[i],
+                                       params.encoder[i], enc_traces[i])
+        grads.update({f"enc{i}.{k}": v for k, v in gr.items()})
+    return q, grads
+
+
+def _moved_stats_params(seed, dtype=np.float32, forwards=3):
+    """Toy network whose batch-norm running statistics were moved by
+    train-mode forwards on shifted, scaled inputs."""
+    rng = np.random.default_rng(seed)
+    params = toy_params(seed=seed, dtype=dtype)
+    for _ in range(forwards):
+        x = rng.normal(rng.normal(0, 2, 9), rng.uniform(0.5, 3, 9), (48, 9))
+        net.forward(x.astype(dtype), params, "train", segments=(20, 28))
+    return params
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestSplitHead:
+    @settings(max_examples=40, deadline=None)
+    @given(segments=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           mode=st.sampled_from(["train", "eval"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_concat_reference(self, segments, mode, seed):
+        # head0's split form local·W_l + (g·W_g + b) against the built
+        # concat/repeat, forward and every gradient
+        if mode == "train" and sum(segments) < 2:
+            segments = segments + [1]
+        rng = np.random.default_rng(seed)
+        params = _moved_stats_params(seed % 1000, dtype=np.float64, forwards=1)
+        x = rng.standard_normal((sum(segments), 9))
+        labels = rng.integers(0, 3, len(x))
+        ref_params = net.copy_params(params)
+        q_ref, grads_ref = _concat_reference(x, ref_params, mode, segments, labels)
+        trace = net.forward(x, params, mode, segments=segments)
+        assert _rel_err(trace.q, q_ref) <= 1e-10
+        if mode == "eval":
+            assert trace.argmax_segments is None
+            return
+        grads = net.backward(trace, labels, params)
+        assert list(grads) == [name for name, _ in net.iter_tensors(params)]
+        # relative to the largest gradient entry: a gradient that is 0 in
+        # exact arithmetic (the bias under a batch norm, everything under
+        # a two-row batch norm) holds only rounding noise of that order
+        scale = max(np.abs(g).max() for g in grads_ref.values())
+        for name, grad in grads.items():
+            assert np.abs(grad - grads_ref[name]).max() <= 1e-10 * scale, name
+        for (name, a), (_, b) in zip(
+                net.iter_tensors(params, learnable_only=False),
+                net.iter_tensors(ref_params, learnable_only=False)):
+            assert _rel_err(a, b) <= 1e-10, name      # running stats too
+
+    def test_head0_reads_local_rows_and_per_block_global(self, rng):
+        params = toy_params()
+        x = rng.standard_normal((12, 9)).astype(np.float32)
+        trace = net.forward(x, params, "train", segments=(5, 7))
+        tr = trace.head_traces[0]
+        assert tr.f_in is trace.encoder_traces[net.LOCAL_LAYER].f_out
+        assert tr.g is trace.g_segments and tr.segments == (5, 7)
+
+    def test_mismatched_segments_rejected(self, rng):
+        params = toy_params()
+        local = rng.standard_normal((6, 8)).astype(np.float32)
+        g = rng.standard_normal((2, 32)).astype(np.float32)
+        with pytest.raises(ShapeError, match="segments"):
+            net.pointwise_forward(local, params.head_specs[0], params.head[0],
+                                  "eval", g=g, segments=(2, 3))
+
+
+class TestFoldBatchNorm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_folded_eval_matches_unfolded(self, seed):
+        params = _moved_stats_params(seed)
+        folded = net.fold_batch_norm(net.copy_params(params))
+        x = np.random.default_rng(100 + seed).normal(
+            0, 2, (300, 9)).astype(np.float32)
+        q = net.forward(x, params, "eval", segments=(100, 200)).q
+        qf = net.forward(x, folded, "eval", segments=(100, 200)).q
+        assert np.abs(qf - q).max() <= 1e-5
+        top2 = np.sort(q, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-4
+        assert clear.sum() > 250
+        assert np.array_equal(qf.argmax(1)[clear], q.argmax(1)[clear])
+
+    def test_folded_layers_keep_relu_and_drop_bn(self):
+        params = _moved_stats_params(3)
+        before = [(s.has_bn, s.has_relu) for s, _ in params.layers()]
+        net.fold_batch_norm(params)
+        for (had_bn, relu), (spec, lp) in zip(before, params.layers()):
+            assert spec.has_bn is False and spec.has_relu is relu
+            assert lp.gamma is None and lp.running_var is None
+            assert lp.W.dtype == np.float32 and lp.b.dtype == np.float32
+
+    def test_second_fold_is_a_no_op(self):
+        params = net.fold_batch_norm(_moved_stats_params(4))
+        once = [(n, a.copy()) for n, a in net.iter_tensors(params)]
+        specs = [(s.in_width, s.out_width, s.has_bn, s.has_relu)
+                 for s, _ in params.layers()]
+        assert net.fold_batch_norm(params) is params
+        assert [(s.in_width, s.out_width, s.has_bn, s.has_relu)
+                for s, _ in params.layers()] == specs
+        for (n0, a0), (n1, a1) in zip(once, net.iter_tensors(params)):
+            assert n0 == n1 and a0.tobytes() == a1.tobytes()
+
+    def test_last_layer_unchanged(self):
+        params = _moved_stats_params(5)
+        last = params.head[-1]
+        W, b = last.W.copy(), last.b.copy()
+        net.fold_batch_norm(params)
+        assert params.head[-1].W.tobytes() == W.tobytes()
+        assert params.head[-1].b.tobytes() == b.tobytes()
+        assert params.head_specs[-1] == net.LayerSpec(8, 3, False, False)
+
+    def test_copies_are_not_folded(self):
+        params = _moved_stats_params(6)
+        keep = net.copy_params(params)
+        net.fold_batch_norm(params)
+        assert all(s.has_bn for s, _ in keep.layers()[:-1])
+        assert keep.encoder[0].gamma is not None
+
+    def test_folded_params_refuse_checkpointing(self, tmp_path):
+        params = net.fold_batch_norm(_moved_stats_params(7))
+        with pytest.raises(ValueError, match="folded"):
+            net.save_checkpoint(tmp_path / "model.ckpt", params)
+        assert not (tmp_path / "model.ckpt").exists()
