@@ -1,0 +1,8 @@
+"""`python -m pointlabel`: the command-line pipeline driver."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

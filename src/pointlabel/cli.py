@@ -214,9 +214,10 @@ def cmd_predict(args):
         cloud = pio.PointCloud(cloud.xyz, np.zeros((len(cloud), 3)), cloud.labels)
     scales = infer.ScaleConfig.parse(args.scales)
     t1 = time.perf_counter()
+    counts = {}
     labels, probs = infer.predict(cloud, params, scales, seed=args.seed,
                                   feature_columns=FEATURE_COLUMNS[mode],
-                                  threads=args.threads)
+                                  threads=args.threads, counts=counts)
     t2 = time.perf_counter()
     pio.save_points(args.out, cloud, labels=labels)
     if args.probs:
@@ -224,7 +225,7 @@ def cmd_predict(args):
     write_manifest(str(args.out) + ".manifest", "predict",
                    {"seed": args.seed, "scales": args.scales,
                     "threads": args.threads, "features": mode,
-                    "points": len(cloud)},
+                    "points": len(cloud), **counts},
                    [args.points, args.model],
                    {"load": t1 - t0, "predict": t2 - t1})
     print(f"predict: labeled {len(cloud)} points -> {args.out}")

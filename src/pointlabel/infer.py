@@ -6,12 +6,15 @@ row's probability vector onto its source point (overlapping blocks and
 repeated rows all vote; votes are averaged). A block's test-time repeats
 are exact copies of a row, so each distinct source point is forwarded
 once: in eval mode every layer but the max-pool acts row by row, and the
-max over a set does not change when members repeat. Scales are then
-averaged per point over the scales that covered it, and points never
-sampled at any scale copy the class probabilities of their nearest
-covered neighbor.
+max over a set does not change when members repeat. Consecutive blocks
+share one segmented forward, in chunks of at most the scale's sample
+count of distinct rows, so sparse (airborne-density) blocks do not each
+pay a forward's fixed cost. Scales are then averaged per point over the
+scales that covered it, and points never sampled at any scale copy the
+class probabilities of their nearest covered neighbor.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,6 +57,7 @@ class ProbabilityField:
 
     probs: np.ndarray     # (N, C) float64, sum of votes
     counts: np.ndarray    # (N,) int64
+    stats: dict | None = None   # predict_scale's run counts, by name
 
     @property
     def covered(self):
@@ -73,40 +77,79 @@ class ProbabilityField:
 
 def predict_scale(cloud, params, scale, scale_id=0, seed=0, feature_columns=None,
                   threads=1, n_classes=None):
-    """Accumulated per-point probability votes for one block scale."""
+    """Accumulated per-point probability votes for one block scale.
+
+    Blocks are sampled in order and each keeps one row per distinct
+    source point. Consecutive blocks are packed into chunks of at most
+    `scale.sample_count` distinct rows, and each chunk is one segmented
+    eval forward: pooling and the head's global term stay per block and
+    every other layer acts row by row, so a chunk gives each block the
+    bits its own forward would. With `threads` > 1 the pool runs chunk
+    forwards while the next chunks are sampled; votes are merged in block
+    order either way, so threaded and serial runs agree exactly. The
+    field's `stats` count blocks, forward calls and rows forwarded.
+    """
     if n_classes is None:
         n_classes = params.head_specs[-1].out_width
     extent = blk.SceneExtent.of(cloud)
     footprints = blk.tile_blocks(cloud, scale.size, scale.overlap)
     sums = np.zeros((len(cloud), n_classes), dtype=np.float64)
     counts = np.zeros(len(cloud), dtype=np.int64)
+    stats = {"blocks": len(footprints), "forward_calls": 0, "rows_forwarded": 0}
 
-    def run(args):
-        bi, fp = args
-        rng = blk.block_rng(seed, scale_id, bi)
-        block = blk.sample_block(cloud, fp, scale.sample_count, False, rng,
-                                 extent, scale_id)
-        x = block.features
-        if feature_columns is not None:
-            x = x[:, feature_columns]
-        # features come from the full sample (centering counts repeats);
-        # only the forward is restricted to one row per source point
-        _, first, inverse = np.unique(block.parent_idx, return_index=True,
-                                      return_inverse=True)
-        q = network.forward(x[first], params, "eval").q
-        return block.parent_idx, q[inverse]
+    def chunks():
+        """Lists of consecutive blocks' (parent_idx, inverse, distinct
+        feature rows), at most scale.sample_count rows per list."""
+        chunk, rows = [], 0
+        for bi, fp in enumerate(footprints):
+            rng = blk.block_rng(seed, scale_id, bi)
+            block = blk.sample_block(cloud, fp, scale.sample_count, False, rng,
+                                     extent, scale_id)
+            x = block.features
+            if feature_columns is not None:
+                x = x[:, feature_columns]
+            # features come from the full sample (centering counts repeats);
+            # only the forward is restricted to one row per source point
+            _, first, inverse = np.unique(block.parent_idx, return_index=True,
+                                          return_inverse=True)
+            if chunk and rows + len(first) > scale.sample_count:
+                yield chunk
+                chunk, rows = [], 0
+            chunk.append((block.parent_idx, inverse, x[first]))
+            rows += len(first)
+        if chunk:
+            yield chunk
 
-    jobs = list(enumerate(footprints))
+    def run(chunk):
+        x = np.concatenate([xs for _, _, xs in chunk])
+        q = network.forward(x, params, "eval",
+                            segments=[len(xs) for _, _, xs in chunk]).q
+        return chunk, q
+
+    def merge(chunk, q):
+        stats["forward_calls"] += 1
+        stats["rows_forwarded"] += len(q)
+        start = 0
+        for parent_idx, inverse, xs in chunk:
+            votes = q[start:start + len(xs)][inverse]
+            np.add.at(sums, parent_idx, votes.astype(np.float64))
+            np.add.at(counts, parent_idx, 1)
+            start += len(xs)
+
     if threads > 1:
+        # every worker busy and one chunk queued; merged in block order
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+            pending = deque()
+            for chunk in chunks():
+                pending.append(pool.submit(run, chunk))
+                if len(pending) > threads:
+                    merge(*pending.popleft().result())
+            while pending:
+                merge(*pending.popleft().result())
     else:
-        results = [run(j) for j in jobs]
-    # merge in block order so threaded and serial runs agree exactly
-    for parent_idx, q in results:
-        np.add.at(sums, parent_idx, q.astype(np.float64))
-        np.add.at(counts, parent_idx, 1)
-    return ProbabilityField(sums, counts)
+        for chunk in chunks():
+            merge(*run(chunk))
+    return ProbabilityField(sums, counts, stats)
 
 
 def average_scales(fields):
@@ -175,12 +218,25 @@ def interpolate_labels(field, cloud):
 # full multi-scale pipeline
 
 def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, feature_columns=None,
-            threads=1):
-    """Tile, forward and merge every scale; returns (labels, probabilities)."""
+            threads=1, counts=None):
+    """Tile, forward and merge every scale; returns (labels, probabilities).
+
+    A dict passed as `counts` receives the run's counts: per scale i,
+    `scale{i}.blocks`, `.forward_calls`, `.rows_forwarded` and `.coverage`
+    (the share of points that scale sampled), then `nn_filled` (points
+    no scale sampled) and `coverage` (the share of points some scale
+    sampled).
+    """
     fields = [predict_scale(cloud, params, sc, scale_id, seed, feature_columns,
                             threads)
               for scale_id, sc in enumerate(scales)]
     merged = average_scales(fields)
+    if counts is not None:
+        for scale_id, f in enumerate(fields):
+            counts.update({f"scale{scale_id}.{k}": v for k, v in f.stats.items()})
+            counts[f"scale{scale_id}.coverage"] = float(f.covered.mean())
+        counts["nn_filled"] = int((~merged.covered).sum())
+        counts["coverage"] = float(merged.covered.mean())
     return interpolate_labels(merged, cloud)
 
 
@@ -197,12 +253,20 @@ class EvalReport:
     absent_classes: tuple          # classes in neither truth nor prediction
     class_names: tuple
 
+    @property
+    def mean_f1(self):
+        """Mean of the per-class F1 over the classes present in truth or
+        prediction (the paper's headline metric)."""
+        present = [c for c in range(len(self.f1)) if c not in self.absent_classes]
+        return float(self.f1[present].mean())
+
     def to_csv(self):
         lines = ["class,precision,recall,f1"]
         for i, name in enumerate(self.class_names):
             lines.append(f"{name},{self.precision[i]:.6f},{self.recall[i]:.6f},"
                          f"{self.f1[i]:.6f}")
         lines.append(f"overall_accuracy,{self.overall_accuracy:.6f},,")
+        lines.append(f"mean_f1,{self.mean_f1:.6f},,")
         return "\n".join(lines) + "\n"
 
     def render(self):
@@ -225,6 +289,7 @@ class EvalReport:
             lines.append(label.ljust(width)
                          + "".join(f"{v * 100.0:.1f}".rjust(width) for v in vec))
         lines.append(f"Overall accuracy: {self.overall_accuracy * 100.0:.1f}%")
+        lines.append(f"Mean F1: {self.mean_f1 * 100.0:.1f}%")
         if self.absent_classes:
             lines.append("absent classes (no truth, no prediction): "
                          + ", ".join(names[c] for c in self.absent_classes))

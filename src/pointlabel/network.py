@@ -155,7 +155,8 @@ class LayerTrace:
     inv_std: np.ndarray | None
     batch_mean: np.ndarray | None
     batch_var: np.ndarray | None
-    mask: np.ndarray | None          # ReLU gate (pre-activation > 0)
+    mask: np.ndarray | None          # ReLU gate (pre-activation > 0); train
+                                     # mode only
     f_out: np.ndarray
     g: np.ndarray | None = None      # (S, G) per-block input, read by every row
     segments: tuple | None = None    # rows per block when g is set
@@ -222,8 +223,10 @@ def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM,
         z = s
     mask = None
     if spec.has_relu:
-        mask = z > 0
-        f_out = np.where(mask, z, np.asarray(0, dtype=z.dtype))
+        # only backward reads the gate; a NaN pre-activation stays NaN
+        if mode == "train":
+            mask = z > 0
+        f_out = np.maximum(z, np.asarray(0, dtype=z.dtype))
     else:
         f_out = z
     return f_out, LayerTrace(f_in, s, s_hat, inv_std, mu, var, mask, f_out,
@@ -341,12 +344,13 @@ def forward(x, params, mode="eval", segments=None):
         f, tr = pointwise_forward(f, spec, lp, mode, params.momentum)
         enc_traces.append(tr)
     offsets = _offsets(segments)
-    g_seg = np.maximum.reduceat(f, offsets, axis=0)
-    am_seg = None
-    if mode == "train":
-        am_seg = np.empty(g_seg.shape, dtype=np.int64)
-        for s, (start, rows) in enumerate(zip(offsets, segments)):
-            am_seg[s] = f[start:start + rows].argmax(axis=0) + start
+    g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
+    am_seg = np.empty(g_seg.shape, dtype=np.int64) if mode == "train" else None
+    for s, (start, rows) in enumerate(zip(offsets, segments)):
+        block = f[start:start + rows]
+        block.max(axis=0, out=g_seg[s])
+        if am_seg is not None:
+            am_seg[s] = block.argmax(axis=0) + start
     f, tr = pointwise_forward(enc_traces[LOCAL_LAYER].f_out, params.head_specs[0],
                               params.head[0], mode, params.momentum,
                               g=g_seg, segments=segments)

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pointlabel import blocks as blk
 from pointlabel import cli
 from pointlabel import io as pio
 from pointlabel.io import PointCloud, Raster
@@ -312,6 +316,46 @@ class TestPredictEvaluate:
         assert timings["timing.load"] >= 0.3
         assert abs(timings["timing.predict"] - spent["predict"]) < 0.1
 
+    def test_manifest_counts_blocks_rows_and_coverage(self, fixture_dir):
+        # 2 m footprints hold about 14 points, so 64 samples repeat rows and
+        # one forward takes several blocks; 12 samples of each 10 m block
+        # fill a forward alone and leave a few points to the NN fill
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep) / "model.ckpt"
+        out = fixture_dir / "labeled.txt"
+        scales = "2:1:64,10:2:12"
+        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
+                       "--model", str(model), "--out", str(out),
+                       "--scales", scales, "--seed", "5", "--threads", "2"])
+        assert rc == 0
+        manifest = dict(line.split("=", 1) for line in
+                        Path(str(out) + ".manifest").read_text().splitlines())
+        cloud = pio.load_points(prep / "points.txt")
+        extent = blk.SceneExtent.of(cloud)
+        covered_any = np.zeros(len(cloud), dtype=bool)
+        for sid, sc in enumerate(cli.infer.ScaleConfig.parse(scales)):
+            footprints = blk.tile_blocks(cloud, sc.size, sc.overlap)
+            covered = np.zeros(len(cloud), dtype=bool)
+            rows = 0
+            for bi, fp in enumerate(footprints):
+                block = blk.sample_block(cloud, fp, sc.sample_count, False,
+                                         blk.block_rng(5, sid, bi), extent, sid)
+                rows += len(np.unique(block.parent_idx))
+                covered[block.parent_idx] = True
+            covered_any |= covered
+            calls = int(manifest[f"scale{sid}.forward_calls"])
+            assert int(manifest[f"scale{sid}.blocks"]) == len(footprints)
+            assert int(manifest[f"scale{sid}.rows_forwarded"]) == rows
+            assert -(-rows // sc.sample_count) <= calls <= len(footprints)
+            assert float(manifest[f"scale{sid}.coverage"]) == covered.mean()
+        # several sparse blocks per chunk; full 10 m blocks one per chunk
+        assert int(manifest["scale0.forward_calls"]) * 3 <= int(
+            manifest["scale0.blocks"])
+        assert calls == int(manifest["scale1.blocks"]) > 1
+        filled = int(manifest["nn_filled"])
+        assert filled == (~covered_any).sum() > 0
+        assert float(manifest["coverage"]) == covered_any.mean()
+
     def test_missing_model_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["predict", "--points", "x", "--out", "y"])
@@ -378,3 +422,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+    def test_module_entry_point(self):
+        # `python -m pointlabel` from a checkout, with src/ on the path
+        import pointlabel
+        src = str(Path(pointlabel.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "pointlabel", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: pointlabel")
+        assert "predict" in done.stdout

@@ -25,6 +25,24 @@ def brute_nearest(query_xyz, covered_xyz):
     return d2.argmin(axis=1)
 
 
+def per_block_reference(cloud, params, sc, scale_id, seed, columns):
+    """Votes of one full-row eval forward per block, merged in block
+    order: the field predict_scale must reproduce bit for bit."""
+    extent = blk.SceneExtent.of(cloud)
+    n_classes = params.head_specs[-1].out_width
+    sums = np.zeros((len(cloud), n_classes))
+    counts = np.zeros(len(cloud), dtype=np.int64)
+    for bi, fp in enumerate(blk.tile_blocks(cloud, sc.size, sc.overlap)):
+        block = blk.sample_block(cloud, fp, sc.sample_count, False,
+                                 blk.block_rng(seed, scale_id, bi), extent,
+                                 scale_id)
+        x = block.features if columns is None else block.features[:, columns]
+        q = network.forward(x, params, "eval").q
+        np.add.at(sums, block.parent_idx, q.astype(np.float64))
+        np.add.at(counts, block.parent_idx, 1)
+    return field(sums, counts)
+
+
 def field(probs, counts):
     return infer.ProbabilityField(np.asarray(probs, dtype=np.float64),
                                   np.asarray(counts, dtype=np.int64))
@@ -98,14 +116,52 @@ class TestPredictScale:
         real_forward = network.forward
 
         def counting_forward(x, *args, **kwargs):
-            forwarded.append(len(x))
+            forwarded.append((len(x), list(kwargs["segments"])))
             return real_forward(x, *args, **kwargs)
 
         monkeypatch.setattr(network, "forward", counting_forward)
         f = infer.predict_scale(cloud, params, sc, scale_id=1, seed=4)
-        assert forwarded == expected_rows
+        # each call forwards one chunk of consecutive blocks' distinct rows
+        assert [n for _, segs in forwarded for n in segs] == expected_rows
+        for rows, segs in forwarded:
+            assert rows == sum(segs) <= sc.sample_count
+        assert len(forwarded) < len(expected_rows)
+        assert sum(rows for rows, _ in forwarded) == sum(expected_rows)
         assert f.probs.tobytes() == sums.tobytes()
         assert np.array_equal(f.counts, counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_points=st.integers(1, 200), extent=st.floats(0.5, 20.0),
+           size=st.floats(1.0, 12.0), overlap_share=st.floats(0.0, 0.9),
+           count=st.sampled_from([1, 2, 16, 64, 256]),
+           n_classes=st.sampled_from([3, 9]), xyz_only=st.booleans(),
+           fold=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_chunked_forwards_match_per_block_reference(
+            self, n_points, extent, size, overlap_share, count, n_classes,
+            xyz_only, fold, seed):
+        # count 1 gives 1-row blocks, each its own chunk; larger counts on
+        # sparse clouds pack many blocks into one chunk
+        rng = np.random.default_rng(seed)
+        xyz = rng.uniform(0.0, extent, (n_points, 3))
+        xyz[rng.integers(0, n_points, n_points // 4)] = xyz[0]   # twins
+        cloud = PointCloud(xyz, rng.uniform(0.0, 255.0, (n_points, 3)))
+        columns = [0, 1, 2, 6, 7, 8] if xyz_only else None
+        params = toy_params(in_width=6 if xyz_only else 9,
+                            n_classes=n_classes, seed=seed % 1000)
+        for lp in params.encoder + params.head[:-1]:
+            for t in (lp.gamma, lp.beta, lp.running_mean):
+                t[:] = rng.normal(0.0, 0.5, t.shape)
+            lp.running_var[:] = rng.uniform(0.2, 3.0, lp.running_var.shape)
+        if fold:
+            network.fold_batch_norm(params)
+        sc = infer.ScaleConfig(size, size * overlap_share, count)
+        want = per_block_reference(cloud, params, sc, 2, seed % 97, columns)
+        for threads in (1, 2):
+            got = infer.predict_scale(cloud, params, sc, scale_id=2,
+                                      seed=seed % 97, feature_columns=columns,
+                                      threads=threads)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert np.array_equal(got.counts, want.counts)
 
     def test_threaded_matches_serial(self, scene):
         params = toy_params(seed=7)
@@ -215,6 +271,22 @@ class TestEvaluate:
         assert r.precision[1] == 2.0 / 3.0 and r.recall[1] == 1.0
         assert r.f1[1] == 0.8
         assert np.array_equal(r.confusion, [[1, 1], [0, 2]])
+
+    def test_mean_f1_skips_absent_classes(self):
+        # F1 is 2/3 and 0.8 for classes 0 and 1; class 2 is absent
+        r = infer.evaluate([0, 1, 1, 1], [0, 0, 1, 1], n_classes=3,
+                           class_names=("a", "b", "c"))
+        assert r.absent_classes == (2,)
+        assert r.mean_f1 == pytest.approx((2.0 / 3.0 + 0.8) / 2.0)
+        assert r.to_csv().splitlines()[-2:] == ["overall_accuracy,0.750000,,",
+                                                "mean_f1,0.733333,,"]
+        assert "Mean F1: 73.3%" in r.render()
+
+    def test_mean_f1_counts_classes_present_in_truth_only(self):
+        # class 1 is in truth but never predicted: F1 0, still averaged
+        r = infer.evaluate([0, 0, 0], [0, 0, 1], n_classes=2)
+        assert r.f1[1] == 0.0 and r.absent_classes == ()
+        assert r.mean_f1 == pytest.approx(0.8 / 2.0)
 
     def test_absent_class_flagged_with_zero_scores(self):
         r = infer.evaluate([0, 0], [0, 0], n_classes=3)

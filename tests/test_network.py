@@ -74,6 +74,29 @@ class TestPointwise:
             net.pointwise_forward(np.ones((1, 2), dtype=np.float32), spec, lp,
                                   "train")
 
+    @pytest.mark.parametrize("has_bn", [False, True])
+    def test_relu_gate_recorded_in_train_mode_only(self, has_bn, rng):
+        spec = net.LayerSpec(4, 6, has_bn=has_bn, has_relu=True)
+        lp = net.init_layer(spec, rng)
+        x = rng.standard_normal((32, 4)).astype(np.float32)
+        _, ev = net.pointwise_forward(x, spec, lp, "eval")
+        assert ev.mask is None
+        out, tr = net.pointwise_forward(x, spec, lp, "train")
+        z = tr.s if not has_bn else lp.gamma * tr.s_hat + lp.beta
+        assert np.array_equal(tr.mask, z > 0)
+        assert 0 < tr.mask.sum() < tr.mask.size
+        # finite inputs: the same bits as gating z by its sign
+        assert out.tobytes() == np.where(z > 0, z, np.float32(0)).tobytes()
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_nan_pre_activation_propagates(self, mode, rng):
+        spec = net.LayerSpec(3, 2, has_bn=False, has_relu=True)
+        lp = net.LayerParams(f32([[1, -1], [0, 0], [0, 0]]), f32([0, 0]))
+        x = f32([[np.nan, 0, 0], [2, 0, 0], [-2, 0, 0]])
+        out, _ = net.pointwise_forward(x, spec, lp, mode)
+        assert np.isnan(out[0]).all()
+        assert np.array_equal(out[1:], f32([[2, 0], [0, 2]]))
+
     def test_running_stats_advance(self, rng):
         spec = net.LayerSpec(2, 2)
         lp = net.init_layer(spec, rng)
@@ -188,6 +211,25 @@ class TestForward:
         x = rng.standard_normal((16, 9)).astype(np.float32)
         tr = net.forward(x, params, "eval")
         assert np.array_equal(tr.g_segments[0], tr.pooled_input.max(axis=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(segments=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           mode=st.sampled_from(["train", "eval"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pooled_feature_is_each_blocks_column_max(self, segments, mode,
+                                                      seed):
+        if mode == "train" and sum(segments) < 2:
+            segments = segments + [1]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((sum(segments), 9)).astype(np.float32)
+        tr = net.forward(x, toy_params(seed=seed % 1000), mode,
+                         segments=segments)
+        f = tr.pooled_input
+        start = 0
+        for s, rows in enumerate(segments):
+            want = f[start:start + rows].max(axis=0)
+            assert tr.g_segments[s].tobytes() == want.tobytes()
+            start += rows
 
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(ShapeError):

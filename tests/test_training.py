@@ -275,6 +275,19 @@ class TestFit:
         got, _ = tr.evaluate_blocks(val, result.params)
         assert got == pytest.approx(min(losses))
 
+    def test_nan_pre_activation_flags_divergence(self, rng):
+        # a ReLU layer without batch norm: gating mapped the NaN column to
+        # 0 and training went on; now the NaN reaches the loss
+        train, val = self.build_sets(rng)
+        enc, head = self.toy_specs()
+        params = net.init_params(enc, head, np.random.default_rng(0))
+        net.fold_batch_norm(params)
+        params.encoder[0].W[0, 0] = np.nan
+        result = tr.fit(train, val, toy_fit_config(epoch_total=2),
+                        params=params, n_classes=3)
+        assert result.diverged
+        assert result.history == [] and result.best_epoch == -1
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
             tr.fit([], [], toy_fit_config())
