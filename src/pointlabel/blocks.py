@@ -101,7 +101,7 @@ def attribute_spectral(cloud, image):
         raise ShapeError(f"spectral image must have 3 bands, got {image.bands}")
     x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
     try:
-        spectral = sample_raster(image, x, y, "bilinear")
+        spectral = sample_raster(image, x, y)
     except (SamplingError, BoundsError) as exc:
         raise type(exc)(f"point {exc.index}: {exc}") from None
     clamped = int(raster_overhang(image, x, y)[0].sum())
@@ -117,8 +117,7 @@ def normalize_height(cloud, dtm):
     extent are dropped; both counts are logged."""
     if dtm.bands != 1:
         raise ShapeError(f"DTM must be single-band, got {dtm.bands} bands")
-    terrain, outside, empty = _sample(dtm, cloud.xyz[:, 0], cloud.xyz[:, 1],
-                                      "bilinear")
+    terrain, outside, empty = _sample(dtm, cloud.xyz[:, 0], cloud.xyz[:, 1])
     nodata = empty[:, 0] & ~outside
     keep = ~(outside | nodata)
     if not keep.all():

@@ -115,6 +115,7 @@ def read_block_store(in_dir):
 # subcommands
 
 def cmd_preprocess(args):
+    scales = infer.ScaleConfig.parse(args.scales)
     t0 = time.perf_counter()
     columns = args.columns.split(",") if args.columns else None
     cloud = pio.load_points(args.points, columns=columns)
@@ -135,7 +136,6 @@ def cmd_preprocess(args):
         counts["dtm_dropped_nodata"] = attributed - len(cloud) - outside
         inputs.append(args.dtm)
     t2 = time.perf_counter()
-    scales = infer.ScaleConfig.parse(args.scales)
     all_blocks = blk.build_blocks(cloud, scales, args.seed, training=True,
                                   augment_copies=args.augment)
     t3 = time.perf_counter()
@@ -152,6 +152,9 @@ def cmd_preprocess(args):
 
 
 def cmd_train(args):
+    config = training.TrainConfig(
+        lr_initial=args.lr, batch_size=args.batch, epoch_total=args.epochs,
+        patience=args.patience, val_fraction=args.val_fraction, seed=args.seed)
     t0 = time.perf_counter()
     all_blocks, store_scales = read_block_store(args.blocks)
     if args.scales:
@@ -164,17 +167,16 @@ def cmd_train(args):
     if any(b.labels is None for b in all_blocks):
         raise ValueError("training blocks must carry labels")
     cols = FEATURE_COLUMNS[args.features]
-    config = training.TrainConfig(
-        lr_initial=args.lr, batch_size=args.batch, epoch_total=args.epochs,
-        patience=args.patience, val_fraction=args.val_fraction, seed=args.seed)
+    if cols is not None:
+        for b in all_blocks:
+            b.features = b.features[:, cols]
     originals = [b for b in all_blocks if b.replica == 0]
     replicas = [b for b in all_blocks if b.replica != 0]
     train_set, val_set = training.stratified_split(
         originals, config.val_fraction, config.seed)
     train_set = training.balance_classes(train_set + replicas)
     t1 = time.perf_counter()
-    result = training.fit(train_set, val_set, config, feature_columns=cols,
-                          n_classes=args.classes)
+    result = training.fit(train_set, val_set, config, n_classes=args.classes)
     t2 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,12 +25,10 @@ class ContainerError(ValueError):
 def write_container(fh, layers, tensors):
     """Write tensors to a binary file object.
 
-    tensors is an ordered mapping or sequence of (name, array) pairs; each
-    array is stored as float32 with vectors written as a 1-row matrix.
-    Returns {name: byte offset of the tensor's header line}.
+    tensors is an iterable of (name, array) pairs; each array is stored
+    as float32 with vectors written as a 1-row matrix. Returns {name:
+    byte offset of the tensor's header line}.
     """
-    if hasattr(tensors, "items"):
-        tensors = list(tensors.items())
     offsets = {}
     fh.write(MAGIC + b"\n")
     fh.write(f"layers {int(layers)}\n".encode("ascii"))

@@ -33,6 +33,13 @@ class ScaleConfig:
     overlap: float       # meters
     sample_count: int    # points sampled per block
 
+    def __post_init__(self):
+        if not (self.size > 0 and 0 <= self.overlap < self.size
+                and self.sample_count >= 1):
+            raise ValueError(f"scale {self.size:g}:{self.overlap:g}:"
+                             f"{self.sample_count} needs size > 0, overlap "
+                             f"in [0, size) and sample count >= 1")
+
     @classmethod
     def parse(cls, text):
         """Parse "size:overlap:count" triplets separated by commas."""
@@ -76,7 +83,7 @@ class ProbabilityField:
 
 
 def predict_scale(cloud, params, scale, scale_id=0, seed=0, feature_columns=None,
-                  threads=1, n_classes=None):
+                  threads=1):
     """Accumulated per-point probability votes for one block scale.
 
     Blocks are sampled in order and each keeps one row per distinct
@@ -86,14 +93,16 @@ def predict_scale(cloud, params, scale, scale_id=0, seed=0, feature_columns=None
     every other layer acts row by row, so a chunk gives each block the
     bits its own forward would. With `threads` > 1 the pool runs chunk
     forwards while the next chunks are sampled; votes are merged in block
-    order either way, so threaded and serial runs agree exactly. The
-    field's `stats` count blocks, forward calls and rows forwarded.
+    order either way, so threaded and serial runs agree exactly; `threads`
+    must be >= 1. The field's `stats` count blocks, forward calls and rows
+    forwarded.
     """
-    if n_classes is None:
-        n_classes = params.head_specs[-1].out_width
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     extent = blk.SceneExtent.of(cloud)
     footprints = blk.tile_blocks(cloud, scale.size, scale.overlap)
-    sums = np.zeros((len(cloud), n_classes), dtype=np.float64)
+    sums = np.zeros((len(cloud), params.head_specs[-1].out_width),
+                    dtype=np.float64)
     counts = np.zeros(len(cloud), dtype=np.int64)
     stats = {"blocks": len(footprints), "forward_calls": 0, "rows_forwarded": 0}
 

@@ -13,10 +13,10 @@ Raw survey exports with extra columns (intensity, return counts) pass an
 explicit layout instead, "-" marking a column to discard.
 
 Rasters come from two carriers: ESRI ASCII grids (DTM/DSM heights) and
-plain-text PPM `P3` images (IR,R,G bands) with a 6-line ESRI world file
-sidecar. Internally a Raster stores the world coordinate of the
-upper-left pixel *center*; ASCII-grid corner coordinates are converted on
-parse.
+8-bit plain-text PPM `P3` images (IR,R,G bands, maxval 255) with a 6-line
+ESRI world file sidecar. Internally a Raster stores the world coordinate
+of the upper-left pixel *center*; ASCII-grid corner coordinates are
+converted on parse. Rasters are sampled bilinearly.
 """
 
 import math
@@ -270,12 +270,11 @@ def parse_points(stream, columns=None):
                       labels)
 
 
-def write_points(cloud, labels=None, probs=None):
+def write_points(cloud, labels=None):
     """Render a cloud as point-file text.
 
-    labels overrides cloud.labels when given; probs appends one column per
-    class after the label. Coordinates and spectral values are written
-    with 6 decimals, labels as bare integers.
+    labels overrides cloud.labels when given. Coordinates and spectral
+    values are written with 6 decimals, labels as bare integers.
     """
     if labels is None:
         labels = cloud.labels
@@ -283,11 +282,6 @@ def write_points(cloud, labels=None, probs=None):
         labels = np.asarray(labels).reshape(-1)
         if len(labels) != len(cloud):
             raise ShapeError(f"labels length {len(labels)} != point count {len(cloud)}")
-    if probs is not None:
-        probs = np.asarray(probs)
-        if probs.ndim != 2 or len(probs) != len(cloud):
-            raise ShapeError(
-                f"probs shape {probs.shape} does not match point count {len(cloud)}")
     # one format per column layout, applied to float64 rows; a label goes
     # through float64 exactly and "%d" truncates it as int() does
     cols, fmt = [cloud.xyz], ["%.6f %.6f %.6f"]
@@ -297,9 +291,6 @@ def write_points(cloud, labels=None, probs=None):
     if labels is not None:
         cols.append(labels.reshape(-1, 1))
         fmt.append("%d")
-    if probs is not None:
-        cols.append(probs)
-        fmt += ["%.6f"] * probs.shape[1]
     fmt = " ".join(fmt) + "\n"
     parts = []
     for start in range(0, len(cloud), WRITE_CHUNK_ROWS):
@@ -314,9 +305,9 @@ def load_points(path, columns=None):
         return parse_points(fh, columns)
 
 
-def save_points(path, cloud, labels=None, probs=None):
+def save_points(path, cloud, labels=None):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_points(cloud, labels, probs))
+        fh.write(write_points(cloud, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +393,33 @@ def _world_file_path(image_path):
     return stem + ".wld"
 
 
-def read_ppm_image(path, world_path=None):
-    """Read a P3 (ASCII) PPM or P2 PGM plus its ESRI world file sidecar."""
+def read_ppm_image(path):
+    """Read an 8-bit P3 (ASCII) PPM plus its ESRI world file sidecar;
+    maxval must be 255 and every sample in 0..255 (ParseError otherwise)."""
     with open(path, "r", encoding="utf-8") as fh:
         toks = []
         for raw in fh:
             toks.extend(raw.split("#", 1)[0].split())
-    if not toks or toks[0] not in ("P3", "P2"):
-        raise ParseError(f"{path}: expected P3/P2 magic, got {toks[:1]}")
-    bands = 3 if toks[0] == "P3" else 1
+    if not toks or toks[0] != "P3":
+        raise ParseError(f"{path}: expected P3 magic, got {toks[:1]}")
     try:
         width, height, maxval = int(toks[1]), int(toks[2]), int(toks[3])
         vals = np.array([float(t) for t in toks[4:]], dtype=np.float64)
     except (IndexError, ValueError):
         raise ParseError(f"{path}: malformed image header or samples") from None
-    if vals.size != width * height * bands:
+    if maxval != 255:
+        raise ParseError(f"{path}: maxval {maxval}; only 8-bit images "
+                         f"(maxval 255) are supported")
+    if vals.size != width * height * 3:
         raise SchemaError(
-            f"{path}: expected {width * height * bands} samples, got {vals.size}")
+            f"{path}: expected {width * height * 3} samples, got {vals.size}")
+    bad = ~((vals >= 0) & (vals <= 255))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ParseError(f"{path}: sample {k} is {vals[k]:g}, outside 0..255")
     # interleaved samples -> (bands, H, W)
-    data = vals.reshape(height, width, bands).transpose(2, 0, 1)
-    world_path = world_path or _world_file_path(path)
+    data = vals.reshape(height, width, 3).transpose(2, 0, 1)
+    world_path = _world_file_path(path)
     with open(world_path, "r", encoding="utf-8") as fh:
         w = [float(line.strip()) for line in fh if line.strip()]
     if len(w) != 6:
@@ -434,15 +432,21 @@ def read_ppm_image(path, world_path=None):
     return Raster(data, origin_x=ox, origin_y=oy, cell_size=cell_x, nodata=-9999.0)
 
 
-def write_ppm_image(path, raster, maxval=255, world_path=None):
-    """Write a raster as P3/P2 text image plus world file (test fixtures)."""
-    magic = "P3" if raster.bands == 3 else "P2"
-    samples = raster.data.transpose(1, 2, 0).reshape(-1)
+def write_ppm_image(path, raster):
+    """Write a 3-band raster as an 8-bit P3 image plus world file (test
+    fixtures). Samples are rounded to integers, which must lie in 0..255."""
+    if raster.bands != 3:
+        raise ShapeError(f"P3 image needs 3 bands, raster has {raster.bands}")
+    samples = np.rint(raster.data.transpose(1, 2, 0).reshape(-1))
+    bad = ~((samples >= 0) & (samples <= 255))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"sample {k} rounds to {samples[k]:g}, outside 0..255")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{magic}\n{raster.width} {raster.height}\n{maxval}\n")
-        fh.write("\n".join(str(int(round(v))) for v in samples))
+        fh.write(f"P3\n{raster.width} {raster.height}\n255\n")
+        fh.write("\n".join(str(int(v)) for v in samples))
         fh.write("\n")
-    with open(world_path or _world_file_path(path), "w", encoding="utf-8") as fh:
+    with open(_world_file_path(path), "w", encoding="utf-8") as fh:
         for v in (raster.cell_size, 0.0, 0.0, -raster.cell_size,
                   raster.origin_x, raster.origin_y):
             fh.write(f"{float(v)!r}\n")
@@ -474,16 +478,14 @@ def raster_overhang(raster, x, y):
     return ~span & ~outside, outside
 
 
-def _sample(raster, x, y, mode):
+def _sample(raster, x, y):
     """Array core of sample_raster; raises nothing for a failing query.
 
     Returns (values, outside, empty): values is (N, bands), outside marks
     queries beyond the clamped extent, and empty (N, bands) marks bands
-    without a value (every bilinear neighbor, or the nearest pixel, is
-    nodata). Values of failing queries are meaningless.
+    whose four bilinear neighbors are all nodata. Values of failing
+    queries are meaningless.
     """
-    if mode not in ("bilinear", "nearest"):
-        raise ValueError(f"mode must be 'bilinear' or 'nearest', got {mode!r}")
     w, h = raster.width, raster.height
     px, py, outside = _pixel_coords(raster, x, y)
     # outside queries (NaN included) are parked on pixel 0 so that indexing
@@ -496,11 +498,6 @@ def _sample(raster, x, y, mode):
     j1 = np.minimum(j0 + 1, h - 1)
     fx = px - i0
     fy = py - j0
-
-    if mode == "nearest":
-        values = raster.data[:, np.where(fy <= 0.5, j0, j1),
-                             np.where(fx <= 0.5, i0, i1)].T
-        return values, outside, values == raster.nodata
 
     # per band, accumulate the neighbors in this order from 0.0, a nodata
     # neighbor adding 0.0 to both sums: every value then equals, bit for
@@ -523,25 +520,25 @@ def _sample(raster, x, y, mode):
     return values, outside, empty
 
 
-def sample_raster(raster, x, y, mode="bilinear"):
-    """Sample every band of a raster at world coordinates (x, y).
+def sample_raster(raster, x, y):
+    """Sample every band of a raster bilinearly at world coordinates (x, y).
 
     x and y are scalars, giving a (bands,) result, or equal-length 1-D
-    arrays, giving an (N, bands) result. Bilinear blends the 4 surrounding
-    pixel centers; nodata neighbors are excluded and the remaining weights
-    renormalized. Queries up to half a cell outside the outermost pixel
-    centers clamp to the edge; anything farther raises BoundsError. A
-    query without a valid value raises SamplingError. Of several failing
-    queries, the one with the lowest index is reported, its extent checked
-    before its nodata; the exception's `index` holds that index. Nearest
-    mode breaks half-way ties toward the lower pixel index.
+    arrays, giving an (N, bands) result. Each value blends the 4
+    surrounding pixel centers; nodata neighbors are excluded and the
+    remaining weights renormalized. Queries up to half a cell outside the
+    outermost pixel centers clamp to the edge; anything farther raises
+    BoundsError. A query without a valid value raises SamplingError. Of
+    several failing queries, the one with the lowest index is reported,
+    its extent checked before its nodata; the exception's `index` holds
+    that index.
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.shape != y.shape:
         raise ShapeError(f"x has {x.size} coordinates, y has {y.size}")
-    values, outside, empty = _sample(raster, x, y, mode)
+    values, outside, empty = _sample(raster, x, y)
     failed = outside | empty.any(axis=1)
     if failed.any():
         k = int(failed.argmax())
@@ -550,9 +547,6 @@ def sample_raster(raster, x, y, mode="bilinear"):
             raise BoundsError(f"query ({x[k]}, {y[k]}) outside raster extent "
                               f"(pixel coords {px:.3f}, {py:.3f})", k)
         band = int(empty[k].argmax())
-        if mode == "nearest":
-            raise SamplingError(f"nodata at the nearest pixel to "
-                                f"({x[k]}, {y[k]}) in band {band}", k)
         raise SamplingError(f"no valid raster neighbors at ({x[k]}, {y[k]}) "
                             f"in band {band}", k)
     return values[0] if scalar else values

@@ -64,7 +64,6 @@ class NetworkParams:
     head: list
     encoder_specs: list
     head_specs: list
-    momentum: float = BN_MOMENTUM
 
     def layers(self):
         return list(zip(self.encoder_specs + self.head_specs,
@@ -102,32 +101,28 @@ def default_architecture(in_width=9, n_classes=9,
 # ---------------------------------------------------------------------------
 # initialization
 
-def init_layer(spec, rng, dtype=np.float32):
-    """Glorot-uniform weights, zero bias; BN starts at identity with unit
-    running variance."""
-    a = np.sqrt(6.0 / (spec.in_width + spec.out_width))
-    W = rng.uniform(-a, a, size=(spec.in_width, spec.out_width)).astype(dtype)
-    b = np.zeros(spec.out_width, dtype=dtype)
+def init_layer(spec, rng):
+    """float32 Glorot-uniform weights, zero bias; BN starts at identity
+    with unit running variance. params_astype gives other dtypes."""
+    n = spec.out_width
+    a = np.sqrt(6.0 / (spec.in_width + n))
+    W = rng.uniform(-a, a, size=(spec.in_width, n)).astype(np.float32)
+    b = np.zeros(n, dtype=np.float32)
     if not spec.has_bn:
         return LayerParams(W, b)
-    return LayerParams(
-        W, b,
-        gamma=np.ones(spec.out_width, dtype=dtype),
-        beta=np.zeros(spec.out_width, dtype=dtype),
-        running_mean=np.zeros(spec.out_width, dtype=dtype),
-        running_var=np.ones(spec.out_width, dtype=dtype),
-    )
+    return LayerParams(W, b, gamma=np.ones(n, np.float32),
+                       beta=np.zeros(n, np.float32),
+                       running_mean=np.zeros(n, np.float32),
+                       running_var=np.ones(n, np.float32))
 
 
-def init_params(encoder_specs, head_specs, rng, momentum=BN_MOMENTUM,
-                dtype=np.float32):
+def init_params(encoder_specs, head_specs, rng):
     _check_chain(encoder_specs, head_specs)
     return NetworkParams(
-        encoder=[init_layer(s, rng, dtype) for s in encoder_specs],
-        head=[init_layer(s, rng, dtype) for s in head_specs],
+        encoder=[init_layer(s, rng) for s in encoder_specs],
+        head=[init_layer(s, rng) for s in head_specs],
         encoder_specs=list(encoder_specs),
         head_specs=list(head_specs),
-        momentum=momentum,
     )
 
 
@@ -153,8 +148,6 @@ class LayerTrace:
     s: np.ndarray                    # pre-BN pre-activation
     s_hat: np.ndarray | None         # normalized, pre gamma/beta
     inv_std: np.ndarray | None
-    batch_mean: np.ndarray | None
-    batch_var: np.ndarray | None
     mask: np.ndarray | None          # ReLU gate (pre-activation > 0); train
                                      # mode only
     f_out: np.ndarray
@@ -171,8 +164,7 @@ def _offsets(segments):
     return np.concatenate([[0], np.cumsum(segments)[:-1]]).astype(np.intp)
 
 
-def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM,
-                      g=None, segments=None):
+def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     """Shared linear map over the rows, then BN and ReLU as configured.
 
     With `g` (S, G), row i's input is `[f_in_i, g_s]`, g_s being the row
@@ -182,7 +174,8 @@ def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM,
 
     Train mode normalizes with the batch statistics of the N input rows
     (biased variance, eps under the square root) and advances the running
-    statistics in place; eval mode uses the stored running statistics.
+    statistics in place at momentum BN_MOMENTUM; eval mode uses the
+    stored running statistics.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -199,7 +192,7 @@ def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM,
                              f"global rows and {len(f_in)} local rows")
         s = matmul(f_in, params.W[:local_w])
         s += np.repeat(matmul(g, params.W[local_w:]) + params.b, segments, axis=0)
-    s_hat = inv_std = mu = var = None
+    s_hat = inv_std = None
     if spec.has_bn:
         if mode == "train":
             if len(s) < 2:
@@ -209,7 +202,7 @@ def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM,
             var = _colstat(d * d, np.mean)
             inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=s.dtype))
             s_hat = d * inv_std
-            m = params.running_mean.dtype.type(momentum)
+            m = params.running_mean.dtype.type(BN_MOMENTUM)
             params.running_mean += m * (mu.astype(params.running_mean.dtype)
                                         - params.running_mean)
             params.running_var += m * (var.astype(params.running_var.dtype)
@@ -229,8 +222,7 @@ def pointwise_forward(f_in, spec, params, mode, momentum=BN_MOMENTUM,
         f_out = np.maximum(z, np.asarray(0, dtype=z.dtype))
     else:
         f_out = z
-    return f_out, LayerTrace(f_in, s, s_hat, inv_std, mu, var, mask, f_out,
-                             g, segments)
+    return f_out, LayerTrace(f_in, s, s_hat, inv_std, mask, f_out, g, segments)
 
 
 def pointwise_backward(d_out, spec, params, trace):
@@ -341,7 +333,7 @@ def forward(x, params, mode="eval", segments=None):
     enc_traces = []
     f = x
     for spec, lp in zip(params.encoder_specs, params.encoder):
-        f, tr = pointwise_forward(f, spec, lp, mode, params.momentum)
+        f, tr = pointwise_forward(f, spec, lp, mode)
         enc_traces.append(tr)
     offsets = _offsets(segments)
     g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
@@ -352,11 +344,10 @@ def forward(x, params, mode="eval", segments=None):
         if am_seg is not None:
             am_seg[s] = block.argmax(axis=0) + start
     f, tr = pointwise_forward(enc_traces[LOCAL_LAYER].f_out, params.head_specs[0],
-                              params.head[0], mode, params.momentum,
-                              g=g_seg, segments=segments)
+                              params.head[0], mode, g=g_seg, segments=segments)
     head_traces = [tr]
     for spec, lp in zip(params.head_specs[1:], params.head[1:]):
-        f, tr = pointwise_forward(f, spec, lp, mode, params.momentum)
+        f, tr = pointwise_forward(f, spec, lp, mode)
         head_traces.append(tr)
     q = softmax_rows(f)
     return ForwardTrace(mode, enc_traces, head_traces, segments, g_seg,
@@ -434,7 +425,7 @@ def param_count(params):
 def params_astype(params, dtype):
     """Deep copy with every tensor cast (float64 shadow for grad checks)."""
     out = NetworkParams([], [], list(params.encoder_specs),
-                        list(params.head_specs), params.momentum)
+                        list(params.head_specs))
     for chain_in, chain_out in ((params.encoder, out.encoder),
                                 (params.head, out.head)):
         for lp in chain_in:
@@ -486,7 +477,8 @@ def save_checkpoint(path, params):
         # load_checkpoint infers every layer's ReLU from its batch norm
         raise ValueError("cannot checkpoint a layer whose ReLU does not "
                          "follow a batch norm (batch norm folded?)")
-    tensors = [("meta.momentum", np.array([[params.momentum]], dtype=np.float32))]
+    # meta.momentum keeps the format; load_checkpoint ignores it
+    tensors = [("meta.momentum", np.array([[BN_MOMENTUM]], dtype=np.float32))]
     tensors += list(iter_tensors(params, learnable_only=False))
     n_layers = len(params.encoder) + len(params.head)
     return _container.write_container_file(path, n_layers, tensors)
@@ -497,11 +489,11 @@ def load_checkpoint(path):
 
     Layer specs are inferred: widths from the weight shapes, has_bn from
     the presence of BN tensors, and has_relu == has_bn (every normalized
-    layer is ReLU-activated; the final linear layer is neither).
+    layer is ReLU-activated; the final linear layer is neither). A missing
+    layer or tensor raises ContainerError; `meta.momentum` is ignored.
     """
     n_layers, tensors = _container.read_container_file(path)
-    # stored as float32; round so 0.1 comes back as 0.1
-    momentum = float(f"{tensors.pop('meta.momentum', np.array([[BN_MOMENTUM]]))[0, 0]:.7g}")
+    tensors.pop("meta.momentum", None)
     groups = {}
     for name, arr in tensors.items():
         layer_name, attr = name.split(".")
@@ -514,21 +506,24 @@ def load_checkpoint(path):
         specs, layers = [], []
         for i in range(sum(1 for k in groups if k.startswith(prefix)
                            and k[len(prefix):].isdigit())):
-            t = groups[f"{prefix}{i}"]
-            W = t["W"]
-            b = t["b"].reshape(-1)
+            layer = f"{prefix}{i}"
+            if layer not in groups:
+                raise _container.ContainerError(f"checkpoint lacks layer {layer}")
+            t = groups[layer]
             has_bn = "gamma" in t
+            names = ("W", "b") + (("gamma", "beta", "running_mean", "running_var")
+                                  if has_bn else ())
+            missing = [n for n in names if n not in t]
+            if missing:
+                raise _container.ContainerError(
+                    f"checkpoint lacks tensor {layer}.{missing[0]}")
+            W = t["W"]
             specs.append(LayerSpec(W.shape[0], W.shape[1], has_bn, has_bn))
-            layers.append(LayerParams(
-                W, b,
-                t["gamma"].reshape(-1) if has_bn else None,
-                t["beta"].reshape(-1) if has_bn else None,
-                t["running_mean"].reshape(-1) if has_bn else None,
-                t["running_var"].reshape(-1) if has_bn else None))
+            layers.append(LayerParams(W, *[t[n].reshape(-1) for n in names[1:]]))
         return specs, layers
 
     enc_specs, enc = build("enc")
     head_specs, head = build("head")
     if not enc or not head:
         raise _container.ContainerError("checkpoint is missing layer tensors")
-    return NetworkParams(enc, head, enc_specs, head_specs, momentum)
+    return NetworkParams(enc, head, enc_specs, head_specs)

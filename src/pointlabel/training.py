@@ -19,13 +19,17 @@ from . import network
 
 log = logging.getLogger(__name__)
 
+# Adam's published defaults (Kingma & Ba, arXiv 1412.6980)
+ADAM_BETA1 = 0.9            # first-moment decay ("momentum")
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
+    """Settings of fit, each checked; Adam's are the ADAM_* constants."""
+
     lr_initial: float = 0.001
-    beta1: float = 0.9          # first-moment decay ("momentum")
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32        # blocks per optimizer step
     epoch_total: int = 30
     patience: int = 3           # non-improving epochs before stopping
@@ -33,6 +37,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epoch_total < 1:
+            raise ValueError(f"epoch_total must be >= 1, got {self.epoch_total}")
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"val_fraction must be in (0,1), got {self.val_fraction}")
         if self.patience < 1:
@@ -69,8 +77,9 @@ def _first_non_finite(grads):
                  if not np.all(np.isfinite(g))), None)
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update, in place on params.
+def adam_step(params, grads, state, lr):
+    """One Adam update, in place on params, with ADAM_BETA1, ADAM_BETA2
+    and ADAM_EPS.
 
     Rejects the whole step (no tensor touched) if any gradient is
     non-finite, naming the offending tensor.
@@ -79,15 +88,15 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     if bad is not None:
         raise ValueError(f"non-finite gradient for tensor {bad}")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, arr in network.iter_tensors(params):
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        arr -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        arr -= (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
@@ -164,31 +173,28 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
-def _block_xy(block, feature_columns):
-    x = block.features
-    if feature_columns is not None:
-        x = x[:, feature_columns]
-    return x, block.labels
-
-
-def evaluate_blocks(blocks, params, feature_columns=None):
+def evaluate_blocks(blocks, params):
     """Point-weighted mean loss and accuracy over labeled blocks (eval
     mode)."""
     total_nll = 0.0
     correct = 0
     count = 0
     for block in blocks:
-        x, y = _block_xy(block, feature_columns)
-        q = network.forward(x, params, "eval").q
-        total_nll += network.cross_entropy(q, y) * len(q)
-        correct += int((q.argmax(axis=1) == y).sum())
+        q = network.forward(block.features, params, "eval").q
+        total_nll += network.cross_entropy(q, block.labels) * len(q)
+        correct += int((q.argmax(axis=1) == block.labels).sum())
         count += len(q)
     return total_nll / count, correct / count
 
 
 def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
-        head_specs=None, feature_columns=None, n_classes=9):
+        head_specs=None, n_classes=9):
     """Train until epoch_total or until validation loss stalls.
+
+    The network reads every feature column of the blocks; to train on a
+    subset, select its columns in the blocks first. Without `params` or
+    both spec lists, the default architecture is built for that width and
+    n_classes.
 
     Every epoch shuffles the training blocks into batches of batch_size,
     averages block gradients within a batch, applies one Adam step per
@@ -204,10 +210,8 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     init_rng, shuffle_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     if params is None:
         if encoder_specs is None or head_specs is None:
-            in_width = (len(feature_columns) if feature_columns is not None
-                        else train_blocks[0].features.shape[1])
             encoder_specs, head_specs = network.default_architecture(
-                in_width, n_classes)
+                train_blocks[0].features.shape[1], n_classes)
         params = network.init_params(encoder_specs, head_specs, init_rng)
     state = AdamState.for_params(params)
 
@@ -225,13 +229,9 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
         seen = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            xs, ys = [], []
-            for bi in batch:
-                x, y = _block_xy(train_blocks[bi], feature_columns)
-                xs.append(x)
-                ys.append(y)
+            xs = [train_blocks[bi].features for bi in batch]
             bx = np.concatenate(xs, axis=0)
-            by = np.concatenate(ys, axis=0)
+            by = np.concatenate([train_blocks[bi].labels for bi in batch], axis=0)
             trace = network.forward(bx, params, "train",
                                     segments=[len(x) for x in xs])
             grads = network.backward(trace, by, params)
@@ -243,11 +243,10 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
                 log.error("training diverged (non-finite loss or gradient) "
                           "at epoch %d; keeping last good checkpoint", epoch)
                 return FitResult(best, history, best_epoch, diverged=True)
-            adam_step(params, grads, state, lr, config.beta1, config.beta2,
-                      config.epsilon)
+            adam_step(params, grads, state, lr)
         train_loss = nll_sum / seen
         train_acc = correct / seen
-        val_loss, val_acc = evaluate_blocks(val_blocks, params, feature_columns)
+        val_loss, val_acc = evaluate_blocks(val_blocks, params)
         history.append(EpochStats(epoch, lr, train_loss, train_acc,
                                   val_loss, val_acc))
         if val_loss < best_loss:

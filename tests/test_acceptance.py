@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from pointlabel import training as tr
 from pointlabel.io import PointCloud, Raster
 
 from conftest import strata_scene, toy_architecture
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_c01_gradient_oracle():
@@ -229,6 +232,8 @@ print(json.dumps({{"seconds": time.perf_counter() - t0,
 def run_throughput(threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c",
                           THROUGHPUT_DRIVER.format(threads=threads)],
                          capture_output=True, text=True, env=env, timeout=900)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from pointlabel import blocks as blk
-from pointlabel import cli
+from pointlabel import cli, network
 from pointlabel import io as pio
+from pointlabel.container import read_container_file, write_container_file
 from pointlabel.io import PointCloud, Raster
 
-from conftest import strata_scene
+from conftest import strata_scene, toy_params
 
 
 @pytest.fixture
@@ -397,6 +398,85 @@ class TestPredictEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
+def assert_error_exit(rc, capsys):
+    """Exit code 1 with a single `error:` line on stderr."""
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize("scales", ["2:1:0", "0:0:64", "5:5:64", "5:-1:64"])
+    def test_preprocess_bad_scale(self, fixture_dir, capsys, scales):
+        rc = cli.main(["preprocess",
+                       "--points", str(fixture_dir / "points.txt"),
+                       "--image", str(fixture_dir / "image.ppm"),
+                       "--dtm", str(fixture_dir / "dtm.asc"),
+                       "--out", str(fixture_dir / "prep"), "--scales", scales])
+        assert "scale" in assert_error_exit(rc, capsys)
+        assert not (fixture_dir / "prep").exists()
+
+    @pytest.mark.parametrize("flag,name", [("--epochs", "epoch_total"),
+                                           ("--batch", "batch_size")])
+    def test_train_zero_setting(self, fixture_dir, capsys, flag, name):
+        prep = run_preprocess(fixture_dir)
+        capsys.readouterr()
+        rc = cli.main(["train", "--blocks", str(prep),
+                       "--out", str(fixture_dir / "model"), flag, "0"])
+        assert name in assert_error_exit(rc, capsys)
+        assert not (fixture_dir / "model").exists()
+
+    def test_predict_zero_threads(self, fixture_dir, capsys):
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep) / "model.ckpt"
+        capsys.readouterr()
+        out = fixture_dir / "labeled.txt"
+        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
+                       "--model", str(model), "--out", str(out),
+                       "--scales", SCALES, "--threads", "0",
+                       "--probs", str(fixture_dir / "probs.txt")])
+        assert "threads" in assert_error_exit(rc, capsys)
+        assert not out.exists() and not (fixture_dir / "probs.txt").exists()
+        assert not (fixture_dir / "labeled.txt.manifest").exists()
+
+
+class TestMalformedCheckpoint:
+    def predict_with(self, tmp_path, drop):
+        """Exit code of predict with a toy checkpoint from which the
+        tensors `drop` picks by name are removed."""
+        path = tmp_path / "model.ckpt"
+        network.save_checkpoint(path, toy_params())
+        n_layers, tensors = read_container_file(path)
+        kept = [(k, v) for k, v in tensors.items() if not drop(k)]
+        layers = len({k.split(".")[0] for k, _ in kept} - {"meta"})
+        write_container_file(path, layers, kept)
+        scene = strata_scene(n_points=60, seed=2)
+        pio.save_points(tmp_path / "points.txt", scene)
+        out = tmp_path / "labeled.txt"
+        rc = cli.main(["predict", "--points", str(tmp_path / "points.txt"),
+                       "--model", str(path), "--out", str(out),
+                       "--scales", "6:2:32"])
+        assert out.exists() == (rc == 0)
+        return rc
+
+    def test_layer_without_weights(self, tmp_path, capsys):
+        rc = self.predict_with(tmp_path, lambda k: k == "enc2.W")
+        assert "enc2.W" in assert_error_exit(rc, capsys)
+
+    def test_layer_without_bias(self, tmp_path, capsys):
+        rc = self.predict_with(tmp_path, lambda k: k == "head2.b")
+        assert "head2.b" in assert_error_exit(rc, capsys)
+
+    def test_missing_layer_index(self, tmp_path, capsys):
+        rc = self.predict_with(tmp_path, lambda k: k.startswith("enc1."))
+        assert "layer enc1" in assert_error_exit(rc, capsys)
+
+    def test_checkpoint_without_momentum_predicts(self, tmp_path):
+        rc = self.predict_with(tmp_path, lambda k: k == "meta.momentum")
+        assert rc == 0
 
 
 class TestRaster2Points:

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pointlabel.container import (ContainerError, read_container,
                                   write_container)
@@ -68,3 +70,37 @@ def test_truncated_header_line_rejected():
 def test_whitespace_in_name_rejected():
     with pytest.raises(ValueError, match="whitespace"):
         write_container(io.BytesIO(), 1, [("a b", np.ones((1, 1)))])
+
+
+# float32 bit patterns, with -0.0, NaN and both infinities drawn often
+SPECIAL_BITS = [int(np.array(v, dtype=np.float32).view(np.uint32))
+                for v in (-0.0, np.nan, np.inf, -np.inf)]
+float32_bits = st.one_of(st.integers(0, 2 ** 32 - 1), st.sampled_from(SPECIAL_BITS))
+shapes = st.one_of(st.tuples(st.integers(0, 6)),
+                   st.tuples(st.integers(0, 4), st.integers(0, 4)))
+tensor_lists = st.lists(
+    st.tuples(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                      min_size=1, max_size=8),
+              shapes.flatmap(lambda s: hnp.arrays(np.uint32, s,
+                                                  elements=float32_bits))),
+    max_size=5, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(layers=st.integers(0, 10 ** 6), tensors=tensor_lists)
+def test_roundtrip_property(layers, tensors):
+    tensors = [(name, bits.view(np.float32)) for name, bits in tensors]
+    buf = io.BytesIO()
+    write_container(buf, layers, tensors)
+    raw = buf.getvalue()
+    got_layers, out = read_container(io.BytesIO(raw))
+    assert got_layers == layers
+    assert list(out) == [name for name, _ in tensors]
+    for name, arr in tensors:
+        want_shape = (1, arr.size) if arr.ndim == 1 else arr.shape
+        assert out[name].shape == want_shape
+        assert out[name].dtype == np.float32
+        assert out[name].tobytes() == arr.tobytes()
+    for cut in range(len(raw)):
+        with pytest.raises(ContainerError):
+            read_container(io.BytesIO(raw[:cut]))

@@ -63,6 +63,16 @@ class TestScaleConfig:
         with pytest.raises(ValueError):
             infer.ScaleConfig.parse("2:1")
 
+    @pytest.mark.parametrize("spec,match", [
+        ("0:0:64", "size"), ("-2:0:64", "size"), ("nan:0:64", "size"),
+        ("2:2:64", "overlap"), ("2:-0.5:64", "overlap"), ("2:1:0", "count")])
+    def test_out_of_range_fields_rejected(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            infer.ScaleConfig.parse(spec)
+
+    def test_smallest_valid_fields_accepted(self):
+        assert infer.ScaleConfig.parse("0.1:0:1")[0].sample_count == 1
+
 
 class TestPredictScale:
     def test_uniform_logits_give_uniform_probs(self, scene):
@@ -162,6 +172,11 @@ class TestPredictScale:
                                       threads=threads)
             assert got.probs.tobytes() == want.probs.tobytes()
             assert np.array_equal(got.counts, want.counts)
+
+    def test_zero_threads_rejected(self, scene):
+        with pytest.raises(ValueError, match="threads"):
+            infer.predict_scale(scene, toy_params(), infer.ScaleConfig(6.0, 2.0, 64),
+                                threads=0)
 
     def test_threaded_matches_serial(self, scene):
         params = toy_params(seed=7)

@@ -219,7 +219,7 @@ class TestWritePoints:
                 assert np.array_equal(back.labels, cloud.labels)
 
     def test_text_matches_per_value_reference(self, rng):
-        def reference(cloud, labels, probs):
+        def reference(cloud, labels):
             out = []
             for i in range(len(cloud)):
                 cols = [f"{v:.6f}" for v in cloud.xyz[i]]
@@ -227,8 +227,6 @@ class TestWritePoints:
                     cols += [f"{v:.6f}" for v in cloud.spectral[i]]
                 if labels is not None:
                     cols.append(str(int(labels[i])))
-                if probs is not None:
-                    cols += [f"{v:.6f}" for v in probs[i]]
                 out.append(" ".join(cols))
             return "\n".join(out) + ("\n" if out else "")
 
@@ -237,9 +235,8 @@ class TestWritePoints:
         awkward = [-0.0, 0.0, 5e-7, -5e-7, 0.0000005000001, 1.2345675,
                    -1.2345665, 123456.9999995, 1e-12, -1e-12]
         n = 9000
-        for has_spectral, has_labels, n_probs in [
-                (False, False, None), (True, False, None), (False, True, None),
-                (True, True, None), (True, True, 4), (False, False, 2)]:
+        for has_spectral, has_labels in [(False, False), (True, False),
+                                         (False, True), (True, True)]:
             xyz = rng.uniform(-1e5, 1e5, (n, 3))
             xyz.flat[:len(awkward)] = awkward
             spectral = rng.uniform(0, 255, (n, 3)) if has_spectral else None
@@ -247,14 +244,9 @@ class TestWritePoints:
                 spectral[-1] = awkward[:3]
             cloud = PointCloud(xyz, spectral,
                                rng.integers(0, 9, n) if has_labels else None)
-            probs = None
-            if n_probs:
-                probs = rng.random((n, n_probs)).astype(np.float32)
-                probs[0, :2] = [-0.0, 5e-7]
-            assert (write_points(cloud, probs=probs)
-                    == reference(cloud, cloud.labels, probs))
+            assert write_points(cloud) == reference(cloud, cloud.labels)
         labels = rng.integers(0, 9, n)
-        assert write_points(cloud, labels=labels) == reference(cloud, labels, None)
+        assert write_points(cloud, labels=labels) == reference(cloud, labels)
 
     def test_file_roundtrip_auto_schema(self, rng, tmp_path):
         cloud = PointCloud(rng.uniform(0, 10, (20, 3)),
@@ -292,19 +284,6 @@ class TestParseColumns:
     def test_wrong_width_reports_line(self):
         with pytest.raises(SchemaError, match="line 1"):
             parse_points("1 2 3 4\n", ["x", "y", "z"])
-
-
-class TestWritePointsProbs:
-    def test_probability_columns_appended(self):
-        cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
-        out = write_points(cloud, labels=[2], probs=[[0.25, 0.75]])
-        assert out == "1.000000 2.000000 3.000000 2 0.250000 0.750000\n"
-
-    def test_probs_length_mismatch(self):
-        from pointlabel.linalg import ShapeError
-        cloud = PointCloud(np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            write_points(cloud, probs=np.zeros((1, 3)))
 
 
 GRID_1X1 = "ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 2\nNODATA_value -9999\n7\n"
@@ -362,6 +341,47 @@ class TestPpmWorld:
         assert back.origin_x == 10.0 and back.cell_size == 0.25
         assert np.array_equal(back.data, r.data)
 
+    @pytest.mark.parametrize("body,match", [
+        ("P3\n1 1\n65535\n1 2 3\n", "maxval 65535"),
+        ("P3\n1 1\n255\n1 999 3\n", "sample 1 is 999"),
+        ("P3\n1 1\n255\n1 2 -4\n", "sample 2 is -4"),
+        ("P3\n1 1\n255\n1 nan 3\n", "sample 1 is nan"),
+        ("P2\n1 1\n255\n7\n", "P3 magic"),
+    ])
+    def test_only_8bit_p3_accepted(self, tmp_path, body, match):
+        path = tmp_path / "img.ppm"
+        path.write_text(body)
+        (tmp_path / "img.wld").write_text("1.0\n0.0\n0.0\n-1.0\n0.0\n0.0\n")
+        with pytest.raises(ParseError, match=match):
+            read_ppm_image(path)
+
+    def test_full_8bit_range_read(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_text("P3\n1 1\n255\n0 128 255\n")
+        (tmp_path / "img.wld").write_text("1.0\n0.0\n0.0\n-1.0\n0.0\n0.0\n")
+        assert read_ppm_image(path).data.reshape(-1).tolist() == [0, 128, 255]
+
+    @pytest.mark.parametrize("value", [255.5, 256.0, -0.6, np.nan])
+    def test_write_refuses_samples_outside_8bit(self, tmp_path, value):
+        r = Raster(np.full((3, 1, 2), 7.0), origin_x=0.0, origin_y=0.0,
+                   cell_size=1.0)
+        r.data[1, 0, 1] = value
+        with pytest.raises(ValueError, match="sample 4 "):
+            write_ppm_image(tmp_path / "img.ppm", r)
+        assert not (tmp_path / "img.ppm").exists()
+
+    def test_write_rounds_into_range(self, tmp_path):
+        r = Raster(np.array([255.4, -0.4, 2.5]).reshape(3, 1, 1),
+                   origin_x=0.0, origin_y=0.0, cell_size=1.0)
+        write_ppm_image(tmp_path / "img.ppm", r)
+        assert read_ppm_image(tmp_path / "img.ppm").data.reshape(-1).tolist() \
+            == [255.0, 0.0, 2.0]
+
+    def test_write_needs_three_bands(self, tmp_path):
+        r = Raster(np.zeros((2, 2)), origin_x=0.0, origin_y=0.0, cell_size=1.0)
+        with pytest.raises(ShapeError, match="3 bands"):
+            write_ppm_image(tmp_path / "img.ppm", r)
+
     def test_world_file_required(self, tmp_path):
         path = tmp_path / "img.ppm"
         path.write_text("P3\n1 1\n255\n1 2 3\n")
@@ -377,16 +397,11 @@ def grid(data, origin_x=0.0, origin_y=0.0, cell=1.0, nodata=-9999.0):
 class TestSampleRaster:
     def test_pixel_center_exact_both_modes(self):
         r = grid([[1.0, 2.0], [3.0, 4.0]])
-        for mode in ("bilinear", "nearest"):
-            assert sample_raster(r, 1.0, 0.0, mode)[0] == 2.0
+        assert sample_raster(r, 1.0, 0.0)[0] == 2.0
 
     def test_midpoint_of_four_pixels(self):
         r = grid([[0.0, 0.0], [1.0, 1.0]])
         assert sample_raster(r, 0.5, -0.5)[0] == pytest.approx(0.5)
-
-    def test_nearest_tie_breaks_to_lower_index(self):
-        r = grid([[0.0, 1.0]])
-        assert sample_raster(r, 0.5, 0.0, "nearest")[0] == 0.0
 
     def test_nodata_neighbor_renormalized(self):
         r = grid([[-9999.0, 0.0], [1.0, 1.0]])
@@ -427,7 +442,7 @@ class TestSampleRaster:
         assert np.array_equal(sample_raster(r, 0.5, -0.5), [10.0, 20.0, 30.0])
 
 
-def scalar_sample(raster, x, y, mode):
+def scalar_sample(raster, x, y):
     """Reference: the per-point sampler the array sampler replaced."""
     cell = raster.cell_size
     px = (x - raster.origin_x) / cell
@@ -444,11 +459,6 @@ def scalar_sample(raster, x, y, mode):
     j1 = min(j0 + 1, h - 1)
     fx = px - i0
     fy = py - j0
-    if mode == "nearest":
-        vals = raster.data[:, j0 if fy <= 0.5 else j1, i0 if fx <= 0.5 else i1]
-        if np.any(vals == raster.nodata):
-            raise SamplingError("nodata")
-        return vals.copy()
     neighbors = ((j0, i0, (1 - fx) * (1 - fy)), (j0, i1, fx * (1 - fy)),
                  (j1, i0, (1 - fx) * fy), (j1, i1, fx * fy))
     out = np.zeros(raster.bands, dtype=np.float64)
@@ -474,17 +484,16 @@ class TestSampleRasterArrays:
            ox=st.one_of(st.integers(-999, 999).map(float), st.floats(-1e4, 1e4)),
            oy=st.one_of(st.integers(-999, 999).map(float), st.floats(-1e4, 1e4)),
            nodata_share=st.sampled_from([0.0, 0.2, 0.6]),
-           n=st.integers(1, 40), mode=st.sampled_from(["bilinear", "nearest"]),
-           seed=st.integers(0, 2 ** 32 - 1))
+           n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_scalar_reference_bit_for_bit(self, bands, h, w, cell, ox, oy,
-                                                  nodata_share, n, mode, seed):
+                                                  nodata_share, n, seed):
         rng = np.random.default_rng(seed)
         data = rng.uniform(-50.0, 300.0, (bands, h, w))
         data[rng.random(data.shape) < nodata_share] = -9999.0
         r = Raster(data, origin_x=ox, origin_y=oy, cell_size=cell)
         # pixel coordinates: anywhere from well outside to the far margin,
-        # exact pixel centers and midpoints between them (nearest-mode
-        # ties), and points on the half-cell margin
+        # exact pixel centers and midpoints between them, and points on
+        # the half-cell margin
         kind = rng.integers(0, 3, n)
         px = np.where(kind == 0, rng.uniform(-1.5, w + 0.5, n),
                       np.where(kind == 1, rng.integers(0, 2 * w - 1, n) / 2,
@@ -497,21 +506,21 @@ class TestSampleRasterArrays:
         expected = []
         for xi, yi in zip(x, y):
             try:
-                expected.append(scalar_sample(r, xi, yi, mode))
+                expected.append(scalar_sample(r, xi, yi))
             except (BoundsError, SamplingError) as exc:
                 expected.append(type(exc))
         failed = [k for k, e in enumerate(expected) if isinstance(e, type)]
         if failed:
             with pytest.raises(expected[failed[0]]) as info:
-                sample_raster(r, x, y, mode)
+                sample_raster(r, x, y)
             assert info.value.index == failed[0]
         ok = [k for k in range(n) if k not in failed]
-        got = sample_raster(r, x[ok], y[ok], mode)
+        got = sample_raster(r, x[ok], y[ok])
         assert got.shape == (len(ok), bands)
         want = np.array([expected[k] for k in ok]).reshape(len(ok), bands)
         assert got.tobytes() == want.tobytes()
         if ok:
-            one = sample_raster(r, float(x[ok[0]]), float(y[ok[0]]), mode)
+            one = sample_raster(r, float(x[ok[0]]), float(y[ok[0]]))
             assert one.shape == (bands,)
             assert one.tobytes() == want[0].tobytes()
 
@@ -520,13 +529,13 @@ class TestSampleRasterArrays:
             sample_raster(grid([[1.0]]), np.zeros(2), np.zeros(3))
 
     def test_lowest_failing_query_reported_bounds_first(self):
-        r = grid([[1.0, -9999.0], [2.0, 3.0]])
-        # query 1 is over nodata (nearest), query 2 outside the extent
-        x = np.array([0.0, 1.0, 9.0])
+        r = grid([[1.0, -9999.0, -9999.0], [2.0, -9999.0, -9999.0]])
+        # query 1 has only nodata neighbors, query 2 is outside the extent
+        x = np.array([0.0, 2.0, 9.0])
         y = np.array([0.0, 0.0, 0.0])
         with pytest.raises(SamplingError) as info:
-            sample_raster(r, x, y, "nearest")
+            sample_raster(r, x, y)
         assert info.value.index == 1
         with pytest.raises(BoundsError) as info:
-            sample_raster(r, x[::-1], y, "nearest")
+            sample_raster(r, x[::-1], y)
         assert info.value.index == 0

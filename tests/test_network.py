@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointlabel import network as net
+from pointlabel.container import read_container_file, write_container_file
 from pointlabel.linalg import ShapeError
 
 from conftest import toy_architecture, toy_params
@@ -386,7 +387,20 @@ class TestCheckpoint:
             assert np.array_equal(a0, a1.reshape(a0.shape)), n0
         assert [s.out_width for s in loaded.encoder_specs] == [8, 8, 16, 16, 32]
         assert loaded.head_specs[-1].has_bn is False
-        assert loaded.momentum == params.momentum
+
+    def test_momentum_tensor_optional(self, tmp_path):
+        params = toy_params(seed=5)
+        path = tmp_path / "model.ckpt"
+        net.save_checkpoint(path, params)
+        n_layers, tensors = read_container_file(path)
+        assert tensors.pop("meta.momentum").tolist() == [[np.float32(0.1)]]
+        write_container_file(path, n_layers, tensors.items())
+        loaded = net.load_checkpoint(path)
+        for (n0, a0), (n1, a1) in zip(
+                net.iter_tensors(params, learnable_only=False),
+                net.iter_tensors(loaded, learnable_only=False)):
+            assert n0 == n1
+            assert np.array_equal(a0, a1.reshape(a0.shape)), n0
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -418,7 +432,7 @@ def _concat_reference(x, params, mode, segments, labels):
     feature; returns (q, grads or None in eval mode)."""
     f, enc_traces = x, []
     for spec, lp in zip(params.encoder_specs, params.encoder):
-        f, tr = net.pointwise_forward(f, spec, lp, mode, params.momentum)
+        f, tr = net.pointwise_forward(f, spec, lp, mode)
         enc_traces.append(tr)
     offsets = np.concatenate([[0], np.cumsum(segments)[:-1]])
     parts = [f[o:o + rows] for o, rows in zip(offsets, segments)]
@@ -428,7 +442,7 @@ def _concat_reference(x, params, mode, segments, labels):
     h = np.concatenate([local, np.repeat(g, segments, axis=0)], axis=1)
     head_traces = []
     for spec, lp in zip(params.head_specs, params.head):
-        h, tr = net.pointwise_forward(h, spec, lp, mode, params.momentum)
+        h, tr = net.pointwise_forward(h, spec, lp, mode)
         head_traces.append(tr)
     q = net.softmax_rows(h)
     if mode == "eval":

@@ -109,6 +109,17 @@ class TestLrSchedule:
         assert all(lr > 0 for lr in lrs)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["batch_size", "epoch_total"])
+    def test_zero_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: 0})
+
+    def test_one_accepted(self):
+        config = tr.TrainConfig(batch_size=1, epoch_total=1)
+        assert tr.lr_at(0, config) == config.lr_initial
+
+
 class TestAdam:
     def scalar_setup(self):
         enc, head = net.default_architecture(2, 2, (2, 2), (2,))
