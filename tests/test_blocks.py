@@ -334,3 +334,43 @@ class TestBuildBlocks:
         b = blk.build_blocks(scene, scales, seed=3)
         assert all(x.features.tobytes() == y.features.tobytes()
                    for x, y in zip(a, b))
+
+    def test_negative_augment_rejected(self, scene):
+        scales = [type("S", (), {"size": 6.0, "overlap": 2.0, "sample_count": 64})]
+        with pytest.raises(ValueError, match="augment_copies"):
+            blk.build_blocks(scene, scales, seed=0, augment_copies=-1)
+
+
+class TestSampleScale:
+    @pytest.mark.parametrize("replica,training", [(0, False), (0, True),
+                                                  (3, True)])
+    def test_matches_tile_rng_sample_reference(self, scene, replica, training):
+        # the recipe a block store can be rebuilt from: footprints in tiling
+        # order, each sampled from block_rng(seed, scale, index, replica)
+        sc = type("S", (), {"size": 5.0, "overlap": 1.5, "sample_count": 48})
+        if replica:
+            scene = blk.augment_rotate_z(scene, 0.7)
+        extent = blk.SceneExtent.of(scene)
+        want = [blk.sample_block(scene, fp, sc.sample_count, training,
+                                 blk.block_rng(11, 2, bi, replica), extent, 2,
+                                 replica)
+                for bi, fp in enumerate(blk.tile_blocks(scene, sc.size,
+                                                        sc.overlap))]
+        got = list(blk.sample_scale(scene, sc, 2, 11, training, replica))
+        assert len(got) == len(want) > 1
+        for g, w in zip(got, want):
+            assert (g.origin_x, g.origin_y, g.size, g.scale_id, g.replica) \
+                == (w.origin_x, w.origin_y, w.size, 2, replica)
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.parent_idx.tobytes() == w.parent_idx.tobytes()
+            assert g.labels.tobytes() == w.labels.tobytes()
+
+
+class TestFeatureSets:
+    @pytest.mark.parametrize("name", sorted(blk.FEATURE_SETS))
+    def test_width_names_its_set(self, name):
+        assert blk.feature_set(len(blk.FEATURE_SETS[name])) == name
+
+    def test_unknown_width_rejected(self):
+        with pytest.raises(ValueError, match="width 5"):
+            blk.feature_set(5)

@@ -200,6 +200,14 @@ class TestTrain:
         out = run_train(fixture_dir, prep, out="m3", extra=("--scales", "5:1:64"))
         assert (out / "model.ckpt").exists()
 
+    def test_scale_text_stored_exactly(self, fixture_dir):
+        # ":g" formatting would store 2.12346 and the subset would match
+        # none of the stored scales
+        prep = run_preprocess(fixture_dir, extra=("--scales", "2.1234567:1:64"))
+        lines = (prep / "blocks.manifest").read_text().splitlines()
+        assert lines[0] == "scales 2.1234567:1:64"
+        run_train(fixture_dir, prep, extra=("--scales", "2.1234567:1:64"))
+
     def test_unknown_scale_rejected(self, fixture_dir, capsys):
         prep = run_preprocess(fixture_dir)
         rc = cli.main(["train", "--blocks", str(prep),
@@ -250,6 +258,27 @@ class TestPredictEvaluate:
         want = "".join(" ".join(f"{v:.6f}" for v in row) + "\n"
                        for row in seen["probs"])
         assert out.read_text() == want
+
+    def test_xyz_model_keeps_xyz_only_columns(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep, extra=("--features", "xyz"))
+        points = pio.load_points(prep / "points.txt")
+        bare = fixture_dir / "bare.txt"
+        pio.save_points(bare, PointCloud(points.xyz, None, None))
+        outs = {}
+        for name, src in (("bare", bare), ("full", prep / "points.txt")):
+            outs[name] = fixture_dir / f"{name}_pred.txt"
+            rc = cli.main(["predict", "--points", str(src),
+                           "--model", str(model / "model.ckpt"),
+                           "--out", str(outs[name]), "--scales", SCALES,
+                           "--probs", str(fixture_dir / f"{name}_probs.txt")])
+            assert rc == 0
+        rows = np.loadtxt(outs["bare"])
+        assert rows.shape == (len(points), 4)
+        assert np.array_equal(rows[:, 3], np.loadtxt(outs["full"])[:, 6])
+        assert ((fixture_dir / "bare_probs.txt").read_bytes()
+                == (fixture_dir / "full_probs.txt").read_bytes())
+        assert "features=xyz" in (fixture_dir / "bare_pred.txt.manifest").read_text()
 
     def test_predict_deterministic(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
@@ -419,6 +448,15 @@ class TestRejectedSettings:
         assert "scale" in assert_error_exit(rc, capsys)
         assert not (fixture_dir / "prep").exists()
 
+    def test_preprocess_negative_augment(self, fixture_dir, capsys):
+        rc = cli.main(["preprocess",
+                       "--points", str(fixture_dir / "points.txt"),
+                       "--image", str(fixture_dir / "image.ppm"),
+                       "--dtm", str(fixture_dir / "dtm.asc"),
+                       "--out", str(fixture_dir / "prep"), "--augment", "-1"])
+        assert "--augment" in assert_error_exit(rc, capsys)
+        assert not (fixture_dir / "prep").exists()
+
     @pytest.mark.parametrize("flag,name", [("--epochs", "epoch_total"),
                                            ("--batch", "batch_size")])
     def test_train_zero_setting(self, fixture_dir, capsys, flag, name):
@@ -444,13 +482,14 @@ class TestRejectedSettings:
 
 
 class TestMalformedCheckpoint:
-    def predict_with(self, tmp_path, drop):
+    def predict_with(self, tmp_path, drop, extra=()):
         """Exit code of predict with a toy checkpoint from which the
-        tensors `drop` picks by name are removed."""
+        tensors `drop` picks by name are removed and to which the (name,
+        array) pairs `extra` are added."""
         path = tmp_path / "model.ckpt"
         network.save_checkpoint(path, toy_params())
         n_layers, tensors = read_container_file(path)
-        kept = [(k, v) for k, v in tensors.items() if not drop(k)]
+        kept = [(k, v) for k, v in tensors.items() if not drop(k)] + list(extra)
         layers = len({k.split(".")[0] for k, _ in kept} - {"meta"})
         write_container_file(path, layers, kept)
         scene = strata_scene(n_points=60, seed=2)
@@ -473,6 +512,12 @@ class TestMalformedCheckpoint:
     def test_missing_layer_index(self, tmp_path, capsys):
         rc = self.predict_with(tmp_path, lambda k: k.startswith("enc1."))
         assert "layer enc1" in assert_error_exit(rc, capsys)
+
+    @pytest.mark.parametrize("name", ["junk", "enc0.W.x", "enc0.", ".W"])
+    def test_malformed_tensor_name(self, tmp_path, capsys, name):
+        rc = self.predict_with(tmp_path, lambda k: False,
+                               [(name, np.zeros(2, dtype=np.float32))])
+        assert repr(name) in assert_error_exit(rc, capsys)
 
     def test_checkpoint_without_momentum_predicts(self, tmp_path):
         rc = self.predict_with(tmp_path, lambda k: k == "meta.momentum")

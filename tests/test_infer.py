@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointlabel import blocks as blk
 from pointlabel import infer, network
@@ -72,6 +72,20 @@ class TestScaleConfig:
 
     def test_smallest_valid_fields_accepted(self):
         assert infer.ScaleConfig.parse("0.1:0:1")[0].sample_count == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.floats(1e-6, 1e6), overlap_share=st.floats(0.0, 0.99),
+           count=st.integers(1, 10 ** 6))
+    @example(size=2.1234567, overlap_share=0.5, count=64)
+    @example(size=1e-05, overlap_share=0.0, count=1)
+    @example(size=10.0, overlap_share=0.2, count=4096)
+    def test_text_parses_back_exactly(self, size, overlap_share, count):
+        sc = infer.ScaleConfig(size, size * overlap_share, count)
+        assert infer.ScaleConfig.parse(str(sc)) == (sc,)
+
+    def test_default_text(self):
+        assert ",".join(map(str, infer.DEFAULT_SCALES)) == \
+            "2:1:1024,5:2:3072,10:2:4096"
 
 
 class TestPredictScale:
@@ -168,8 +182,7 @@ class TestPredictScale:
         want = per_block_reference(cloud, params, sc, 2, seed % 97, columns)
         for threads in (1, 2):
             got = infer.predict_scale(cloud, params, sc, scale_id=2,
-                                      seed=seed % 97, feature_columns=columns,
-                                      threads=threads)
+                                      seed=seed % 97, threads=threads)
             assert got.probs.tobytes() == want.probs.tobytes()
             assert np.array_equal(got.counts, want.counts)
 
@@ -352,6 +365,29 @@ class TestEndToEnd:
         assert labels.shape == (len(scene),)
         assert probs.shape == (len(scene), 3)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-5)
+
+    def test_xyz_network_predicts_cloud_without_spectral(self, scene):
+        params = toy_params(in_width=6, seed=2)
+        scales = (infer.ScaleConfig(6.0, 2.0, 64),)
+        bare = PointCloud(scene.xyz, None, scene.labels)
+        zeros = PointCloud(scene.xyz, np.zeros((len(scene), 3)), scene.labels)
+        labels, probs = infer.predict(bare, params, scales, seed=0)
+        want_labels, want_probs = infer.predict(zeros, params, scales, seed=0)
+        assert np.array_equal(labels, want_labels)
+        assert probs.tobytes() == want_probs.tobytes()
+
+    @pytest.mark.parametrize("in_width", [9, 3])
+    def test_spectral_network_refuses_cloud_without_spectral(self, scene,
+                                                             in_width):
+        bare = PointCloud(scene.xyz, None, scene.labels)
+        with pytest.raises(ValueError, match="spectral"):
+            infer.predict(bare, toy_params(in_width=in_width),
+                          (infer.ScaleConfig(6.0, 2.0, 64),))
+
+    def test_unknown_input_width_rejected(self, scene):
+        with pytest.raises(ValueError, match="width 5"):
+            infer.predict(scene, toy_params(in_width=5),
+                          (infer.ScaleConfig(6.0, 2.0, 64),))
 
     def test_permutation_invariance_end_to_end(self, scene):
         params = toy_params(seed=2)

@@ -321,6 +321,29 @@ class TestAsciiGrid:
         assert sample_raster(r, 0.5, 1.5)[0] == 10.0
         assert sample_raster(r, 0.5, 0.5)[0] == 20.0
 
+    @pytest.mark.parametrize("text,match", [
+        (GRID_1X1.replace("7\n", "nan\n"), "line 7: grid value 'nan'"),
+        (GRID_1X1.replace("7\n", "inf\n"), "line 7: grid value 'inf'"),
+        (GRID_1X1.replace("xllcorner 0", "xllcorner nan"),
+         "line 3: xllcorner is 'nan', not a finite number"),
+        (GRID_1X1.replace("NODATA_value -9999", "NODATA_value -inf"),
+         "line 6: NODATA_value is '-inf'"),
+        (GRID_1X1.replace("ncols 1", "ncols 2.7"),
+         "line 1: ncols is '2.7', not a positive integer"),
+        (GRID_1X1.replace("nrows 1", "nrows 0"),
+         "line 2: nrows is '0', not a positive integer"),
+        (GRID_1X1.replace("ncols 1", "ncols 2").replace("7\n", "nan 7\n"),
+         "line 7: grid value 'nan'"),
+        (GRID_1X1.replace("7\n", "seven\n"), "line 7: bad grid value"),
+    ])
+    def test_bad_header_or_value_names_its_line(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_ascii_grid(text)
+
+    def test_header_keys_any_case(self):
+        r = parse_ascii_grid(GRID_1X1.upper().replace("NODATA_VALUE", "nodata_Value"))
+        assert r.data[0, 0, 0] == 7.0 and r.cell_size == 2.0
+
     def test_write_parse_origin_roundtrip(self, rng):
         r = Raster(rng.uniform(0, 50, (4, 5)), origin_x=100.33, origin_y=250.77,
                    cell_size=0.5)
@@ -349,6 +372,19 @@ class TestPpmWorld:
         ("P2\n1 1\n255\n7\n", "P3 magic"),
     ])
     def test_only_8bit_p3_accepted(self, tmp_path, body, match):
+        path = tmp_path / "img.ppm"
+        path.write_text(body)
+        (tmp_path / "img.wld").write_text("1.0\n0.0\n0.0\n-1.0\n0.0\n0.0\n")
+        with pytest.raises(ParseError, match=match):
+            read_ppm_image(path)
+
+    @pytest.mark.parametrize("body,match", [
+        ("P3 2 1 255\n1.5 2.25 3 4 5 6\n", "sample 0 is 1.5, not an integer"),
+        ("P3 2 1 255\n1 2 3 4 5 6e0\n", "sample 5 is 6e0, not an integer"),
+        ("P3 2.0 1 255\n1 2 3 4 5 6\n", "malformed image header"),
+        ("P3 2 1 255.0\n1 2 3 4 5 6\n", "malformed image header"),
+    ])
+    def test_integer_tokens_required(self, tmp_path, body, match):
         path = tmp_path / "img.ppm"
         path.write_text(body)
         (tmp_path / "img.wld").write_text("1.0\n0.0\n0.0\n-1.0\n0.0\n0.0\n")
