@@ -172,6 +172,9 @@ def cmd_train(args):
     t1 = time.perf_counter()
     result = training.fit(train_set, val_set, config, n_classes=args.classes)
     t2 = time.perf_counter()
+    # training rows of the completed epochs over those epochs' wall time
+    epoch_s = sum(result.epoch_seconds)
+    rows = sum(len(b.features) for b in train_set) * len(result.epoch_seconds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     network.save_checkpoint(out / "model.ckpt", result.params)
@@ -184,9 +187,11 @@ def cmd_train(args):
                     "train_blocks": len(train_set), "val_blocks": len(val_set),
                     "best_epoch": result.best_epoch,
                     "parameters": network.param_count(result.params),
-                    "diverged": result.diverged},
+                    "diverged": result.diverged,
+                    "rows_per_s": f"{rows / epoch_s if epoch_s else 0.0:.1f}"},
                    [Path(args.blocks) / "blocks.bin"],
-                   {"load": t1 - t0, "fit": t2 - t1})
+                   {"load": t1 - t0, "fit": t2 - t1,
+                    **{f"epoch{i}": s for i, s in enumerate(result.epoch_seconds)}})
     last = result.history[-1] if result.history else None
     print(f"train: best epoch {result.best_epoch}, "
           f"val_loss {last.val_loss:.4f}, val_acc {last.val_acc:.4f}"

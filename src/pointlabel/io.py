@@ -322,8 +322,8 @@ def parse_ascii_grid(stream):
 
     A line is a header line when its first word is one of _GRID_KEYS, in
     any case; every other non-blank line holds grid values. Header numbers
-    and grid values must be finite, and ncols and nrows positive
-    integers; the first bad line raises ParseError naming it. The
+    and grid values must be finite, ncols and nrows positive integers
+    and cellsize > 0; the first bad line raises ParseError naming it. The
     header's lower-left corner coordinates are converted to the
     upper-left pixel-center convention used by Raster.
     """
@@ -340,13 +340,15 @@ def parse_ascii_grid(stream):
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: malformed header line")
             size = key in ("ncols", "nrows")
+            positive = size or key == "cellsize"
             try:
                 value = int(toks[1]) if size else float(toks[1])
-                ok = value >= 1 if size else math.isfinite(value)
+                ok = math.isfinite(value) and (value > 0 or not positive)
             except ValueError:
                 ok = False
             if not ok:
-                want = "a positive integer" if size else "a finite number"
+                want = ("a positive integer" if size else
+                        "a finite number > 0" if positive else "a finite number")
                 raise ParseError(f"line {lineno}: {toks[0]} is {toks[1]!r}, "
                                  f"not {want}")
             header[key] = value
@@ -410,10 +412,17 @@ def _world_file_path(image_path):
     return stem + ".wld"
 
 
+# the six non-blank lines of an ESRI world file, in order
+_WORLD_VALUES = ("x cell size", "row rotation", "column rotation",
+                 "y cell size", "x origin", "y origin")
+
+
 def read_ppm_image(path):
     """Read an 8-bit P3 (ASCII) PPM plus its ESRI world file sidecar;
     width, height, maxval and samples must be integers, maxval 255 and
-    every sample in 0..255 (ParseError otherwise)."""
+    every sample in 0..255, and the world file's six values finite numbers
+    with an x cell size > 0 (ParseError otherwise, naming the world file's
+    line)."""
     with open(path, "r", encoding="utf-8") as fh:
         toks = []
         for raw in fh:
@@ -445,9 +454,21 @@ def read_ppm_image(path):
     data = vals.reshape(height, width, 3).transpose(2, 0, 1)
     world_path = _world_file_path(path)
     with open(world_path, "r", encoding="utf-8") as fh:
-        w = [float(line.strip()) for line in fh if line.strip()]
-    if len(w) != 6:
-        raise ParseError(f"{world_path}: world file needs 6 lines, got {len(w)}")
+        lines = [(n, t) for n, t in enumerate(map(str.strip, fh), start=1) if t]
+    if len(lines) != 6:
+        raise ParseError(f"{world_path}: world file needs 6 lines, got {len(lines)}")
+    w = []
+    for (lineno, text), what in zip(lines, _WORLD_VALUES):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        positive = what == "x cell size"
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            want = "a finite number > 0" if positive else "a finite number"
+            raise ParseError(f"{world_path}: line {lineno}: {what} is {text!r}, "
+                             f"not {want}")
+        w.append(value)
     cell_x, rot1, rot2, cell_y, ox, oy = w
     if rot1 != 0.0 or rot2 != 0.0:
         raise ParseError(f"{world_path}: rotated world files are not supported")

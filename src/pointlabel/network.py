@@ -17,7 +17,11 @@ Shapes follow the per-block convention: the "batch" dimension of every
 layer is the N points of one block, so batch normalization standardizes
 over points. All math runs in the dtype of the inputs/parameters
 (float32 in production, float64 for gradient checking); reductions
-accumulate in float64 either way.
+accumulate in float64 either way. Matrix products of float32 tensors are
+float32 BLAS products in the train-mode forward and in backward, where a
+run only has to repeat itself; eval-mode forwards use matmul's exact
+product, so a row's output does not depend on which rows share its
+forward (see the README's notes on numerics).
 """
 
 from dataclasses import dataclass
@@ -183,15 +187,17 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     local_w = spec.in_width - (0 if g is None else g.shape[1])
     if f_in.ndim != 2 or f_in.shape[1] != local_w:
         raise ShapeError(f"layer expects (N,{local_w}), got {f_in.shape}")
+    exact = mode == "eval"
     if g is None:
-        s = matmul(f_in, params.W) + params.b
+        s = matmul(f_in, params.W, exact=exact) + params.b
     else:
         if (segments is None or len(segments) != len(g)
                 or sum(segments) != len(f_in)):
             raise ShapeError(f"segments {segments} do not match {len(g)} "
                              f"global rows and {len(f_in)} local rows")
-        s = matmul(f_in, params.W[:local_w])
-        s += np.repeat(matmul(g, params.W[local_w:]) + params.b, segments, axis=0)
+        s = matmul(f_in, params.W[:local_w], exact=exact)
+        s += np.repeat(matmul(g, params.W[local_w:], exact=exact) + params.b,
+                       segments, axis=0)
     s_hat = inv_std = None
     if spec.has_bn:
         if mode == "train":
@@ -245,14 +251,15 @@ def pointwise_backward(d_out, spec, params, trace):
                              - trace.s_hat * _colstat(ds_hat * trace.s_hat, np.mean))
     grads["b"] = _colstat(d, np.sum)
     if trace.g is None:
-        grads["W"] = matmul(trace.f_in.T, d)
-        return matmul(d, params.W.T), grads
+        grads["W"] = matmul(trace.f_in.T, d, exact=False)
+        return matmul(d, params.W.T, exact=False), grads
     local_w = trace.f_in.shape[1]
     d_seg = np.add.reduceat(d.astype(np.float64), _offsets(trace.segments),
                             axis=0).astype(d.dtype)
-    grads["W"] = np.vstack([matmul(trace.f_in.T, d), matmul(trace.g.T, d_seg)])
-    return (matmul(d, params.W[:local_w].T),
-            matmul(d_seg, params.W[local_w:].T)), grads
+    grads["W"] = np.vstack([matmul(trace.f_in.T, d, exact=False),
+                            matmul(trace.g.T, d_seg, exact=False)])
+    return (matmul(d, params.W[:local_w].T, exact=False),
+            matmul(d_seg, params.W[local_w:].T, exact=False)), grads
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ fixed order, so training is deterministic for a given seed.
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,6 +165,7 @@ class FitResult:
     history: list
     best_epoch: int
     diverged: bool = False
+    epoch_seconds: list = field(default_factory=list)  # per completed epoch
 
     def history_csv(self):
         lines = ["epoch,lr,train_loss,train_acc,val_loss,val_acc"]
@@ -202,7 +204,9 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     Weights are snapshotted whenever the validation loss improves; after
     `patience` non-improving epochs training stops and the best snapshot
     is returned. A non-finite training loss or gradient aborts before the
-    offending step with the last good snapshot flagged as diverged.
+    offending step with the last good snapshot flagged as diverged. The
+    result records each completed epoch's wall seconds, validation
+    included.
     """
     if not train_blocks or not val_blocks:
         raise ValueError("need non-empty train and validation block sets")
@@ -220,8 +224,10 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     best_epoch = -1
     bad_epochs = 0
     history = []
+    epoch_seconds = []
 
     for epoch in range(config.epoch_total):
+        t0 = time.perf_counter()
         lr = lr_at(epoch, config)
         order = shuffle_rng.permutation(len(train_blocks))
         nll_sum = 0.0
@@ -242,13 +248,15 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
                     or _first_non_finite(grads) is not None):
                 log.error("training diverged (non-finite loss or gradient) "
                           "at epoch %d; keeping last good checkpoint", epoch)
-                return FitResult(best, history, best_epoch, diverged=True)
+                return FitResult(best, history, best_epoch, diverged=True,
+                                 epoch_seconds=epoch_seconds)
             adam_step(params, grads, state, lr)
         train_loss = nll_sum / seen
         train_acc = correct / seen
         val_loss, val_acc = evaluate_blocks(val_blocks, params)
         history.append(EpochStats(epoch, lr, train_loss, train_acc,
                                   val_loss, val_acc))
+        epoch_seconds.append(time.perf_counter() - t0)
         if val_loss < best_loss:
             best_loss = val_loss
             best = network.copy_params(params)
@@ -259,4 +267,4 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
             if bad_epochs >= config.patience:
                 log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                 break
-    return FitResult(best, history, best_epoch)
+    return FitResult(best, history, best_epoch, epoch_seconds=epoch_seconds)

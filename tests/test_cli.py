@@ -188,6 +188,18 @@ class TestTrain:
         manifest = (out / "run_manifest.txt").read_text()
         assert "command=train" in manifest
 
+    def test_manifest_times_each_epoch(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        out = run_train(fixture_dir, prep, out="m5", epochs=3)
+        history = (out / "history.csv").read_text().splitlines()[1:]
+        manifest = dict(line.split("=", 1) for line in
+                        (out / "run_manifest.txt").read_text().splitlines())
+        epochs = [k for k in manifest if k.startswith("timing.epoch")]
+        assert epochs == [f"timing.epoch{i}" for i in range(len(history))]
+        seconds = [float(manifest[k].rstrip("s")) for k in epochs]
+        assert sum(seconds) <= float(manifest["timing.fit"].rstrip("s")) + 0.01
+        assert float(manifest["rows_per_s"]) > 0
+
     def test_runs_are_byte_identical(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
         a = run_train(fixture_dir, prep, out="m1")

@@ -335,6 +335,10 @@ class TestAsciiGrid:
         (GRID_1X1.replace("ncols 1", "ncols 2").replace("7\n", "nan 7\n"),
          "line 7: grid value 'nan'"),
         (GRID_1X1.replace("7\n", "seven\n"), "line 7: bad grid value"),
+        (GRID_1X1.replace("cellsize 2", "cellsize 0"),
+         "line 5: cellsize is '0', not a finite number > 0"),
+        (GRID_1X1.replace("cellsize 2", "cellsize -2"),
+         "line 5: cellsize is '-2', not a finite number > 0"),
     ])
     def test_bad_header_or_value_names_its_line(self, text, match):
         with pytest.raises(ParseError, match=match):
@@ -417,6 +421,24 @@ class TestPpmWorld:
         r = Raster(np.zeros((2, 2)), origin_x=0.0, origin_y=0.0, cell_size=1.0)
         with pytest.raises(ShapeError, match="3 bands"):
             write_ppm_image(tmp_path / "img.ppm", r)
+
+    @pytest.mark.parametrize("world,match", [
+        ("1.0\n0.0\n0.0\n-1.0\nnan\n0.0\n", "line 5: x origin is 'nan'"),
+        ("nan\n0.0\n0.0\n-1.0\n0.0\n0.0\n",
+         "line 1: x cell size is 'nan', not a finite number > 0"),
+        ("1.0\n0.0\n0.0\nbad\n0.0\n0.0\n",
+         "line 4: y cell size is 'bad', not a finite number"),
+        ("1.0\n\n0.0\n0.0\n-1.0\n0.0\n-inf\n", "line 7: y origin is '-inf'"),
+        ("0.0\n0.0\n0.0\n-0.0\n0.0\n0.0\n",
+         "line 1: x cell size is '0.0', not a finite number > 0"),
+        ("-1.0\n0.0\n0.0\n1.0\n0.0\n0.0\n", "line 1: x cell size is '-1.0'"),
+    ])
+    def test_world_values_checked_by_line(self, tmp_path, world, match):
+        path = tmp_path / "img.ppm"
+        path.write_text("P3\n1 1\n255\n1 2 3\n")
+        (tmp_path / "img.wld").write_text(world)
+        with pytest.raises(ParseError, match=f"img.wld: {match}"):
+            read_ppm_image(path)
 
     def test_world_file_required(self, tmp_path):
         path = tmp_path / "img.ppm"

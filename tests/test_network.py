@@ -592,3 +592,55 @@ class TestFoldBatchNorm:
         with pytest.raises(ValueError, match="folded"):
             net.save_checkpoint(tmp_path / "model.ckpt", params)
         assert not (tmp_path / "model.ckpt").exists()
+
+
+class TestPrecisionPolicy:
+    """Train-mode forwards and backward run float32 BLAS products; eval
+    forwards keep the exact product, whose rows do not depend on their
+    neighbours (test_linalg)."""
+
+    @staticmethod
+    def _record_forms(monkeypatch):
+        forms = []
+        real = net.matmul
+
+        def spy(a, b, exact=True):
+            forms.append(exact)
+            return real(a, b, exact=exact)
+
+        monkeypatch.setattr(net, "matmul", spy)
+        return forms
+
+    def test_train_step_uses_only_the_float32_form(self, monkeypatch, rng):
+        params = toy_params()
+        x = rng.standard_normal((12, 9)).astype(np.float32)
+        forms = self._record_forms(monkeypatch)
+        trace = net.forward(x, params, "train", segments=(5, 7))
+        net.backward(trace, rng.integers(0, 3, 12), params)
+        assert forms and not any(forms)
+
+    def test_eval_forward_uses_only_the_exact_form(self, monkeypatch, rng):
+        params = toy_params()
+        x = rng.standard_normal((12, 9)).astype(np.float32)
+        forms = self._record_forms(monkeypatch)
+        net.forward(x, params, "eval", segments=(5, 7))
+        net.forward(x, net.fold_batch_norm(params), "eval", segments=(5, 7))
+        assert forms and all(forms)
+
+    def test_float32_gradients_track_the_float64_shadow(self):
+        rng = np.random.default_rng(5)
+        enc, head = net.default_architecture()
+        params = net.init_params(enc, head, rng)
+        shadow = net.params_astype(params, np.float64)
+        x = rng.standard_normal((64, 9)).astype(np.float32)
+        labels = rng.integers(0, 9, 64)
+        grads = net.backward(net.forward(x, params, "train", segments=(32, 32)),
+                             labels, params)
+        want = net.backward(net.forward(x.astype(np.float64), shadow, "train",
+                                        segments=(32, 32)), labels, shadow)
+        # relative to the largest entry: some tensors' gradients are 0 in
+        # exact arithmetic and hold rounding noise only
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+            assert np.abs(g - want[name]).max() <= 1e-3 * scale, name

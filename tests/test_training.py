@@ -219,6 +219,8 @@ class TestFit:
                         encoder_specs=enc, head_specs=head, n_classes=3)
         assert len(result.history) == 5      # stopped after the fifth epoch
         assert result.best_epoch == 1        # second epoch had the best loss
+        assert len(result.epoch_seconds) == 5
+        assert all(s > 0 for s in result.epoch_seconds)
 
     def test_improving_runs_all_epochs(self, rng, monkeypatch):
         train, val = self.build_sets(rng)
@@ -280,6 +282,7 @@ class TestFit:
                         encoder_specs=enc, head_specs=head, n_classes=3)
         assert result.diverged
         assert len(steps) == 5 and len(result.history) == 2
+        assert len(result.epoch_seconds) == 2   # the aborted epoch is not timed
         losses = [h.val_loss for h in result.history]
         assert losses[result.best_epoch] == min(losses)
         monkeypatch.undo()
