@@ -191,6 +191,7 @@ def cmd_train(args):
                     "rows_per_s": f"{rows / epoch_s if epoch_s else 0.0:.1f}"},
                    [Path(args.blocks) / "blocks.bin"],
                    {"load": t1 - t0, "fit": t2 - t1,
+                    "validation": result.validation_seconds,
                     **{f"epoch{i}": s for i, s in enumerate(result.epoch_seconds)}})
     last = result.history[-1] if result.history else None
     print(f"train: best epoch {result.best_epoch}, "

@@ -22,6 +22,15 @@ float32 BLAS products in the train-mode forward and in backward, where a
 run only has to repeat itself; eval-mode forwards use matmul's exact
 product, so a row's output does not depend on which rows share its
 forward (see the README's notes on numerics).
+
+Batch norm, ReLU and their backward write into arrays the step itself
+made, never into the caller's inputs or weights nor into trace fields
+that backward reads. Each elementwise operation, its operand order and
+every float64 reduction are those of the out-of-place formulas, so the
+results are bitwise theirs. The train-mode pool finds each column's
+winning row by comparing row panels with the column max: the first hit
+is argmax's, and a column holding a NaN falls back to argmax, which
+returns its first NaN.
 """
 
 from dataclasses import dataclass
@@ -34,6 +43,7 @@ from .linalg import ShapeError, matmul
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LOG_CLAMP = 1e-12
+POOL_PANEL = 64           # rows per equality scan for the pool's winners
 LOCAL_LAYER = 1           # encoder layer whose output is head0's local input
 DEFAULT_ENCODER_WIDTHS = (64, 64, 128, 512, 2048)
 DEFAULT_HEAD_WIDTHS = (256, 128)
@@ -168,6 +178,27 @@ def _offsets(segments):
     return np.concatenate([[0], np.cumsum(segments)[:-1]]).astype(np.intp)
 
 
+def _pool_winners(block, top):
+    """`block.argmax(axis=0)` given `top = block.max(axis=0)`: each
+    column's first row equal to its max, found by comparing POOL_PANEL-row
+    panels with top (argmax along the strided axis does not vectorize).
+    ±0 compare equal, so a tie of zeros goes to the first of them, as in
+    argmax. A column holding a NaN has a NaN max, which equals no row;
+    argmax gives those columns their first NaN row."""
+    winners = np.empty(top.shape, dtype=np.intp)
+    open_cols = np.ones(top.shape, dtype=bool)
+    for p in range(0, len(block), POOL_PANEL):
+        hit = block[p:p + POOL_PANEL] == top
+        found = np.flatnonzero(open_cols & hit.any(axis=0))
+        winners[found] = hit[:, found].argmax(axis=0) + p
+        open_cols[found] = False
+        if not open_cols.any():
+            return winners
+    nan_cols = np.flatnonzero(open_cols)
+    winners[nan_cols] = block[:, nan_cols].argmax(axis=0)
+    return winners
+
+
 def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     """Shared linear map over the rows, then BN and ReLU as configured.
 
@@ -188,6 +219,9 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     if f_in.ndim != 2 or f_in.shape[1] != local_w:
         raise ShapeError(f"layer expects (N,{local_w}), got {f_in.shape}")
     exact = mode == "eval"
+    # the (N, out) arrays below come fresh from matmul or are made here,
+    # so elementwise steps write into them; nothing is written into f_in,
+    # g or params, and s, s_hat and mask stay as the trace records them
     if g is None:
         s = matmul(f_in, params.W, exact=exact) + params.b
     else:
@@ -204,28 +238,34 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
             if len(s) < 2:
                 raise ValueError("batch norm in train mode needs N >= 2 points")
             mu = _colstat(s, np.mean)
-            d = s - mu
-            var = _colstat(d * d, np.mean)
+            s_hat = s - mu                  # deviations, scaled below
+            z = np.multiply(s_hat, s_hat)   # squares, then gamma·s_hat
+            var = _colstat(z, np.mean)
             inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=s.dtype))
-            s_hat = d * inv_std
+            s_hat *= inv_std
             m = params.running_mean.dtype.type(BN_MOMENTUM)
             params.running_mean += m * (mu.astype(params.running_mean.dtype)
                                         - params.running_mean)
             params.running_var += m * (var.astype(params.running_var.dtype)
                                        - params.running_var)
+            np.multiply(params.gamma, s_hat, out=z)
         else:
             inv_std = 1.0 / np.sqrt(params.running_var.astype(s.dtype)
                                     + np.asarray(BN_EPS, dtype=s.dtype))
-            s_hat = (s - params.running_mean.astype(s.dtype)) * inv_std
-        z = params.gamma * s_hat + params.beta
+            s_hat = s - params.running_mean.astype(s.dtype)
+            s_hat *= inv_std
+            z = params.gamma * s_hat
+        z += params.beta
     else:
         z = s
     mask = None
     if spec.has_relu:
-        # only backward reads the gate; a NaN pre-activation stays NaN
+        # only backward reads the gate; a NaN pre-activation stays NaN.
+        # Without batch norm z is s, which the trace keeps.
         if mode == "train":
             mask = z > 0
-        f_out = np.maximum(z, np.asarray(0, dtype=z.dtype))
+        f_out = np.maximum(z, np.asarray(0, dtype=z.dtype),
+                           out=z if spec.has_bn else None)
     else:
         f_out = z
     return f_out, LayerTrace(f_in, s, s_hat, inv_std, mask, f_out, g, segments)
@@ -243,12 +283,19 @@ def pointwise_backward(d_out, spec, params, trace):
         d = d * trace.mask
     grads = {}
     if spec.has_bn:
-        grads["gamma"] = _colstat(d * trace.s_hat, np.sum)
+        s_hat = trace.s_hat
+        tmp = d * s_hat
+        grads["gamma"] = _colstat(tmp, np.sum)
         grads["beta"] = _colstat(d, np.sum)
-        ds_hat = d * params.gamma
-        # biased-variance batch-statistics chain rule
-        d = trace.inv_std * (ds_hat - _colstat(ds_hat, np.mean)
-                             - trace.s_hat * _colstat(ds_hat * trace.s_hat, np.mean))
+        # d_out is the caller's; the gated d is ours to overwrite
+        ds_hat = np.multiply(d, params.gamma, out=d if spec.has_relu else None)
+        # biased-variance batch-statistics chain rule, evaluated as
+        # inv_std * ((ds_hat - mean(ds_hat)) - s_hat * mean(ds_hat * s_hat))
+        mean_ds = _colstat(ds_hat, np.mean)
+        mean_ds_s = _colstat(np.multiply(ds_hat, s_hat, out=tmp), np.mean)
+        ds_hat -= mean_ds
+        ds_hat -= np.multiply(s_hat, mean_ds_s, out=tmp)
+        d = np.multiply(trace.inv_std, ds_hat, out=ds_hat)
     grads["b"] = _colstat(d, np.sum)
     if trace.g is None:
         grads["W"] = matmul(trace.f_in.T, d, exact=False)
@@ -349,7 +396,7 @@ def forward(x, params, mode="eval", segments=None):
         block = f[start:start + rows]
         block.max(axis=0, out=g_seg[s])
         if am_seg is not None:
-            am_seg[s] = block.argmax(axis=0) + start
+            am_seg[s] = _pool_winners(block, g_seg[s]) + start
     f, tr = pointwise_forward(enc_traces[LOCAL_LAYER].f_out, params.head_specs[0],
                               params.head[0], mode, g=g_seg, segments=segments)
     head_traces = [tr]
@@ -396,7 +443,7 @@ def backward(trace, labels, params):
         d[trace.argmax_segments[s], cols] += dg_seg[s]
     for i in reversed(range(len(params.encoder))):
         if i == LOCAL_LAYER:
-            d = d + d_local
+            d += d_local
         d, g = pointwise_backward(d, params.encoder_specs[i], params.encoder[i],
                                   trace.encoder_traces[i])
         for k, v in g.items():

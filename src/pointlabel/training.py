@@ -72,22 +72,22 @@ def lr_at(epoch_current, config):
     return config.lr_initial * (1.0 - epoch_current / config.epoch_total)
 
 
-def _first_non_finite(grads):
-    """Name of the first gradient tensor holding a NaN or infinity, or None."""
-    return next((name for name, g in grads.items()
-                 if not np.all(np.isfinite(g))), None)
+class NonFiniteGradientError(ValueError):
+    """A gradient tensor holds a NaN or infinity; the step was not taken."""
 
 
 def adam_step(params, grads, state, lr):
     """One Adam update, in place on params, with ADAM_BETA1, ADAM_BETA2
     and ADAM_EPS.
 
-    Rejects the whole step (no tensor touched) if any gradient is
-    non-finite, naming the offending tensor.
+    Rejects the whole step (no tensor touched) with
+    NonFiniteGradientError if any gradient is non-finite, naming the
+    first such tensor.
     """
-    bad = _first_non_finite(grads)
+    bad = next((name for name, g in grads.items()
+                if not np.all(np.isfinite(g))), None)
     if bad is not None:
-        raise ValueError(f"non-finite gradient for tensor {bad}")
+        raise NonFiniteGradientError(f"non-finite gradient for tensor {bad}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
@@ -95,9 +95,21 @@ def adam_step(params, grads, state, lr):
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        arr -= (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
+        # m += (1 - b1)(g - m); v += (1 - b2)(g*g - v);
+        # arr -= (lr/c1) m / (sqrt(v/c2) + eps): each operation in that
+        # order, rounded as written, with tmp holding the intermediates
+        tmp = g - m
+        tmp *= 1.0 - ADAM_BETA1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp -= v
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide((lr / c1) * m, tmp, out=tmp)
+        arr -= tmp
     return params, state
 
 
@@ -166,6 +178,7 @@ class FitResult:
     best_epoch: int
     diverged: bool = False
     epoch_seconds: list = field(default_factory=list)  # per completed epoch
+    validation_seconds: float = 0.0     # spent in evaluate_blocks, all epochs
 
     def history_csv(self):
         lines = ["epoch,lr,train_loss,train_acc,val_loss,val_acc"]
@@ -206,7 +219,7 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     is returned. A non-finite training loss or gradient aborts before the
     offending step with the last good snapshot flagged as diverged. The
     result records each completed epoch's wall seconds, validation
-    included.
+    included, and the seconds spent scoring validation.
     """
     if not train_blocks or not val_blocks:
         raise ValueError("need non-empty train and validation block sets")
@@ -225,6 +238,7 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     bad_epochs = 0
     history = []
     epoch_seconds = []
+    validation_seconds = 0.0
 
     for epoch in range(config.epoch_total):
         t0 = time.perf_counter()
@@ -244,16 +258,23 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
             nll_sum += network.cross_entropy(trace.q, by) * len(bx)
             correct += int((trace.q.argmax(axis=1) == by).sum())
             seen += len(bx)
-            if (not math.isfinite(nll_sum)
-                    or _first_non_finite(grads) is not None):
+            diverged = not math.isfinite(nll_sum)
+            if not diverged:
+                try:
+                    adam_step(params, grads, state, lr)
+                except NonFiniteGradientError:
+                    diverged = True
+            if diverged:
                 log.error("training diverged (non-finite loss or gradient) "
                           "at epoch %d; keeping last good checkpoint", epoch)
                 return FitResult(best, history, best_epoch, diverged=True,
-                                 epoch_seconds=epoch_seconds)
-            adam_step(params, grads, state, lr)
+                                 epoch_seconds=epoch_seconds,
+                                 validation_seconds=validation_seconds)
         train_loss = nll_sum / seen
         train_acc = correct / seen
+        t_val = time.perf_counter()
         val_loss, val_acc = evaluate_blocks(val_blocks, params)
+        validation_seconds += time.perf_counter() - t_val
         history.append(EpochStats(epoch, lr, train_loss, train_acc,
                                   val_loss, val_acc))
         epoch_seconds.append(time.perf_counter() - t0)
@@ -267,4 +288,5 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
             if bad_epochs >= config.patience:
                 log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                 break
-    return FitResult(best, history, best_epoch, epoch_seconds=epoch_seconds)
+    return FitResult(best, history, best_epoch, epoch_seconds=epoch_seconds,
+                     validation_seconds=validation_seconds)

@@ -200,6 +200,16 @@ class TestTrain:
         assert sum(seconds) <= float(manifest["timing.fit"].rstrip("s")) + 0.01
         assert float(manifest["rows_per_s"]) > 0
 
+    def test_manifest_times_validation_apart_from_history(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        out = run_train(fixture_dir, prep, out="m6")
+        manifest = dict(line.split("=", 1) for line in
+                        (out / "run_manifest.txt").read_text().splitlines())
+        seconds = float(manifest["timing.validation"].rstrip("s"))
+        assert 0 < seconds <= float(manifest["timing.fit"].rstrip("s"))
+        history = (out / "history.csv").read_text().splitlines()
+        assert history[0] == "epoch,lr,train_loss,train_acc,val_loss,val_acc"
+
     def test_runs_are_byte_identical(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
         a = run_train(fixture_dir, prep, out="m1")

@@ -1,8 +1,12 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointlabel import network as net
+from pointlabel import training
 from pointlabel.container import read_container_file, write_container_file
 from pointlabel.linalg import ShapeError
 
@@ -644,3 +648,232 @@ class TestPrecisionPolicy:
         for name, g in grads.items():
             assert g.dtype == np.float32, name
             assert np.abs(g - want[name]).max() <= 1e-3 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# the buffer-reusing train step against its out-of-place formulas
+
+def _colstat(x, stat):
+    return stat(x, axis=0, dtype=np.float64).astype(x.dtype)
+
+
+def _reference_layer_forward(f_in, spec, params, mode, g=None, segments=None):
+    """pointwise_forward with every elementwise step writing a fresh
+    array, in the order and with the float64 reductions the library
+    keeps."""
+    exact = mode == "eval"
+    if g is None:
+        s = net.matmul(f_in, params.W, exact=exact) + params.b
+    else:
+        local_w = f_in.shape[1]
+        s = net.matmul(f_in, params.W[:local_w], exact=exact)
+        s += np.repeat(net.matmul(g, params.W[local_w:], exact=exact) + params.b,
+                       segments, axis=0)
+    s_hat = inv_std = None
+    if spec.has_bn:
+        eps = np.asarray(net.BN_EPS, dtype=s.dtype)
+        if mode == "train":
+            mu = _colstat(s, np.mean)
+            d = s - mu
+            var = _colstat(d * d, np.mean)
+            inv_std = 1.0 / np.sqrt(var + eps)
+            s_hat = d * inv_std
+            m = params.running_mean.dtype.type(net.BN_MOMENTUM)
+            params.running_mean += m * (mu.astype(params.running_mean.dtype)
+                                        - params.running_mean)
+            params.running_var += m * (var.astype(params.running_var.dtype)
+                                       - params.running_var)
+        else:
+            inv_std = 1.0 / np.sqrt(params.running_var.astype(s.dtype) + eps)
+            s_hat = (s - params.running_mean.astype(s.dtype)) * inv_std
+        z = params.gamma * s_hat + params.beta
+    else:
+        z = s
+    mask = None
+    if spec.has_relu:
+        if mode == "train":
+            mask = z > 0
+        f_out = np.maximum(z, np.asarray(0, dtype=z.dtype))
+    else:
+        f_out = z
+    return f_out, net.LayerTrace(f_in, s, s_hat, inv_std, mask, f_out, g,
+                                 segments)
+
+
+def _reference_layer_backward(d_out, spec, params, trace):
+    """pointwise_backward with every elementwise step writing a fresh
+    array."""
+    d = d_out
+    if spec.has_relu:
+        d = d * trace.mask
+    grads = {}
+    if spec.has_bn:
+        grads["gamma"] = _colstat(d * trace.s_hat, np.sum)
+        grads["beta"] = _colstat(d, np.sum)
+        ds_hat = d * params.gamma
+        d = trace.inv_std * (ds_hat - _colstat(ds_hat, np.mean)
+                             - trace.s_hat * _colstat(ds_hat * trace.s_hat, np.mean))
+    grads["b"] = _colstat(d, np.sum)
+    if trace.g is None:
+        grads["W"] = net.matmul(trace.f_in.T, d, exact=False)
+        return net.matmul(d, params.W.T, exact=False), grads
+    local_w = trace.f_in.shape[1]
+    d_seg = np.add.reduceat(d.astype(np.float64), net._offsets(trace.segments),
+                            axis=0).astype(d.dtype)
+    grads["W"] = np.vstack([net.matmul(trace.f_in.T, d, exact=False),
+                            net.matmul(trace.g.T, d_seg, exact=False)])
+    return (net.matmul(d, params.W[:local_w].T, exact=False),
+            net.matmul(d_seg, params.W[local_w:].T, exact=False)), grads
+
+
+def _reference_adam_step(params, grads, state, lr):
+    """adam_step's update with a fresh array for every operation."""
+    state.t += 1
+    c1 = 1.0 - training.ADAM_BETA1 ** state.t
+    c2 = 1.0 - training.ADAM_BETA2 ** state.t
+    for name, arr in net.iter_tensors(params):
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m += (1.0 - training.ADAM_BETA1) * (g - m)
+        v += (1.0 - training.ADAM_BETA2) * (g * g - v)
+        arr -= (lr / c1) * m / (np.sqrt(v / c2) + training.ADAM_EPS)
+
+
+@contextlib.contextmanager
+def _reference_math():
+    """forward and backward composed from the reference layers, with the
+    pool's winners taken by argmax."""
+    with mock.patch.object(net, "pointwise_forward", _reference_layer_forward), \
+            mock.patch.object(net, "pointwise_backward", _reference_layer_backward), \
+            mock.patch.object(net, "_pool_winners",
+                              lambda block, top: block.argmax(axis=0)):
+        yield
+
+
+def _mixed_params(flags, dtype, seed):
+    """Toy-width network whose hidden layers have the given (has_bn,
+    has_relu) flags; the classifier layer has neither."""
+    widths = (9, 8, 8, 16, 16, 32)
+    enc = [net.LayerSpec(i, o, *f) for i, o, f in zip(widths, widths[1:], flags)]
+    head = [net.LayerSpec(40, 16, *flags[5]), net.LayerSpec(16, 8, *flags[6]),
+            net.LayerSpec(8, 3, False, False)]
+    return net.params_astype(net.init_params(enc, head,
+                                             np.random.default_rng(seed)), dtype)
+
+
+def _assert_same_bits(a, b, what):
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), what
+
+
+class TestInPlaceStep:
+    @settings(max_examples=60, deadline=None)
+    @given(flags=st.lists(st.sampled_from([(True, True), (True, False),
+                                           (False, True), (False, False)]),
+                          min_size=7, max_size=7),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           segments=st.lists(st.sampled_from([1, 2, 3, 7, 20, 70]),
+                             min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_step_matches_out_of_place_reference_bitwise(self, flags, dtype,
+                                                         segments, seed):
+        if sum(segments) < 2:
+            segments = segments + [1]
+        rng = np.random.default_rng(seed)
+        params = _mixed_params(flags, dtype, seed % 1000)
+        ref = net.copy_params(params)
+        state = training.AdamState.for_params(params)
+        ref_state = training.AdamState.for_params(ref)
+        n = sum(segments)
+        for step in range(3):
+            x = rng.normal(rng.normal(0, 2, 9), 2.0, (n, 9)).astype(dtype)
+            labels = rng.integers(0, 3, n)
+            trace = net.forward(x, params, "train", segments=segments)
+            grads = net.backward(trace, labels, params)
+            training.adam_step(params, grads, state, 0.01)
+            with _reference_math():
+                ref_trace = net.forward(x, ref, "train", segments=segments)
+                ref_grads = net.backward(ref_trace, labels, ref)
+                _reference_adam_step(ref, ref_grads, ref_state, 0.01)
+            _assert_same_bits(trace.q, ref_trace.q, f"step {step} q")
+            _assert_same_bits(trace.argmax_segments, ref_trace.argmax_segments,
+                              f"step {step} pool winners")
+            for name in ref_grads:
+                _assert_same_bits(grads[name], ref_grads[name], f"step {step} d{name}")
+                _assert_same_bits(state.m[name], ref_state.m[name], f"m {name}")
+                _assert_same_bits(state.v[name], ref_state.v[name], f"v {name}")
+            for (name, a), (_, b) in zip(net.iter_tensors(params, False),
+                                         net.iter_tensors(ref, False)):
+                _assert_same_bits(a, b, f"step {step} {name}")
+        x = rng.normal(0, 2, (n, 9)).astype(dtype)
+        q = net.forward(x, params, "eval", segments=segments).q
+        with _reference_math():
+            _assert_same_bits(q, net.forward(x, ref, "eval", segments=segments).q,
+                              "eval q")
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_forward_writes_only_running_statistics(self, mode, rng):
+        params = _moved_stats_params(8)
+        x = rng.normal(0, 2, (40, 9)).astype(np.float32)
+        x_before = x.copy()
+        before = {n: a.copy() for n, a in net.iter_tensors(params, False)}
+        net.forward(x, params, mode, segments=(1, 2, 37))
+        _assert_same_bits(x, x_before, "x")
+        for name, a in net.iter_tensors(params, False):
+            moved = a.tobytes() != before[name].tobytes()
+            stat = name.endswith(("running_mean", "running_var"))
+            assert moved == (stat and mode == "train"), name
+
+    def test_backward_twice_on_one_trace_is_bitwise_equal(self, rng):
+        params = _moved_stats_params(9)
+        x = rng.normal(0, 2, (40, 9)).astype(np.float32)
+        labels = rng.integers(0, 3, 40)
+        trace = net.forward(x, params, "train", segments=(1, 2, 37))
+        first = net.backward(trace, labels, params)
+        second = net.backward(trace, labels, params)
+        for name in first:
+            _assert_same_bits(first[name], second[name], name)
+
+    @pytest.mark.parametrize("has_relu", [False, True])
+    def test_pointwise_backward_leaves_d_out(self, has_relu, rng):
+        spec = net.LayerSpec(4, 6, has_bn=True, has_relu=has_relu)
+        lp = net.init_layer(spec, rng)
+        _, trace = net.pointwise_forward(
+            rng.standard_normal((16, 4)).astype(np.float32), spec, lp, "train")
+        d_out = rng.standard_normal((16, 6)).astype(np.float32)
+        kept = d_out.copy()
+        net.pointwise_backward(d_out, spec, lp, trace)
+        _assert_same_bits(d_out, kept, "d_out")
+
+
+class TestPoolWinners:
+    """The pool's winning rows come from an equality scan against the
+    column max; argmax(axis=0) is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.one_of(st.integers(1, 3), st.integers(1, 3 * net.POOL_PANEL + 5)),
+           cols=st.integers(1, 24),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           ties=st.sampled_from(["relu", "signed zeros", "few values", "normal"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_argmax(self, rows, cols, dtype, ties, seed):
+        rng = np.random.default_rng(seed)
+        if ties == "relu":
+            block = np.maximum(rng.normal(-1.0, 1.0, (rows, cols)), 0)
+        elif ties == "signed zeros":
+            block = rng.choice([-0.0, 0.0], (rows, cols))
+        elif ties == "few values":
+            block = rng.choice([-1.0, -0.0, 0.0, 2.0, np.inf, -np.inf], (rows, cols))
+        else:
+            block = rng.standard_normal((rows, cols))
+        block = block.astype(dtype)
+        winners = net._pool_winners(block, block.max(axis=0))
+        assert np.array_equal(winners, block.argmax(axis=0))
+
+    def test_nan_column_takes_its_first_nan_row(self):
+        block = np.zeros((3 * net.POOL_PANEL, 4), dtype=np.float32)
+        block[5, 1] = 7.0
+        block[[70, 150], 2] = np.nan
+        block[100, 2] = 9.0
+        block[[0, 130], 3] = np.nan
+        winners = net._pool_winners(block, block.max(axis=0))
+        assert winners.tolist() == [0, 5, 70, 0]
+        assert np.array_equal(winners, block.argmax(axis=0))

@@ -302,6 +302,23 @@ class TestFit:
         assert result.diverged
         assert result.history == [] and result.best_epoch == -1
 
+    def test_nan_pooled_column_flags_divergence(self, rng):
+        # a NaN beta on the pooled layer: one NaN column in every block,
+        # whose pool winner falls back to argmax's first NaN row
+        train, val = self.build_sets(rng)
+        enc, head = self.toy_specs()
+        params = net.init_params(enc, head, np.random.default_rng(0))
+        params.encoder[-1].beta[0] = np.nan
+        x = np.concatenate([b.features for b in train[:2]])
+        trace = net.forward(x, net.copy_params(params), "train", segments=(16, 16))
+        assert np.isnan(trace.g_segments[:, 0]).all()
+        assert np.isfinite(trace.g_segments[:, 1:]).all()
+        assert trace.argmax_segments[:, 0].tolist() == [0, 16]
+        result = tr.fit(train, val, toy_fit_config(epoch_total=2),
+                        params=params, n_classes=3)
+        assert result.diverged
+        assert result.history == [] and result.best_epoch == -1
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
             tr.fit([], [], toy_fit_config())
