@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import (PointCloud, SamplingError, BoundsError, _sample,
+from .io import (PointCloud, SamplingError, BoundsError, ShapeError, _sample,
                  raster_overhang, sample_raster)
-from .linalg import ShapeError
 
 log = logging.getLogger(__name__)
 

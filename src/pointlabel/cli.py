@@ -8,6 +8,7 @@ themselves are bit-reproducible for identical inputs and seeds.
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -188,7 +189,11 @@ def cmd_train(args):
                     "best_epoch": result.best_epoch,
                     "parameters": network.param_count(result.params),
                     "diverged": result.diverged,
-                    "rows_per_s": f"{rows / epoch_s if epoch_s else 0.0:.1f}"},
+                    "rows_per_s": f"{rows / epoch_s if epoch_s else 0.0:.1f}",
+                    # float32 training bits can depend on BLAS threads
+                    **{f"env.{v}": os.environ.get(v, "unset") for v in (
+                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}},
                    [Path(args.blocks) / "blocks.bin"],
                    {"load": t1 - t0, "fit": t2 - t1,
                     "validation": result.validation_seconds,

@@ -35,9 +35,9 @@ class ScaleConfig:
     sample_count: int    # points sampled per block
 
     def __post_init__(self):
-        if not (self.size > 0 and 0 <= self.overlap < self.size
+        if not (0 < self.size < np.inf and 0 <= self.overlap < self.size
                 and self.sample_count >= 1):
-            raise ValueError(f"scale {self} needs size > 0, overlap "
+            raise ValueError(f"scale {self} needs a finite size > 0, overlap "
                              f"in [0, size) and sample count >= 1")
 
     def __str__(self):

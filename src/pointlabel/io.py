@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError
-
 __all__ = [
-    "PointCloud", "Raster", "ParseError", "SchemaError", "SamplingError",
-    "BoundsError", "parse_points", "write_points", "load_points",
-    "save_points", "parse_ascii_grid", "write_ascii_grid", "read_ascii_grid",
-    "read_ppm_image", "write_ppm_image", "raster_overhang", "sample_raster",
+    "PointCloud", "Raster", "ParseError", "SchemaError", "ShapeError",
+    "SamplingError", "BoundsError", "parse_points", "write_points",
+    "load_points", "save_points", "parse_ascii_grid", "write_ascii_grid",
+    "read_ascii_grid", "read_ppm_image", "write_ppm_image", "raster_overhang",
+    "sample_raster",
 ]
 
 # rows write_points formats at a time: bounds its Python-float lists
@@ -49,6 +48,10 @@ class ParseError(ValueError):
 
 class SchemaError(ParseError):
     """Input structure disagrees with the declared schema."""
+
+
+class ShapeError(ValueError):
+    """Arrays have incompatible or non-2D shapes."""
 
 
 class _QueryError(ValueError):

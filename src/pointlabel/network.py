@@ -2,16 +2,18 @@
 with batch normalization and ReLU, a global max-pool over the points, a
 small classifier head on each point's local feature and its block's
 global feature, softmax and cross-entropy. Forward and backward are both
-implemented here by hand.
+implemented here by hand, on numpy's matrix product behind `matmul`.
 
 The first head layer reads the concatenation `[local_i, g]` of a point's
 local feature and its block's pooled feature, but that (N, local + G)
 array is never built: with W split into W_l and W_g, its pre-activation
 is `local_i·W_l + (g·W_g + b)`, and the global term is computed once per
-block (PointNet's segmentation head, Qi et al., arXiv 1612.00593). For
-inference, `fold_batch_norm` turns every eval-mode batch norm into its
-layer's W and b, so a loaded model runs matmul, bias, ReLU and max-pool
-only.
+block (PointNet's segmentation head, Qi et al., arXiv 1612.00593).
+
+Eval-mode batch norm is one affine map per column, which `_fold_layer`
+turns into its layer's W and b: every eval forward runs matmul, bias and
+ReLU only. `fold_batch_norm` folds a loaded model once, in place, with
+the same bits.
 
 Shapes follow the per-block convention: the "batch" dimension of every
 layer is the N points of one block, so batch normalization standardizes
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container as _container
-from .linalg import ShapeError, matmul
+from .io import ShapeError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -154,12 +156,44 @@ def _check_chain(encoder_specs, head_specs):
 
 
 # ---------------------------------------------------------------------------
+# matrix product
+
+def _as_2d(a, name):
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
+    return a
+
+
+def matmul(a, b, exact=True):
+    """Matrix product; an empty inner dimension yields zeros.
+
+    With `exact` (the default), float32 operands are multiplied in float64
+    and the result rounded once to float32, so each output row is the
+    same bits whichever rows share the call. Without it, two float32
+    operands give the float32 BLAS product `a @ b`: about twice as fast
+    and as repeatable from run to run for the same shapes, but a row's
+    bits may change with the number of rows. Other dtypes take the exact
+    path either way; float64 operands stay float64.
+    """
+    a = _as_2d(a, "a")
+    b = _as_2d(b, "b")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
+    single = a.dtype == np.float32 and b.dtype == np.float32
+    if single and not exact:
+        return a @ b
+    out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+    return out.astype(np.float32) if single else out
+
+
+# ---------------------------------------------------------------------------
 # single shared-weight layer
 
 @dataclass
 class LayerTrace:
     f_in: np.ndarray                 # per-row input (the local part if g is set)
-    s: np.ndarray                    # pre-BN pre-activation
+    s: np.ndarray                    # pre-BN pre-activation (eval: BN folded)
     s_hat: np.ndarray | None         # normalized, pre gamma/beta
     inv_std: np.ndarray | None
     mask: np.ndarray | None          # ReLU gate (pre-activation > 0); train
@@ -199,6 +233,18 @@ def _pool_winners(block, top):
     return winners
 
 
+def _fold_layer(params, out):
+    """Eval-mode batch norm of s = x·W + b as the layer's own weights
+    (Jacob et al., arXiv 1712.05877, section 3.2): returns W·diag(k),
+    rounded once into `out` (which may be params.W), and (b - mean)·k +
+    beta, with k = gamma/sqrt(var + eps) and the bias formed in float64."""
+    k = params.gamma / np.sqrt(params.running_var.astype(np.float64) + BN_EPS)
+    np.multiply(params.W, k, out=out, casting="unsafe")
+    b = ((params.b - params.running_mean.astype(np.float64)) * k
+         + params.beta).astype(params.b.dtype)
+    return out, b
+
+
 def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     """Shared linear map over the rows, then BN and ReLU as configured.
 
@@ -209,8 +255,8 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
 
     Train mode normalizes with the batch statistics of the N input rows
     (biased variance, eps under the square root) and advances the running
-    statistics in place at momentum BN_MOMENTUM; eval mode uses the
-    stored running statistics.
+    statistics in place at momentum BN_MOMENTUM; eval mode folds the
+    running statistics into W and b first (`_fold_layer`).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -219,53 +265,50 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     if f_in.ndim != 2 or f_in.shape[1] != local_w:
         raise ShapeError(f"layer expects (N,{local_w}), got {f_in.shape}")
     exact = mode == "eval"
+    normalize = spec.has_bn and not exact
+    W, b = params.W, params.b
+    if spec.has_bn and exact:
+        W, b = _fold_layer(params, np.empty_like(W))
     # the (N, out) arrays below come fresh from matmul or are made here,
     # so elementwise steps write into them; nothing is written into f_in,
     # g or params, and s, s_hat and mask stay as the trace records them
     if g is None:
-        s = matmul(f_in, params.W, exact=exact) + params.b
+        s = matmul(f_in, W, exact=exact) + b
     else:
         if (segments is None or len(segments) != len(g)
                 or sum(segments) != len(f_in)):
             raise ShapeError(f"segments {segments} do not match {len(g)} "
                              f"global rows and {len(f_in)} local rows")
-        s = matmul(f_in, params.W[:local_w], exact=exact)
-        s += np.repeat(matmul(g, params.W[local_w:], exact=exact) + params.b,
+        s = matmul(f_in, W[:local_w], exact=exact)
+        s += np.repeat(matmul(g, W[local_w:], exact=exact) + b,
                        segments, axis=0)
     s_hat = inv_std = None
-    if spec.has_bn:
-        if mode == "train":
-            if len(s) < 2:
-                raise ValueError("batch norm in train mode needs N >= 2 points")
-            mu = _colstat(s, np.mean)
-            s_hat = s - mu                  # deviations, scaled below
-            z = np.multiply(s_hat, s_hat)   # squares, then gamma·s_hat
-            var = _colstat(z, np.mean)
-            inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=s.dtype))
-            s_hat *= inv_std
-            m = params.running_mean.dtype.type(BN_MOMENTUM)
-            params.running_mean += m * (mu.astype(params.running_mean.dtype)
-                                        - params.running_mean)
-            params.running_var += m * (var.astype(params.running_var.dtype)
-                                       - params.running_var)
-            np.multiply(params.gamma, s_hat, out=z)
-        else:
-            inv_std = 1.0 / np.sqrt(params.running_var.astype(s.dtype)
-                                    + np.asarray(BN_EPS, dtype=s.dtype))
-            s_hat = s - params.running_mean.astype(s.dtype)
-            s_hat *= inv_std
-            z = params.gamma * s_hat
+    if normalize:
+        if len(s) < 2:
+            raise ValueError("batch norm in train mode needs N >= 2 points")
+        mu = _colstat(s, np.mean)
+        s_hat = s - mu                  # deviations, scaled below
+        z = np.multiply(s_hat, s_hat)   # squares, then gamma·s_hat
+        var = _colstat(z, np.mean)
+        inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=s.dtype))
+        s_hat *= inv_std
+        m = params.running_mean.dtype.type(BN_MOMENTUM)
+        params.running_mean += m * (mu.astype(params.running_mean.dtype)
+                                    - params.running_mean)
+        params.running_var += m * (var.astype(params.running_var.dtype)
+                                   - params.running_var)
+        np.multiply(params.gamma, s_hat, out=z)
         z += params.beta
     else:
         z = s
     mask = None
     if spec.has_relu:
         # only backward reads the gate; a NaN pre-activation stays NaN.
-        # Without batch norm z is s, which the trace keeps.
+        # Without train-mode batch norm z is s, which the trace keeps.
         if mode == "train":
             mask = z > 0
         f_out = np.maximum(z, np.asarray(0, dtype=z.dtype),
-                           out=z if spec.has_bn else None)
+                           out=z if normalize else None)
     else:
         f_out = z
     return f_out, LayerTrace(f_in, s, s_hat, inv_std, mask, f_out, g, segments)
@@ -345,7 +388,6 @@ class ForwardTrace:
     g_segments: np.ndarray        # (S, G) pooled feature per block
     argmax_segments: np.ndarray | None  # (S, G) winning absolute row per
                                         # column; None in eval mode
-    logits: np.ndarray
     q: np.ndarray                 # (N, C) class probabilities
 
     @property
@@ -405,7 +447,7 @@ def forward(x, params, mode="eval", segments=None):
         head_traces.append(tr)
     q = softmax_rows(f)
     return ForwardTrace(mode, enc_traces, head_traces, segments, g_seg,
-                        am_seg, f, q)
+                        am_seg, q)
 
 
 def backward(trace, labels, params):
@@ -496,15 +538,11 @@ def copy_params(params):
 
 def fold_batch_norm(params):
     """Fold every batch norm's eval-mode affine map into its layer's W and
-    b, in place; returns params.
+    b, in place (`_fold_layer`, the formula every eval forward uses);
+    returns params.
 
-    Eval-mode batch norm maps s = x·W + b to gamma·(s - mean)/sqrt(var +
-    eps) + beta column by column, so with k = gamma/sqrt(var + eps) the
-    layer computes the same from W·diag(k) and (b - mean)·k + beta alone
-    (Jacob et al., arXiv 1712.05877, section 3.2). k and the bias are
-    formed in float64 and each weight is rounded once to its dtype. Folded
-    layers become has_bn=False and keep their ReLU; layers without batch
-    norm are left as they are, so a second fold changes nothing. The
+    Folded layers become has_bn=False and keep their ReLU; layers without
+    batch norm are left as they are, so a second fold changes nothing. The
     result is for eval-mode forwards only: train mode would not normalize,
     and save_checkpoint refuses it.
     """
@@ -513,10 +551,7 @@ def fold_batch_norm(params):
         for i, (spec, lp) in enumerate(zip(specs, layers)):
             if not spec.has_bn:
                 continue
-            k = lp.gamma / np.sqrt(lp.running_var.astype(np.float64) + BN_EPS)
-            np.multiply(lp.W, k, out=lp.W, casting="unsafe")
-            lp.b = ((lp.b - lp.running_mean.astype(np.float64)) * k
-                    + lp.beta).astype(lp.b.dtype)
+            lp.W, lp.b = _fold_layer(lp, lp.W)
             lp.gamma = lp.beta = lp.running_mean = lp.running_var = None
             specs[i] = LayerSpec(spec.in_width, spec.out_width, has_bn=False,
                                  has_relu=spec.has_relu)

@@ -46,8 +46,9 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in (0,1), got {self.val_fraction}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.lr_initial <= 0:
-            raise ValueError(f"lr_initial must be > 0, got {self.lr_initial}")
+        if not 0 < self.lr_initial < math.inf:
+            raise ValueError(f"lr_initial must be a finite number > 0, "
+                             f"got {self.lr_initial}")
 
 
 @dataclass
@@ -190,7 +191,8 @@ class FitResult:
 
 def evaluate_blocks(blocks, params):
     """Point-weighted mean loss and accuracy over labeled blocks (eval
-    mode)."""
+    mode), on a copy of params whose batch norm is folded once."""
+    params = network.fold_batch_norm(network.copy_params(params))
     total_nll = 0.0
     correct = 0
     count = 0

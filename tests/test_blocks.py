@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pointlabel import blocks as blk
-from pointlabel.io import BoundsError, PointCloud, Raster, SamplingError
-from pointlabel.linalg import ShapeError
+from pointlabel.io import (BoundsError, PointCloud, Raster, SamplingError,
+                           ShapeError)
 
 
 def flat_image(value=100.0, size=64, cell=1.0, origin=(-1.0, 65.0)):

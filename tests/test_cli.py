@@ -210,6 +210,19 @@ class TestTrain:
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,lr,train_loss,train_acc,val_loss,val_acc"
 
+    def test_manifest_records_blas_thread_settings(self, fixture_dir,
+                                                   monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        prep = run_preprocess(fixture_dir)
+        out = run_train(fixture_dir, prep, out="m7", epochs=1)
+        manifest = dict(line.split("=", 1) for line in
+                        (out / "run_manifest.txt").read_text().splitlines())
+        assert manifest["env.OPENBLAS_NUM_THREADS"] == "1"
+        assert manifest["env.MKL_NUM_THREADS"] == "2"
+        assert manifest["env.OMP_NUM_THREADS"] == "unset"
+
     def test_runs_are_byte_identical(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
         a = run_train(fixture_dir, prep, out="m1")
@@ -315,9 +328,9 @@ class TestPredictEvaluate:
         assert outs[0] == outs[1]
 
     def test_folded_predict_matches_unfolded_checkpoint(self, fixture_dir):
-        # the CLI folds batch norm into the weights; the loaded checkpoint
-        # as it is, through infer.predict, is the reference; this recipe
-        # gives a model that predicts all three classes
+        # the CLI folds batch norm into the weights once; infer.predict on
+        # the loaded checkpoint folds in every forward, with the same bits;
+        # this recipe gives a model that predicts all three classes
         prep = run_preprocess(fixture_dir)
         model = run_train(fixture_dir, prep, epochs=6,
                           extra=("--lr", "0.003")) / "model.ckpt"
@@ -334,7 +347,9 @@ class TestPredictEvaluate:
             cli.infer.ScaleConfig.parse(SCALES), seed=3)
         assert len(np.unique(labels)) == 3
         assert np.array_equal(pio.load_points(out).labels, labels)
-        assert np.abs(np.loadtxt(probs_out) - probs).max() <= 1e-5
+        np.savetxt(fixture_dir / "library_probs.txt", probs, fmt="%.6f")
+        assert (probs_out.read_bytes()
+                == (fixture_dir / "library_probs.txt").read_bytes())
 
     def test_manifest_times_load_apart_from_predict(self, fixture_dir,
                                                     monkeypatch):
@@ -460,7 +475,8 @@ def assert_error_exit(rc, capsys):
 
 
 class TestRejectedSettings:
-    @pytest.mark.parametrize("scales", ["2:1:0", "0:0:64", "5:5:64", "5:-1:64"])
+    @pytest.mark.parametrize("scales", ["2:1:0", "0:0:64", "5:5:64", "5:-1:64",
+                                        "inf:1:64"])
     def test_preprocess_bad_scale(self, fixture_dir, capsys, scales):
         rc = cli.main(["preprocess",
                        "--points", str(fixture_dir / "points.txt"),
@@ -487,6 +503,15 @@ class TestRejectedSettings:
         rc = cli.main(["train", "--blocks", str(prep),
                        "--out", str(fixture_dir / "model"), flag, "0"])
         assert name in assert_error_exit(rc, capsys)
+        assert not (fixture_dir / "model").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_train_non_finite_lr(self, fixture_dir, capsys, lr):
+        prep = run_preprocess(fixture_dir)
+        capsys.readouterr()
+        rc = cli.main(["train", "--blocks", str(prep),
+                       "--out", str(fixture_dir / "model"), "--lr", lr])
+        assert "lr_initial" in assert_error_exit(rc, capsys)
         assert not (fixture_dir / "model").exists()
 
     def test_predict_zero_threads(self, fixture_dir, capsys):

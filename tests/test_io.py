@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointlabel.io import (LAYOUTS, BoundsError, ParseError, PointCloud,
-                           Raster, SamplingError, SchemaError, load_points,
-                           parse_ascii_grid, parse_points, read_ppm_image,
-                           sample_raster, save_points, write_ascii_grid,
-                           write_points, write_ppm_image)
-from pointlabel.linalg import ShapeError
+                           Raster, SamplingError, SchemaError, ShapeError,
+                           load_points, parse_ascii_grid, parse_points,
+                           read_ppm_image, sample_raster, save_points,
+                           write_ascii_grid, write_points, write_ppm_image)
 
 
 class TestParsePoints:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from pointlabel import network as net
 from pointlabel import training
 from pointlabel.container import read_container_file, write_container_file
-from pointlabel.linalg import ShapeError
+from pointlabel.io import ShapeError
+from pointlabel.network import matmul
 
 from conftest import toy_architecture, toy_params
 
@@ -542,18 +543,22 @@ class TestSplitHead:
 
 class TestFoldBatchNorm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_folded_eval_matches_unfolded(self, seed):
-        params = _moved_stats_params(seed)
+    @settings(max_examples=30, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           forwards=st.integers(1, 3),
+           segments=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           x_seed=st.integers(0, 2 ** 32 - 1))
+    def test_folded_eval_matches_unfolded(self, seed, dtype, forwards,
+                                          segments, x_seed):
+        # an eval forward folds each batch norm as fold_batch_norm does,
+        # so folding first changes no bit
+        params = _moved_stats_params(seed, dtype, forwards)
         folded = net.fold_batch_norm(net.copy_params(params))
-        x = np.random.default_rng(100 + seed).normal(
-            0, 2, (300, 9)).astype(np.float32)
-        q = net.forward(x, params, "eval", segments=(100, 200)).q
-        qf = net.forward(x, folded, "eval", segments=(100, 200)).q
-        assert np.abs(qf - q).max() <= 1e-5
-        top2 = np.sort(q, axis=1)[:, -2:]
-        clear = top2[:, 1] - top2[:, 0] > 1e-4
-        assert clear.sum() > 250
-        assert np.array_equal(qf.argmax(1)[clear], q.argmax(1)[clear])
+        x = np.random.default_rng(x_seed).normal(
+            0, 2, (sum(segments), 9)).astype(dtype)
+        q = net.forward(x, params, "eval", segments=segments).q
+        qf = net.forward(x, folded, "eval", segments=segments).q
+        _assert_same_bits(q, qf, "q")
 
     def test_folded_layers_keep_relu_and_drop_bn(self):
         params = _moved_stats_params(3)
@@ -601,7 +606,7 @@ class TestFoldBatchNorm:
 class TestPrecisionPolicy:
     """Train-mode forwards and backward run float32 BLAS products; eval
     forwards keep the exact product, whose rows do not depend on their
-    neighbours (test_linalg)."""
+    neighbours (TestPrecision)."""
 
     @staticmethod
     def _record_forms(monkeypatch):
@@ -660,32 +665,35 @@ def _colstat(x, stat):
 def _reference_layer_forward(f_in, spec, params, mode, g=None, segments=None):
     """pointwise_forward with every elementwise step writing a fresh
     array, in the order and with the float64 reductions the library
-    keeps."""
+    keeps; eval mode folds batch norm into a new W and b."""
     exact = mode == "eval"
+    W, b = params.W, params.b
+    if spec.has_bn and exact:
+        k = params.gamma / np.sqrt(params.running_var.astype(np.float64)
+                                   + net.BN_EPS)
+        W = (params.W * k).astype(params.W.dtype)
+        b = ((params.b - params.running_mean.astype(np.float64)) * k
+             + params.beta).astype(params.b.dtype)
     if g is None:
-        s = net.matmul(f_in, params.W, exact=exact) + params.b
+        s = net.matmul(f_in, W, exact=exact) + b
     else:
         local_w = f_in.shape[1]
-        s = net.matmul(f_in, params.W[:local_w], exact=exact)
-        s += np.repeat(net.matmul(g, params.W[local_w:], exact=exact) + params.b,
+        s = net.matmul(f_in, W[:local_w], exact=exact)
+        s += np.repeat(net.matmul(g, W[local_w:], exact=exact) + b,
                        segments, axis=0)
     s_hat = inv_std = None
-    if spec.has_bn:
+    if spec.has_bn and not exact:
         eps = np.asarray(net.BN_EPS, dtype=s.dtype)
-        if mode == "train":
-            mu = _colstat(s, np.mean)
-            d = s - mu
-            var = _colstat(d * d, np.mean)
-            inv_std = 1.0 / np.sqrt(var + eps)
-            s_hat = d * inv_std
-            m = params.running_mean.dtype.type(net.BN_MOMENTUM)
-            params.running_mean += m * (mu.astype(params.running_mean.dtype)
-                                        - params.running_mean)
-            params.running_var += m * (var.astype(params.running_var.dtype)
-                                       - params.running_var)
-        else:
-            inv_std = 1.0 / np.sqrt(params.running_var.astype(s.dtype) + eps)
-            s_hat = (s - params.running_mean.astype(s.dtype)) * inv_std
+        mu = _colstat(s, np.mean)
+        d = s - mu
+        var = _colstat(d * d, np.mean)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        s_hat = d * inv_std
+        m = params.running_mean.dtype.type(net.BN_MOMENTUM)
+        params.running_mean += m * (mu.astype(params.running_mean.dtype)
+                                    - params.running_mean)
+        params.running_var += m * (var.astype(params.running_var.dtype)
+                                   - params.running_var)
         z = params.gamma * s_hat + params.beta
     else:
         z = s
@@ -877,3 +885,83 @@ class TestPoolWinners:
         winners = net._pool_winners(block, block.max(axis=0))
         assert winners.tolist() == [0, 5, 70, 0]
         assert np.array_equal(winners, block.argmax(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# the matrix product
+
+class TestMatmul:
+    def test_identity(self):
+        m = f32([[1, 2], [3, 4]])
+        assert np.array_equal(matmul(np.eye(2, dtype=np.float32), m), m)
+
+    def test_hand_expansion(self):
+        # 1*3 + 2*4
+        out = matmul(f32([[1, 2]]), f32([[3], [4]]))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == 11.0
+
+    def test_empty_inner_dimension(self):
+        out = matmul(np.zeros((1, 0), dtype=np.float32),
+                     np.zeros((0, 1), dtype=np.float32))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == 0.0
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(1, 2\).*\(3, 1\)"):
+            matmul(np.zeros((1, 2)), np.zeros((3, 1)))
+
+    def test_float32_in_float32_out(self):
+        out = matmul(f32([[1.5]]), f32([[2.0]]))
+        assert out.dtype == np.float32
+
+    def test_float64_preserved(self):
+        out = matmul(np.ones((2, 2)), np.ones((2, 2)))
+        assert out.dtype == np.float64
+
+    def test_associativity(self, rng):
+        for _ in range(20):
+            a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
+            left = matmul(matmul(a, b), c)
+            right = matmul(a, matmul(b, c))
+            assert np.allclose(left, right, rtol=1e-6)
+
+    def test_bit_reproducible(self, rng):
+        a = rng.standard_normal((64, 32)).astype(np.float32)
+        b = rng.standard_normal((32, 16)).astype(np.float32)
+        assert np.array_equal(matmul(a, b), matmul(a, b))
+
+
+class TestPrecision:
+    def test_float32_form_is_the_blas_product(self, rng):
+        a = rng.standard_normal((37, 300)).astype(np.float32)
+        b = rng.standard_normal((300, 45)).astype(np.float32)
+        out = matmul(a, b, exact=False)
+        assert out.dtype == np.float32
+        assert out.tobytes() == (a @ b).tobytes()
+
+    def test_float64_operands_ignore_the_form(self, rng):
+        a = rng.standard_normal((37, 300))
+        b = rng.standard_normal((300, 45))
+        fast = matmul(a, b, exact=False)
+        assert fast.dtype == np.float64
+        assert fast.tobytes() == matmul(a, b).tobytes()
+
+    def test_exact_form_rounds_the_float64_product_once(self, rng):
+        a = rng.standard_normal((20, 64)).astype(np.float32)
+        b = rng.standard_normal((64, 8)).astype(np.float32)
+        want = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        assert matmul(a, b).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 64), k=st.sampled_from([9, 64, 300, 2112]),
+           n=st.sampled_from([1, 64, 256]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_exact_rows_do_not_depend_on_their_neighbours(self, m, k, n, seed):
+        # what eval forwards rely on: a chunk of blocks gives each row the
+        # bits a forward of that row alone gives
+        rng = np.random.default_rng(seed)
+        a = np.maximum(rng.standard_normal((m, k)), 0).astype(np.float32)
+        b = rng.uniform(-0.05, 0.05, (k, n)).astype(np.float32)
+        out = matmul(a, b)
+        for i in range(m):
+            assert out[i].tobytes() == matmul(a[i:i + 1], b)[0].tobytes()
