@@ -9,9 +9,13 @@ once: in eval mode every layer but the max-pool acts row by row, and the
 max over a set does not change when members repeat. Consecutive blocks
 share one segmented forward, in chunks of at most the scale's sample
 count of distinct rows, so sparse (airborne-density) blocks do not each
-pay a forward's fixed cost. Scales are then averaged per point over the
-scales that covered it, and points never sampled at any scale copy the
-class probabilities of their nearest covered neighbor.
+pay a forward's fixed cost. One worker pool forwards the chunks of
+every scale, largest sample count first, so a scale with fewer chunks
+than workers leaves none idle; each scale's votes still merge in its
+block order. Scales are then averaged per point over the scales that
+covered it, and points never sampled at any scale copy the class
+probabilities of their nearest covered neighbor (one k=2 kd-tree query;
+only queries whose two nearest distances nearly tie re-check a ball).
 """
 
 from collections import deque
@@ -101,69 +105,96 @@ def predict_scale(cloud, params, scale, scale_id=0, seed=0, threads=1):
     distinct rows, and each chunk is one segmented eval forward: pooling
     and the head's global term stay per block and every other layer acts
     row by row, so a chunk gives each block the bits its own forward
-    would. With `threads` > 1 the pool runs chunk
-    forwards while the next chunks are sampled; votes are merged in block
-    order either way, so threaded and serial runs agree exactly; `threads`
-    must be >= 1. The field's `stats` count blocks, forward calls and rows
-    forwarded.
+    would. This is `_forward_scales` for one scale; `threads` (>= 1)
+    forward workers run as there. The field's `stats` count blocks,
+    forward calls and rows forwarded.
+    """
+    return _forward_scales(cloud, params, [(scale_id, scale)], seed, threads)[0]
+
+
+def _forward_scales(cloud, params, scales, seed=0, threads=1):
+    """One ProbabilityField per (scale_id, ScaleConfig) of `scales`, in
+    that order, from one scheduler for all of them.
+
+    The scales are chunked as predict_scale describes, largest
+    sample_count first (ties in the given order), so the biggest chunks
+    start first and smaller ones fill the workers after them. With
+    `threads` > 1 one pool forwards every scale's chunks, at most
+    `threads` + 1 in flight, while the main thread samples the next;
+    with 1 the chunks run inline. Votes merge in submission order, so
+    each field takes its own scale's chunks in block order and is
+    bitwise what a serial run of that scale alone gives. Batch norm that
+    `params` still holds is folded into a copy once per call
+    (network.fold_batch_norm, the formula of every eval forward).
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if any(spec.has_bn for spec, _ in params.layers()):
+        params = network.fold_batch_norm(network.copy_params(params))
     columns = blk.FEATURE_SETS[blk.feature_set(params.encoder_specs[0].in_width)]
-    sums = np.zeros((len(cloud), params.head_specs[-1].out_width),
-                    dtype=np.float64)
-    counts = np.zeros(len(cloud), dtype=np.int64)
-    stats = {"blocks": 0, "forward_calls": 0, "rows_forwarded": 0}
+    n_classes = params.head_specs[-1].out_width
+    fields = [ProbabilityField(np.zeros((len(cloud), n_classes)),
+                               np.zeros(len(cloud), dtype=np.int64),
+                               {"blocks": 0, "forward_calls": 0,
+                                "rows_forwarded": 0})
+              for _ in scales]
 
-    def chunks():
+    def chunks(field, scale, scale_id):
         """Lists of consecutive blocks' (parent_idx, inverse, distinct
         feature rows), at most scale.sample_count rows per list."""
         chunk, rows = [], 0
         for block in blk.sample_scale(cloud, scale, scale_id, seed, False):
-            stats["blocks"] += 1
+            field.stats["blocks"] += 1
             # features come from the full sample (centering counts repeats);
             # only the forward is restricted to one row per source point
             _, first, inverse = np.unique(block.parent_idx, return_index=True,
                                           return_inverse=True)
             if chunk and rows + len(first) > scale.sample_count:
-                yield chunk
+                yield field, chunk
                 chunk, rows = [], 0
             chunk.append((block.parent_idx, inverse,
                           block.features[np.ix_(first, columns)]))
             rows += len(first)
         if chunk:
-            yield chunk
+            yield field, chunk
 
-    def run(chunk):
+    def jobs():
+        order = sorted(range(len(scales)),
+                       key=lambda i: -scales[i][1].sample_count)
+        for i in order:
+            scale_id, scale = scales[i]
+            yield from chunks(fields[i], scale, scale_id)
+
+    def run(field, chunk):
         x = np.concatenate([xs for _, _, xs in chunk])
         q = network.forward(x, params, "eval",
                             segments=[len(xs) for _, _, xs in chunk]).q
-        return chunk, q
+        return field, chunk, q
 
-    def merge(chunk, q):
-        stats["forward_calls"] += 1
-        stats["rows_forwarded"] += len(q)
+    def merge(field, chunk, q):
+        field.stats["forward_calls"] += 1
+        field.stats["rows_forwarded"] += len(q)
         start = 0
         for parent_idx, inverse, xs in chunk:
             votes = q[start:start + len(xs)][inverse]
-            np.add.at(sums, parent_idx, votes.astype(np.float64))
-            np.add.at(counts, parent_idx, 1)
+            np.add.at(field.probs, parent_idx, votes.astype(np.float64))
+            np.add.at(field.counts, parent_idx, 1)
             start += len(xs)
 
     if threads > 1:
-        # every worker busy and one chunk queued; merged in block order
+        # every worker busy and one chunk queued; merged in submission order
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = deque()
-            for chunk in chunks():
-                pending.append(pool.submit(run, chunk))
+            for job in jobs():
+                pending.append(pool.submit(run, *job))
                 if len(pending) > threads:
                     merge(*pending.popleft().result())
             while pending:
                 merge(*pending.popleft().result())
     else:
-        for chunk in chunks():
-            merge(*run(chunk))
-    return ProbabilityField(sums, counts, stats)
+        for job in jobs():
+            merge(*run(*job))
+    return fields
 
 
 def average_scales(fields):
@@ -195,12 +226,15 @@ def _nearest_covered(query_xyz, covered_xyz):
     from scipy.spatial import cKDTree
 
     tree = cKDTree(covered_xyz)
-    d1, j1 = tree.query(query_xyz, k=1)
-    out = np.asarray(j1, dtype=np.int64)
-    # re-check every query against all candidates within an inflated
-    # radius so equal distances resolve to the lowest index
-    radius = d1 * (1.0 + 1e-9) + 1e-9
-    for qi, cand in enumerate(tree.query_ball_point(query_xyz, radius)):
+    # a second neighbor (inf if there is none) within an inflated radius
+    # of the first may tie it: only those queries re-check all candidates
+    # in that radius, so equal distances resolve to the lowest index
+    d, j = tree.query(query_xyz, k=2)
+    out = np.asarray(j[:, 0], dtype=np.int64)
+    radius = d[:, 0] * (1.0 + 1e-9) + 1e-9
+    tied = np.flatnonzero(d[:, 1] <= radius)
+    for qi, cand in zip(tied, tree.query_ball_point(query_xyz[tied],
+                                                   radius[tied])):
         if len(cand) <= 1:
             continue
         cand = np.sort(np.asarray(cand, dtype=np.int64))
@@ -252,8 +286,8 @@ def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, threads=1,
             raise ValueError(f"a {features!r} network reads spectral features "
                              f"but the cloud has none")
         cloud = PointCloud(cloud.xyz, np.zeros((len(cloud), 3)), cloud.labels)
-    fields = [predict_scale(cloud, params, sc, scale_id, seed, threads)
-              for scale_id, sc in enumerate(scales)]
+    fields = _forward_scales(cloud, params, list(enumerate(scales)), seed,
+                            threads)
     merged = average_scales(fields)
     if counts is not None:
         for scale_id, f in enumerate(fields):

@@ -23,7 +23,11 @@ accumulate in float64 either way. Matrix products of float32 tensors are
 float32 BLAS products in the train-mode forward and in backward, where a
 run only has to repeat itself; eval-mode forwards use matmul's exact
 product, so a row's output does not depend on which rows share its
-forward (see the README's notes on numerics).
+forward (see the README's notes on numerics). An exact product of
+more than EXACT_PANEL_ROWS rows is formed in float64 panels, each
+rounded into the float32 result, so no float64 array of the whole
+product is held; an eval layer then adds its bias and applies ReLU in
+place on that result.
 
 Batch norm, ReLU and their backward write into arrays the step itself
 made, never into the caller's inputs or weights nor into trace fields
@@ -46,6 +50,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LOG_CLAMP = 1e-12
 POOL_PANEL = 64           # rows per equality scan for the pool's winners
+EXACT_PANEL_ROWS = 1024   # most rows per float64 panel of an exact product; >= 4
 LOCAL_LAYER = 1           # encoder layer whose output is head0's local input
 DEFAULT_ENCODER_WIDTHS = (64, 64, 128, 512, 2048)
 DEFAULT_HEAD_WIDTHS = (256, 128)
@@ -165,16 +170,31 @@ def _as_2d(a, name):
     return a
 
 
+def _row_panels(m, size):
+    """(start, stop) of the ceil(m / size) near-equal row panels covering
+    m rows. With size >= 4 none has one row unless m is 1."""
+    n = -(-m // size)
+    return [(i * m // n, (i + 1) * m // n) for i in range(n)]
+
+
 def matmul(a, b, exact=True):
     """Matrix product; an empty inner dimension yields zeros.
 
     With `exact` (the default), float32 operands are multiplied in float64
     and the result rounded once to float32, so each output row is the
-    same bits whichever rows share the call. Without it, two float32
-    operands give the float32 BLAS product `a @ b`: about twice as fast
-    and as repeatable from run to run for the same shapes, but a row's
-    bits may change with the number of rows. Other dtypes take the exact
-    path either way; float64 operands stay float64.
+    same bits whichever rows share the call. A float64 product of more
+    than EXACT_PANEL_ROWS rows is formed in near-equal panels of at most
+    that many rows, each rounded into the float32 result, which by that
+    same row property is bitwise the whole product rounded once; no
+    panel has one row, whose product may take another BLAS kernel.
+    Smaller products are formed whole: allocated in the panel order,
+    their float32 result cannot reuse the freed float64 operands, and a
+    300-row forward then faulted in fresh pages on every call. Without
+    `exact`, two float32 operands give the float32 BLAS product `a @ b`:
+    about twice as fast and as repeatable from run to run for the same
+    shapes, but a row's bits may change with the number of rows. Other
+    dtypes take the exact path either way; float64 operands stay
+    float64.
     """
     a = _as_2d(a, "a")
     b = _as_2d(b, "b")
@@ -183,8 +203,14 @@ def matmul(a, b, exact=True):
     single = a.dtype == np.float32 and b.dtype == np.float32
     if single and not exact:
         return a @ b
-    out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-    return out.astype(np.float32) if single else out
+    if not single or len(a) <= EXACT_PANEL_ROWS:
+        out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        return out.astype(np.float32) if single else out
+    b64 = b.astype(np.float64)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
+    for start, stop in _row_panels(len(a), EXACT_PANEL_ROWS):
+        out[start:stop] = a[start:stop].astype(np.float64) @ b64
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +219,9 @@ def matmul(a, b, exact=True):
 @dataclass
 class LayerTrace:
     f_in: np.ndarray                 # per-row input (the local part if g is set)
-    s: np.ndarray                    # pre-BN pre-activation (eval: BN folded)
+    s: np.ndarray                    # pre-BN pre-activation; in eval mode
+                                     # (BN folded) the array f_out, after
+                                     # ReLU: nothing reads an eval s
     s_hat: np.ndarray | None         # normalized, pre gamma/beta
     inv_std: np.ndarray | None
     mask: np.ndarray | None          # ReLU gate (pre-activation > 0); train
@@ -271,9 +299,11 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
         W, b = _fold_layer(params, np.empty_like(W))
     # the (N, out) arrays below come fresh from matmul or are made here,
     # so elementwise steps write into them; nothing is written into f_in,
-    # g or params, and s, s_hat and mask stay as the trace records them
+    # g or params, and the train-mode s, s_hat and mask stay as the trace
+    # records them
     if g is None:
-        s = matmul(f_in, W, exact=exact) + b
+        s = matmul(f_in, W, exact=exact)
+        s += b
     else:
         if (segments is None or len(segments) != len(g)
                 or sum(segments) != len(f_in)):
@@ -304,11 +334,12 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     mask = None
     if spec.has_relu:
         # only backward reads the gate; a NaN pre-activation stays NaN.
-        # Without train-mode batch norm z is s, which the trace keeps.
+        # Without batch norm z is s, which a train trace keeps and an eval
+        # trace does not (nothing reads it).
         if mode == "train":
             mask = z > 0
         f_out = np.maximum(z, np.asarray(0, dtype=z.dtype),
-                           out=z if normalize else None)
+                           out=z if normalize or exact else None)
     else:
         f_out = z
     return f_out, LayerTrace(f_in, s, s_hat, inv_std, mask, f_out, g, segments)

@@ -328,8 +328,8 @@ class TestPredictEvaluate:
         assert outs[0] == outs[1]
 
     def test_folded_predict_matches_unfolded_checkpoint(self, fixture_dir):
-        # the CLI folds batch norm into the weights once; infer.predict on
-        # the loaded checkpoint folds in every forward, with the same bits;
+        # the CLI folds batch norm into the loaded weights; infer.predict
+        # on the unfolded checkpoint folds a copy, with the same bits;
         # this recipe gives a model that predicts all three classes
         prep = run_preprocess(fixture_dir)
         model = run_train(fixture_dir, prep, epochs=6,
@@ -350,6 +350,18 @@ class TestPredictEvaluate:
         np.savetxt(fixture_dir / "library_probs.txt", probs, fmt="%.6f")
         assert (probs_out.read_bytes()
                 == (fixture_dir / "library_probs.txt").read_bytes())
+        # 6-decimal text cannot show a 1e-7 difference; the arrays can
+        folded = cli.network.fold_batch_norm(cli.network.copy_params(params))
+        cloud = pio.load_points(prep / "points.txt")
+        for threads in (1, 2):
+            _, unfolded_probs = cli.infer.predict(
+                cloud, params, cli.infer.ScaleConfig.parse(SCALES), seed=3,
+                threads=threads)
+            _, folded_probs = cli.infer.predict(
+                cloud, folded, cli.infer.ScaleConfig.parse(SCALES), seed=3,
+                threads=threads)
+            assert unfolded_probs.tobytes() == folded_probs.tobytes()
+            assert unfolded_probs.tobytes() == probs.tobytes()
 
     def test_manifest_times_load_apart_from_predict(self, fixture_dir,
                                                     monkeypatch):

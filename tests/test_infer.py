@@ -191,6 +191,75 @@ class TestPredictScale:
             infer.predict_scale(scene, toy_params(), infer.ScaleConfig(6.0, 2.0, 64),
                                 threads=0)
 
+    @pytest.mark.parametrize("spec", ["6:2:64,40:2:256",
+                                      "40:2:128,3:1:32,12:2:128"])
+    def test_one_pool_matches_per_scale_reference(self, scene, spec):
+        # the 40 m scale covers the 12 m scene with one block, so one
+        # worker forwards its chunk while the others take the rest
+        params = toy_params(seed=4)
+        scales = infer.ScaleConfig.parse(spec)
+        fields = [infer.predict_scale(scene, params, sc, scale_id=i, seed=5)
+                  for i, sc in enumerate(scales)]
+        assert any(f.stats["blocks"] == 1 for f in fields)
+        want_labels, want_probs = infer.interpolate_labels(
+            infer.average_scales(fields), scene)
+        want_counts = {}
+        for i, f in enumerate(fields):
+            want_counts.update({f"scale{i}.{k}": v for k, v in f.stats.items()})
+        for threads in (1, 2, 3):
+            counts = {}
+            labels, probs = infer.predict(scene, params, scales, seed=5,
+                                          threads=threads, counts=counts)
+            assert probs.tobytes() == want_probs.tobytes()
+            assert np.array_equal(labels, want_labels)
+            for name, value in want_counts.items():
+                assert counts[name] == value, name
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_one_pool_per_call_largest_scale_first(self, scene, monkeypatch,
+                                                   threads):
+        pools, sampled = [], []
+        sample_scale = blk.sample_scale
+
+        class CountingPool(infer.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        def recording_sample_scale(cloud, scale, scale_id, *args):
+            sampled.append(scale_id)
+            return sample_scale(cloud, scale, scale_id, *args)
+
+        monkeypatch.setattr(infer, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(blk, "sample_scale", recording_sample_scale)
+        scales = infer.ScaleConfig.parse("6:2:64,12:2:256,3:1:32,4:1:256")
+        infer.predict(scene, toy_params(seed=4), scales, threads=threads)
+        assert pools == ([] if threads == 1 else [threads])
+        assert sampled == [1, 3, 0, 2]
+
+    def test_batch_norm_folded_into_a_copy_once_per_call(self, scene,
+                                                         monkeypatch):
+        folds = []
+        fold = network.fold_batch_norm
+
+        def counting_fold(params):
+            folds.append(params)
+            return fold(params)
+
+        monkeypatch.setattr(network, "fold_batch_norm", counting_fold)
+        params = toy_params(seed=4)
+        before = [a.tobytes() for _, a in network.iter_tensors(params, False)]
+        scales = infer.ScaleConfig.parse("6:2:64,12:2:128")
+        infer.predict(scene, params, scales, threads=2)
+        assert len(folds) == 1 and folds[0] is not params
+        assert all(s.has_bn for s in params.encoder_specs)
+        assert before == [a.tobytes()
+                          for _, a in network.iter_tensors(params, False)]
+        folded = fold(network.copy_params(params))
+        folds.clear()
+        infer.predict(scene, folded, scales, threads=2)
+        assert folds == []
+
     def test_threaded_matches_serial(self, scene):
         params = toy_params(seed=7)
         sc = infer.ScaleConfig(6.0, 2.0, 64)

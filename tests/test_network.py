@@ -103,6 +103,20 @@ class TestPointwise:
         assert np.isnan(out[0]).all()
         assert np.array_equal(out[1:], f32([[2, 0], [0, 2]]))
 
+    @pytest.mark.parametrize("has_bn", [False, True])
+    def test_eval_bias_and_relu_write_into_the_product(self, has_bn, rng):
+        # an eval trace keeps one (N, out) array: s is f_out itself
+        spec = net.LayerSpec(4, 6, has_bn=has_bn, has_relu=True)
+        lp = net.init_layer(spec, rng)
+        lp.b[:] = rng.standard_normal(6)
+        x = rng.standard_normal((32, 4)).astype(np.float32)
+        out, tr = net.pointwise_forward(x, spec, lp, "eval")
+        assert tr.s is out and tr.f_out is out
+        W, b = (net._fold_layer(lp, np.empty_like(lp.W)) if has_bn
+                else (lp.W, lp.b))
+        want = np.maximum(matmul(x, W) + b, np.float32(0))
+        assert out.tobytes() == want.tobytes()
+
     def test_running_stats_advance(self, rng):
         spec = net.LayerSpec(2, 2)
         lp = net.init_layer(spec, rng)
@@ -965,3 +979,30 @@ class TestPrecision:
         out = matmul(a, b)
         for i in range(m):
             assert out[i].tobytes() == matmul(a[i:i + 1], b)[0].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=st.sampled_from([4, 7, 64, net.EXACT_PANEL_ROWS]),
+           share=st.floats(0.0, 1.0), k=st.sampled_from([9, 64, 300]),
+           n=st.sampled_from([1, 64, 256]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_panelled_exact_product_is_the_whole_product_rounded_once(
+            self, panel, share, k, n, seed):
+        # row counts from one row up to three panels plus a remainder
+        m = 1 + int(share * (4 * panel - 2))
+        rng = np.random.default_rng(seed)
+        a = np.maximum(rng.standard_normal((m, k)), 0).astype(np.float32)
+        b = rng.uniform(-0.05, 0.05, (k, n)).astype(np.float32)
+        want = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        with mock.patch.object(net, "EXACT_PANEL_ROWS", panel):
+            got = matmul(a, b)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [4, 5, 7, 64, net.EXACT_PANEL_ROWS])
+    def test_row_panels_never_leave_one_row(self, size):
+        assert net.EXACT_PANEL_ROWS >= 4
+        for m in range(1, 4 * size + 3):
+            panels = net._row_panels(m, size)
+            assert panels[0][0] == 0 and panels[-1][1] == m
+            assert all(a[1] == b[0] for a, b in zip(panels, panels[1:]))
+            rows = [stop - start for start, stop in panels]
+            assert max(rows) - min(rows) <= 1 and max(rows) <= size
+            assert min(rows) >= 2 or m == 1
