@@ -3,6 +3,11 @@ multi-scale square tiling, per-block sampling and 9-column feature
 assembly, plus the training augmentations (z-rotation, clipped jitter)
 and the raster-to-points restructuring used for 2D scenes.
 
+Tiling visits points in a canonical order, np.lexsort((z, y, x)) bit for
+bit, found with one stable argsort on x and a lexsort of the tied-x runs
+only; each footprint column's x strip is cut once and shared by the
+footprints above each other in it.
+
 Feature columns per sampled point (all float32):
 
     0-2  x, y, z minus the centroid of the block's sampled points
@@ -11,6 +16,7 @@ Feature columns per sampled point (all float32):
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,25 +153,43 @@ def _copy(a):
 # ---------------------------------------------------------------------------
 # tiling and sampling
 
-def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
-    """Square footprints on a stride = size - overlap grid.
+def canonical_order(cloud):
+    """Point indices sorted by x, then y, then z, ties of all three in
+    input order: np.lexsort((z, y, x)), bit for bit.
 
-    Origins start at the scene minimum and advance until the next stride
-    would start at or past the maximum, so the last row/column always
-    covers the far edge. Membership is inclusive on all footprint edges.
-    Footprints with fewer than min_points points are discarded.
+    One stable argsort on x orders the points; only the runs of tied x
+    are then lexsorted by (y, z), which on a scanned cloud is a small
+    share of the points.
     """
-    if not 0 <= overlap < size:
-        raise ValueError(f"need 0 <= overlap < size, got overlap={overlap}, size={size}")
-    if len(cloud) == 0:
-        return []
-    stride = size - overlap
     xs = cloud.xyz[:, 0]
-    ys = cloud.xyz[:, 1]
-    min_x, max_x = float(xs.min()), float(xs.max())
-    min_y, max_y = float(ys.min()), float(ys.max())
+    order = np.argsort(xs, kind="stable")
+    xs_sorted = xs[order]
+    tied = xs_sorted[1:] == xs_sorted[:-1]
+    if len(xs) and np.isnan(xs_sorted[-1]):
+        # NaNs sort last and tie with each other, as in lexsort
+        tied |= np.isnan(xs_sorted[1:]) & np.isnan(xs_sorted[:-1])
+    if not tied.any():
+        return order
+    in_run = np.zeros(len(order), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    # a run starts where a tie begins; every point of a run gets its number
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:-1] = tied
+    starts[1:] &= ~tied
+    run = np.cumsum(starts)[in_run]
+    members = order[in_run]
+    order[in_run] = members[np.lexsort((cloud.xyz[members, 2],
+                                        cloud.xyz[members, 1], run))]
+    return order
 
-    def origins(lo, hi):
+
+def _grid(cloud, size, overlap):
+    """Footprint origins along x and along y of a non-empty cloud."""
+    stride = size - overlap
+
+    def origins(values):
+        lo, hi = float(values.min()), float(values.max())
         out = []
         k = 0
         while True:
@@ -175,18 +199,40 @@ def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
                 return out
             k += 1
 
-    # canonical point order: coordinate-sorted, so footprint membership and
-    # downstream sampling do not depend on the input point order
-    order = np.lexsort((cloud.xyz[:, 2], ys, xs))
+    return origins(cloud.xyz[:, 0]), origins(cloud.xyz[:, 1])
+
+
+def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
+    """Square footprints on a stride = size - overlap grid.
+
+    Origins start at the scene minimum and advance until the next stride
+    would start at or past the maximum, so the last row/column always
+    covers the far edge. Membership is inclusive on all footprint edges.
+    Footprints with fewer than min_points points are discarded. A
+    footprint's indices follow canonical_order, so which points it holds
+    and how they are sampled do not depend on the input point order,
+    except among exact xyz twins.
+    """
+    if not 0 <= overlap < size:
+        raise ValueError(f"need 0 <= overlap < size, got overlap={overlap}, size={size}")
+    if len(cloud) == 0:
+        return []
+    xs = cloud.xyz[:, 0]
+    ys = cloud.xyz[:, 1]
+    origins_x, origins_y = _grid(cloud, size, overlap)
+    order = canonical_order(cloud)
     xs_sorted = xs[order]
 
+    # one x strip per footprint column, its points in canonical order
+    strips = []
+    for ox in origins_x:
+        lo = np.searchsorted(xs_sorted, ox, side="left")
+        hi = np.searchsorted(xs_sorted, ox + size, side="right")
+        cand = order[lo:hi]
+        strips.append((ox, cand, ys[cand]))
     footprints = []
-    for oy in origins(min_y, max_y):
-        for ox in origins(min_x, max_x):
-            lo = np.searchsorted(xs_sorted, ox, side="left")
-            hi = np.searchsorted(xs_sorted, ox + size, side="right")
-            cand = order[lo:hi]
-            yy = ys[cand]
+    for oy in origins_y:
+        for ox, cand, yy in strips:
             members = cand[(yy >= oy) & (yy <= oy + size)]
             if len(members) >= min_points:
                 footprints.append(Footprint(ox, oy, size, members))
@@ -221,20 +267,19 @@ def sample_block(cloud, footprint, count, training, rng, extent,
                          f"{MIN_BLOCK_POINTS}")
     if n >= count:
         sel = rng.choice(n, size=count, replace=False)
-        dup = np.zeros(count, dtype=bool)
     else:
         base = rng.permutation(n)
         extra = rng.integers(0, n, size=count - n)
         sel = np.concatenate([base, extra])
-        dup = np.zeros(count, dtype=bool)
-        dup[n:] = True
-    parent = idx[sel].astype(np.int64)
-    coords = cloud.xyz[parent].copy()
-    if training and dup.any():
-        coords[dup] += _jitter_deltas(rng, int(dup.sum()))
+    # fancy indexing copies: parent, coords and labels are the block's own
+    parent = idx[sel].astype(np.int64, copy=False)
+    coords = cloud.xyz[parent]
+    if training and n < count:
+        # the duplicates are the rows after the first n
+        coords[n:] += _jitter_deltas(rng, count - n)
     spectral = cloud.spectral[parent] if cloud.spectral is not None else None
     features = assemble_features(coords, spectral, extent)
-    labels = cloud.labels[parent].copy() if cloud.labels is not None else None
+    labels = cloud.labels[parent] if cloud.labels is not None else None
     return Block(footprint.origin_x, footprint.origin_y, footprint.size,
                  scale_id, features, parent, labels, replica)
 
@@ -338,30 +383,57 @@ def block_rng(seed, scale_id, block_index, replica=0):
                                 int(replica))))
 
 
-def sample_scale(scene, scale, scale_id, seed, training, replica=0):
+def sample_scale(scene, scale, scale_id, seed, training, replica=0,
+                 counts=None):
     """Yield one scale's blocks of `scene` in footprint order.
 
     scale is an object with size/overlap/sample_count fields. Each block
     is drawn from its own block_rng(seed, scale_id, footprint index,
     replica), so a block depends only on the scene, the scale, the seed
     and the replica, never on which blocks were drawn before it.
+
+    A dict passed as `counts` gains, when sampling starts, the scale's
+    `footprints_kept`, `footprints_discarded` (fewer than
+    MIN_BLOCK_POINTS points), `rows` sampled and `duplicated_rows` (rows
+    repeating a point of their block: a footprint of n < sample_count
+    points repeats sample_count - n).
     """
     extent = SceneExtent.of(scene)
-    for bi, fp in enumerate(tile_blocks(scene, scale.size, scale.overlap)):
+    footprints = tile_blocks(scene, scale.size, scale.overlap)
+    if counts is not None:
+        cells = 0
+        if len(scene):
+            cells = math.prod(map(len, _grid(scene, scale.size, scale.overlap)))
+        count = scale.sample_count
+        for key, value in (
+                ("footprints_kept", len(footprints)),
+                ("footprints_discarded", cells - len(footprints)),
+                ("rows", count * len(footprints)),
+                ("duplicated_rows", sum(max(count - len(fp.indices), 0)
+                                        for fp in footprints))):
+            counts[key] = counts.get(key, 0) + value
+    for bi, fp in enumerate(footprints):
         yield sample_block(scene, fp, scale.sample_count, training,
                            block_rng(seed, scale_id, bi, replica), extent,
                            scale_id, replica)
 
 
-def build_blocks(cloud, scales, seed, training=True, augment_copies=0):
+def build_blocks(cloud, scales, seed, training=True, augment_copies=0,
+                 counts=None):
     """Tile and sample a whole scene at every scale.
 
     scales is a sequence of objects with size/overlap/sample_count fields.
     augment_copies (>= 0) adds that many rotated+jittered replicas of the
     scene (training only); replica blocks carry replica >= 1.
+
+    A dict passed as `counts` receives per scale i the sample_scale counts
+    as `scale{i}.footprints_kept`, `.footprints_discarded`, `.rows` and
+    `.duplicated_rows`, summed over the scene and its replicas, and
+    `.duplicated_fraction` (duplicated rows over rows).
     """
     if augment_copies < 0:
         raise ValueError(f"augment_copies must be >= 0, got {augment_copies}")
+    tallies = [{} for _ in scales]
     out = []
     scene_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xA46)))
     for replica in range(augment_copies + 1):
@@ -371,5 +443,11 @@ def build_blocks(cloud, scales, seed, training=True, augment_copies=0):
             angle = scene_rng.uniform(0.0, 2.0 * np.pi)
             scene = augment_jitter(augment_rotate_z(cloud, angle), scene_rng)
         for scale_id, sc in enumerate(scales):
-            out.extend(sample_scale(scene, sc, scale_id, seed, training, replica))
+            out.extend(sample_scale(scene, sc, scale_id, seed, training,
+                                    replica, tallies[scale_id]))
+    if counts is not None:
+        for scale_id, tally in enumerate(tallies):
+            tally["duplicated_fraction"] = (
+                tally["duplicated_rows"] / tally["rows"] if tally["rows"] else 0.0)
+            counts.update({f"scale{scale_id}.{k}": v for k, v in tally.items()})
     return out

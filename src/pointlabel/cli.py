@@ -132,7 +132,7 @@ def cmd_preprocess(args):
         inputs.append(args.dtm)
     t2 = time.perf_counter()
     all_blocks = blk.build_blocks(cloud, scales, args.seed, training=True,
-                                  augment_copies=args.augment)
+                                  augment_copies=args.augment, counts=counts)
     t3 = time.perf_counter()
     write_block_store(args.out, cloud, all_blocks, scales)
     write_manifest(Path(args.out) / "run_manifest.txt", "preprocess",

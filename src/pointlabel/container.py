@@ -72,11 +72,13 @@ def read_container(fh):
             raise ContainerError(f"malformed tensor line: {line!r}")
         name = parts[1].decode("ascii")
         rows, cols = int(parts[2]), int(parts[3])
-        nbytes = rows * cols * 4
-        payload = fh.read(nbytes)
-        if len(payload) != nbytes:
+        if rows < 0 or cols < 0:
+            raise ContainerError(f"malformed tensor line: {line!r}")
+        # the payload is read straight into the array that keeps it
+        tensor = np.empty((rows, cols), dtype="<f4")
+        if fh.readinto(tensor) != tensor.nbytes:
             raise ContainerError(f"truncated payload for tensor {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+        tensors[name] = tensor
 
 
 def write_container_file(path, layers, tensors):

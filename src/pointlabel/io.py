@@ -12,6 +12,14 @@ the column count of the first data line picks a named layout:
 Raw survey exports with extra columns (intensity, return counts) pass an
 explicit layout instead, "-" marking a column to discard.
 
+A file is read in one np.loadtxt pass over all its lines; the per-line
+walk runs only when that pass fails or finds an invalid value, and names
+the first bad line. The writer renders each chunk of rows as a byte
+matrix of digits and matches Python's "%.6f" (values) and "%d" (labels)
+byte for byte: a row holding a value whose rounding the matrix cannot
+vouch for (non-finite, within 2^-50 relative of a tie, or |v| * 1e6 of
+2^52 and beyond) is formatted by Python.
+
 Rasters come from two carriers: ESRI ASCII grids (DTM/DSM heights) and
 8-bit plain-text PPM `P3` images (IR,R,G bands, maxval 255) with a 6-line
 ESRI world file sidecar. Internally a Raster stores the world coordinate
@@ -32,7 +40,7 @@ __all__ = [
     "sample_raster",
 ]
 
-# rows write_points formats at a time: bounds its Python-float lists
+# rows write_points renders at a time: bounds its byte matrices
 WRITE_CHUNK_ROWS = 4096
 
 COLUMN_NAMES = ("x", "y", "z", "ir", "r", "g", "label")
@@ -211,22 +219,44 @@ def _malformed(line, layout):
     return f"malformed line {line.strip()!r}"
 
 
-def parse_points(stream, columns=None):
-    """Parse a point file from an iterable of text lines (or one string).
+def _convert_all(lines, layout):
+    """The one-pass reader: convert raw lines, comments and blank lines
+    included, with one np.loadtxt call that types every column of the
+    layout ("-" columns as text), so that a line of another width fails
+    the pass just as a malformed value does.
 
-    columns names each column (x, y, z, ir, r, g, label, or "-" for a
-    column to discard); x, y and z are required, and ir, r, g go together.
-    Without it, the first data line's column count picks the named layout.
-    Blank lines and `#` comments are skipped; point order is preserved.
-    Every kept value must be finite and a label an integer in
-    0..2^31-1. The first bad line is reported by its 1-based number: a
-    wrong column count raises SchemaError, any other bad value ParseError.
+    Returns the PointCloud when every line converts and every value is
+    valid, else None.
     """
-    layout = None if columns is None else _check_layout(columns)
-    if isinstance(stream, str):
-        stream = stream.splitlines()
-    lines, linenos, width_error = [], [], None
-    for lineno, raw in enumerate(stream, start=1):
+    kinds = {"label": np.int64, "-": "U1"}
+    fields = [(f"c{i}", kinds.get(c, np.float64)) for i, c in enumerate(layout)]
+    try:
+        table = np.loadtxt(lines, dtype=fields, comments="#", ndmin=1)
+    except ValueError:
+        return None
+
+    def gather(names):
+        out = np.empty((len(table), len(names)))
+        for k, name in enumerate(names):
+            out[:, k] = table[f"c{layout.index(name)}"]
+        return out
+
+    xyz = gather(COLUMN_NAMES[:3])
+    spectral = gather(COLUMN_NAMES[3:6]) if "ir" in layout else None
+    labels = table[f"c{layout.index('label')}"] if "label" in layout else None
+    if not (np.isfinite(xyz).all()
+            and (spectral is None or np.isfinite(spectral).all())
+            and (labels is None or ((labels >= 0) & (labels <= MAX_LABEL)).all())):
+        return None
+    return PointCloud(xyz, spectral, labels)
+
+
+def _parse_walk(lines, layout):
+    """The per-line reader: checks every line's width in Python and finds
+    the first bad line. parse_points runs it only when the one-pass reader
+    fails, to raise the error that names the line."""
+    lines_kept, linenos, width_error = [], [], None
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         width = len(line.split())
         if not width:
@@ -240,8 +270,9 @@ def parse_points(stream, columns=None):
             width_error = SchemaError(f"line {lineno}: expected {len(layout)} "
                                       f"columns, got {width}")
             break
-        lines.append(line)
+        lines_kept.append(line)
         linenos.append(lineno)
+    lines = lines_kept
     layout = layout or LAYOUTS[3]
     # a bad value before the first wrong column count is reported first
     malformed = None
@@ -273,44 +304,164 @@ def parse_points(stream, columns=None):
                       labels)
 
 
-def write_points(cloud, labels=None):
-    """Render a cloud as point-file text.
+def parse_points(stream, columns=None):
+    """Parse a point file from an iterable of text lines (or one string).
 
-    labels overrides cloud.labels when given. Coordinates and spectral
-    values are written with 6 decimals, labels as bare integers.
+    columns names each column (x, y, z, ir, r, g, label, or "-" for a
+    column to discard); x, y and z are required, and ir, r, g go together.
+    Without it, the first data line's column count picks the named layout.
+    Blank lines and `#` comments are skipped; point order is preserved.
+    Every kept value must be finite and a label an integer in
+    0..2^31-1. The first bad line is reported by its 1-based number: a
+    wrong column count raises SchemaError, any other bad value ParseError.
+
+    The whole input is converted in one np.loadtxt pass; numpy splits a
+    line into the same whitespace-separated tokens as str.split(), and
+    refuses a line holding a line break of its own. Only when that pass
+    fails or finds an invalid value does the per-line walk run, which
+    names the first bad line.
     """
+    layout = None if columns is None else _check_layout(columns)
+    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
+    # the first data line picks the layout; without one there is no data
+    width = next(filter(None, (len(raw.split("#", 1)[0].split())
+                               for raw in lines)), 0)
+    if layout is None:
+        layout = LAYOUTS.get(width)
+    if not width:
+        return _parse_walk([], layout)
+    cloud = None if layout is None else _convert_all(lines, layout)
+    return cloud if cloud is not None else _parse_walk(lines, layout)
+
+
+# ASCII codes of the writer's byte matrices; a 0 byte is padding, dropped
+# when a chunk is joined into text
+_MINUS, _DOT, _SPACE, _NEWLINE, _ZERO = 45, 46, 32, 10, 48
+# a value whose scaled product v * 1e6 lies within |v * 1e6| * 2^-50 of a
+# half-integer (the product's own rounding error is at most 2^-53 of it)
+# may round either way, and beyond 2^52 digits run out: Python's "%.6f"
+# writes such rows
+_TIE_MARGIN = 2.0 ** -50
+_EXACT_LIMIT = 2.0 ** 52
+
+
+def _write_digits(n, out, pad):
+    """Write the ASCII digits of the non-negative integer array n,
+    right-aligned, into out (n.shape + (width,), uint8); with pad, leading
+    zeros become 0 bytes (the last digit is always written)."""
+    n = n.astype(np.uint32 if n.max(initial=0) < 2 ** 32 else np.uint64)
+    width = out.shape[-1]
+    for k in range(width - 1, -1, -1):
+        higher = n // 10
+        digit = n - higher * 10
+        digit += _ZERO
+        if pad and k < width - 1:
+            digit *= n != 0
+        out[..., k] = digit
+        n = higher
+
+
+def _render_rows(values, labels):
+    """Point-file text of float64 rows (R, C) and float64 labels (R,) or
+    None: each value as "%.6f" % v, each label as "%d" % v.
+
+    Every row is laid out in one uint8 matrix, a value as [sign][integer
+    digits][.][6 digits][separator] with the integer digits right-aligned
+    to the chunk's widest. The digits come from np.rint(|v| * 1e6) and the
+    sign from np.signbit, so -0.0 reads -0.000000 as in Python; a label is
+    truncated toward zero as int() does. A row holding a value that is not
+    finite, lies within _TIE_MARGIN of a rounding tie or reaches
+    _EXACT_LIMIT is formatted by Python instead.
+    """
+    rows, cols = values.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(values * 1e6)
+        exact = ((scaled < _EXACT_LIMIT)
+                 & (np.abs(scaled - np.floor(scaled) - 0.5) > scaled * _TIE_MARGIN))
+    q = np.rint(np.where(exact, scaled, 0.0)).astype(np.uint64)
+    whole, part = np.divmod(q, 10 ** 6)
+    width = len(str(whole.max()))
+    field = width + 9
+    label_field = 0
+    if labels is not None:
+        labels = np.trunc(labels)
+        exact_label = np.abs(labels) < _EXACT_LIMIT
+        number = np.where(exact_label, np.abs(labels), 0.0).astype(np.uint64)
+        label_width = len(str(number.max()))
+        label_field = label_width + 2
+    out = np.empty((rows, cols * field + label_field), dtype=np.uint8)
+    cells = out[:, :cols * field].reshape(rows, cols, field)
+    cells[..., 0] = np.where(np.signbit(values), _MINUS, 0)
+    _write_digits(whole, cells[..., 1:width + 1], pad=True)
+    cells[..., width + 1] = _DOT
+    _write_digits(part, cells[..., width + 2:width + 8], pad=False)
+    cells[..., -1] = _SPACE
+    fallback = ~exact.all(axis=1)
+    if labels is None:
+        cells[:, -1, -1] = _NEWLINE
+    else:
+        tail = out[:, cols * field:]
+        tail[:, 0] = np.where(labels < 0, _MINUS, 0)
+        _write_digits(number, tail[:, 1:-1], pad=True)
+        tail[:, -1] = _NEWLINE
+        fallback |= ~exact_label
+    flat = out.reshape(-1)
+    text = flat[flat != 0].tobytes().decode("ascii")
+    if not fallback.any():
+        return text
+    fmt = " ".join(["%.6f"] * cols + ["%d"] * (labels is not None)) + "\n"
+    ends = np.cumsum(np.count_nonzero(out, axis=1))
+    pieces, at = [], 0
+    for row in np.flatnonzero(fallback):
+        start = ends[row - 1] if row else 0
+        row_values = values[row].tolist()
+        if labels is not None:
+            row_values.append(float(labels[row]))
+        pieces += [text[at:start], fmt % tuple(row_values)]
+        at = ends[row]
+    pieces.append(text[at:])
+    return "".join(pieces)
+
+
+def _text_chunks(cloud, labels):
+    """Yield write_points' text in chunks of WRITE_CHUNK_ROWS rows."""
     if labels is None:
         labels = cloud.labels
     if labels is not None:
         labels = np.asarray(labels).reshape(-1)
         if len(labels) != len(cloud):
             raise ShapeError(f"labels length {len(labels)} != point count {len(cloud)}")
-    # one format per column layout, applied to float64 rows; a label goes
-    # through float64 exactly and "%d" truncates it as int() does
-    cols, fmt = [cloud.xyz], ["%.6f %.6f %.6f"]
-    if cloud.spectral is not None:
-        cols.append(cloud.spectral)
-        fmt.append("%.6f %.6f %.6f")
-    if labels is not None:
-        cols.append(labels.reshape(-1, 1))
-        fmt.append("%d")
-    fmt = " ".join(fmt) + "\n"
-    parts = []
+        # a label goes through float64, as in a row of the other columns
+        labels = labels.astype(np.float64)
+    cols = [cloud.xyz] + ([cloud.spectral] if cloud.spectral is not None else [])
     for start in range(0, len(cloud), WRITE_CHUNK_ROWS):
-        rows = np.hstack([c[start:start + WRITE_CHUNK_ROWS] for c in cols])
-        parts.append("".join([fmt % tuple(r) for r in rows.tolist()]))
-    return "".join(parts)
+        stop = start + WRITE_CHUNK_ROWS
+        yield _render_rows(np.hstack([c[start:stop] for c in cols]),
+                           None if labels is None else labels[start:stop])
+
+
+def write_points(cloud, labels=None):
+    """Render a cloud as point-file text.
+
+    labels overrides cloud.labels when given. Coordinates and spectral
+    values are written as "%.6f" % v writes them, labels as "%d" % v of
+    the label as a float64. The text is built without per-row Python:
+    see _render_rows for how the digits stay exact.
+    """
+    return "".join(_text_chunks(cloud, labels))
 
 
 def load_points(path, columns=None):
     """Read a point file; see parse_points for columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_points(fh, columns)
+        return parse_points(fh.read().split("\n"), columns)
 
 
 def save_points(path, cloud, labels=None):
+    """Write write_points' text to path, one chunk at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_points(cloud, labels))
+        for chunk in _text_chunks(cloud, labels):
+            fh.write(chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,7 @@ def test_c05_learning_rate_schedule():
     print("criterion 5: schedule exact for all 30 epochs, lr(15) == 0.0005")
 
 
+@pytest.mark.slow
 def test_c06_overfit_oracle():
     """Three separable height/spectral strata (~2000 points) reach 99%
     train and 95% held-out accuracy within 50 epochs in under 10 min."""
@@ -241,6 +242,7 @@ def run_throughput(threads):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+@pytest.mark.slow
 def test_c10_throughput_sanity():
     """Non-binding target: eval-mode prediction of a 412k-point scene at
     the three default scales within 60 s on one thread; the 15 s

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointlabel import blocks as blk
 from pointlabel.io import (BoundsError, PointCloud, Raster, SamplingError,
@@ -132,6 +133,61 @@ class TestTileBlocks:
                           & (scene.xyz[fp.indices, 1] <= fp.origin_y + size))
                 assert inside.all()
             assert seen.all()
+
+    @staticmethod
+    def lexsort_tiling(cloud, size, overlap, min_points):
+        """Footprints from the full np.lexsort((z, y, x)) order with one
+        x-strip scan per footprint."""
+        stride = size - overlap
+        xs, ys = cloud.xyz[:, 0], cloud.xyz[:, 1]
+
+        def origins(values):
+            out = [float(values.min())]
+            while out[-1] + stride < values.max():
+                out.append(float(values.min()) + len(out) * stride)
+            return out
+
+        order = np.lexsort((cloud.xyz[:, 2], ys, xs))
+        xs_sorted = xs[order]
+        footprints = []
+        for oy in origins(ys):
+            for ox in origins(xs):
+                cand = order[np.searchsorted(xs_sorted, ox, side="left"):
+                             np.searchsorted(xs_sorted, ox + size, side="right")]
+                members = cand[(ys[cand] >= oy) & (ys[cand] <= oy + size)]
+                if len(members) >= min_points:
+                    footprints.append((ox, oy, members))
+        return footprints
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 120), levels=st.integers(1, 5),
+           continuous=st.sampled_from([(), (2,), (1, 2), (0,)]),
+           twins=st.integers(0, 30), signed_zeros=st.booleans(),
+           size=st.sampled_from([0.5, 1.0, 2.5]),
+           overlap=st.sampled_from([0.0, 0.25, 0.5]),
+           min_points=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_lexsort_reference(self, n, levels, continuous, twins,
+                                       signed_zeros, size, overlap,
+                                       min_points, seed):
+        # coordinates on a few levels tie in x, in (x, y) and in all of
+        # x, y, z; appended copies of random rows are exact xyz twins
+        rng = np.random.default_rng(seed)
+        xyz = rng.integers(0, levels, (n, 3)) * 0.5
+        for ax in continuous:
+            xyz[:, ax] = rng.uniform(0.0, levels * 0.5, n)
+        xyz = np.vstack([xyz, xyz[rng.integers(0, n, twins)]])
+        if signed_zeros:
+            xyz[(xyz == 0) & (rng.random(xyz.shape) < 0.5)] = -0.0
+        xyz = xyz[rng.permutation(len(xyz))]
+        cloud = cloud_of(xyz)
+        assert blk.canonical_order(cloud).tobytes() == np.lexsort(
+            (xyz[:, 2], xyz[:, 1], xyz[:, 0])).tobytes()
+        got = blk.tile_blocks(cloud, size, overlap * size, min_points)
+        want = self.lexsort_tiling(cloud, size, overlap * size, min_points)
+        assert len(got) == len(want)
+        for fp, (ox, oy, members) in zip(got, want):
+            assert (fp.origin_x, fp.origin_y, fp.size) == (ox, oy, size)
+            assert fp.indices.tobytes() == members.tobytes()
 
 
 def one_footprint(cloud, size=100.0):
@@ -334,6 +390,39 @@ class TestBuildBlocks:
         b = blk.build_blocks(scene, scales, seed=3)
         assert all(x.features.tobytes() == y.features.tobytes()
                    for x, y in zip(a, b))
+
+    def test_counts_footprints_and_duplicated_rows(self, scene):
+        scales = [type("S", (), {"size": 1.5, "overlap": 0.0, "sample_count": 16}),
+                  type("S", (), {"size": 6.0, "overlap": 2.0, "sample_count": 64})]
+        counts = {}
+        out = blk.build_blocks(scene, scales, seed=0, counts=counts)
+        # counting leaves the blocks as they are
+        assert [b.features.tobytes() for b in out] == [
+            b.features.tobytes() for b in blk.build_blocks(scene, scales, seed=0)]
+        for i, sc in enumerate(scales):
+            raw = blk.tile_blocks(scene, sc.size, sc.overlap, min_points=0)
+            blocks = [b for b in out if b.scale_id == i]
+            rows = sum(b.sample_count for b in blocks)
+            duplicated = sum(b.sample_count - len(np.unique(b.parent_idx))
+                             for b in blocks)
+            assert counts[f"scale{i}.footprints_kept"] == len(blocks)
+            assert counts[f"scale{i}.footprints_discarded"] == len(raw) - len(blocks)
+            assert counts[f"scale{i}.rows"] == rows
+            assert counts[f"scale{i}.duplicated_rows"] == duplicated
+            assert counts[f"scale{i}.duplicated_fraction"] == duplicated / rows
+        # 1.5 m footprints hold about ten points each: many are discarded
+        assert counts["scale0.footprints_discarded"] > 0 < counts["scale0.footprints_kept"]
+        assert counts["scale0.duplicated_rows"] > 0 == counts["scale1.duplicated_rows"]
+
+    def test_counts_sum_over_replicas(self, scene):
+        scales = [type("S", (), {"size": 6.0, "overlap": 2.0, "sample_count": 64})]
+        plain, augmented = {}, {}
+        blk.build_blocks(scene, scales, seed=0, counts=plain)
+        out = blk.build_blocks(scene, scales, seed=0, augment_copies=2,
+                               counts=augmented)
+        assert augmented["scale0.footprints_kept"] == len(out) \
+            > plain["scale0.footprints_kept"]
+        assert augmented["scale0.rows"] == 64 * len(out)
 
     def test_negative_augment_rejected(self, scene):
         scales = [type("S", (), {"size": 6.0, "overlap": 2.0, "sample_count": 64})]

@@ -148,6 +148,25 @@ class TestPreprocess:
         assert "dtm_dropped_outside=2" in lines
         assert f"points={len(cloud)}" in lines
 
+    @pytest.mark.parametrize("augment", ["0", "1"])
+    def test_manifest_counts_footprints_and_duplicated_rows(self, fixture_dir,
+                                                            augment):
+        prep = run_preprocess(fixture_dir, extra=("--augment", augment))
+        manifest = dict(line.split("=", 1) for line in
+                        (prep / "run_manifest.txt").read_text().splitlines())
+        blocks, scales = cli.read_block_store(prep)
+        for i, sc in enumerate(scales):
+            mine = [b for b in blocks if b.scale_id == i]
+            rows = sc.sample_count * len(mine)
+            duplicated = sum(b.sample_count - len(np.unique(b.parent_idx))
+                             for b in mine)
+            assert int(manifest[f"scale{i}.footprints_kept"]) == len(mine) > 0
+            assert int(manifest[f"scale{i}.footprints_discarded"]) >= 0
+            assert int(manifest[f"scale{i}.rows"]) == rows
+            assert int(manifest[f"scale{i}.duplicated_rows"]) == duplicated
+            assert float(manifest[f"scale{i}.duplicated_fraction"]) == duplicated / rows
+        assert int(manifest["blocks"]) == len(blocks)
+
     def test_dtm_required_without_no_dtm(self, fixture_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["preprocess", "--points", "p", "--image", "i",

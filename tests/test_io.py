@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointlabel import io as pio
 from pointlabel.io import (LAYOUTS, BoundsError, ParseError, PointCloud,
                            Raster, SamplingError, SchemaError, ShapeError,
                            load_points, parse_ascii_grid, parse_points,
@@ -98,6 +100,24 @@ class TestReader:
         # a carriage return inside one line of an in-memory iterable
         with pytest.raises(ParseError, match="^line 2: malformed line"):
             parse_points(["1 2 3\n", "1 2\r3\n"])
+
+    @pytest.mark.parametrize("char", sorted(
+        ({chr(c) for c in range(0x3000 + 1) if chr(c).isspace()} - set("\r\n"))
+        | set("\x00\x85\xa0\u200b\u2028\ufeff#-,;")))
+    def test_one_pass_splits_lines_as_str_split(self, char):
+        # the one-pass reader leaves the width check to numpy's tokenizer:
+        # it must cut a line into the tokens str.split() gives (a line
+        # break inside a line is test_line_numpy_splits_differently_rejected)
+        for line in (f"1{char}2 3", f"{char}1 2 3{char}", f"1 2{char}{char}3"):
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
+                assert len(parse_points([line], LAYOUTS[3])) == 0
+            elif len(tokens) == 3 and all(t.isdigit() for t in tokens):
+                assert np.array_equal(parse_points([line]).xyz,
+                                      [[float(t) for t in tokens]])
+            else:
+                with pytest.raises(ParseError):
+                    parse_points([line], LAYOUTS[3])
 
     def test_largest_label_accepted(self):
         cloud = parse_points("1 2 3 2147483647\n")
@@ -247,6 +267,48 @@ class TestWritePoints:
         labels = rng.integers(0, 9, n)
         assert write_points(cloud, labels=labels) == reference(cloud, labels)
 
+    # every float64, the exact ties k/128 (six decimals end in a 5 with
+    # nothing after it), magnitudes around and beyond 2^52 / 1e6, where the
+    # scaled value runs out of integer digits, and the non-finite values
+    VALUES = st.one_of(
+        st.floats(width=64),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+        st.integers(-2 ** 24, 2 ** 24).map(lambda k: k / 128),
+        st.floats(2 ** 52 / 1e6 / 4, 2 ** 52 / 1e6 * 4).flatmap(
+            lambda v: st.sampled_from([v, -v])),
+        st.floats(-1e4, 1e4),
+        st.floats(-1e-5, 1e-5))
+    LABELS = st.one_of(
+        st.integers(-2 ** 31, 2 ** 31 - 1),
+        st.sampled_from([-1, 0, 2 ** 31 - 1]),
+        st.floats(-1e20, 1e20), st.sampled_from([-0.5, -0.0, 2.5, 1e15 + 0.5]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), has_spectral=st.booleans(),
+           labels=st.sampled_from(["none", "int", "float"]),
+           chunk=st.sampled_from([1, 3, 4096]))
+    def test_text_matches_percent_format(self, data, n, has_spectral, labels,
+                                         chunk):
+        values = np.array(data.draw(st.lists(self.VALUES, min_size=6 * n,
+                                             max_size=6 * n))).reshape(n, 6)
+        cloud = PointCloud(values[:, :3], values[:, 3:] if has_spectral else None)
+        label_values = None
+        if labels != "none":
+            label_values = np.array(data.draw(st.lists(
+                st.integers(-2 ** 31, 2 ** 31 - 1) if labels == "int"
+                else self.LABELS, min_size=n, max_size=n)),
+                dtype=np.int64 if labels == "int" else np.float64)
+        want = []
+        for i in range(n):
+            cols = ["%.6f" % v for v in cloud.xyz[i].tolist()]
+            if has_spectral:
+                cols += ["%.6f" % v for v in cloud.spectral[i].tolist()]
+            if label_values is not None:
+                cols.append("%d" % float(label_values[i]))
+            want.append(" ".join(cols) + "\n")
+        with mock.patch.object(pio, "WRITE_CHUNK_ROWS", chunk):
+            assert write_points(cloud, label_values) == "".join(want)
+
     def test_file_roundtrip_auto_schema(self, rng, tmp_path):
         cloud = PointCloud(rng.uniform(0, 10, (20, 3)),
                            rng.uniform(0, 255, (20, 3)),
@@ -256,6 +318,54 @@ class TestWritePoints:
         back = load_points(path)
         assert back.has_spectral and back.has_labels
         assert np.allclose(back.xyz, cloud.xyz, atol=1e-6)
+
+
+class TestLoadPointsFile:
+    """load_points on whole files: the one-pass read and, on a bad line,
+    the per-line walk's message."""
+
+    def write(self, path, lines, newline="\n"):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(newline.join(lines) + newline)
+
+    def lines(self, rng, n=6000):
+        cloud = PointCloud(rng.uniform(-500, 500, (n, 3)),
+                           rng.uniform(0, 255, (n, 3)), rng.integers(0, 9, n))
+        lines = write_points(cloud).splitlines()
+        # a header, blank lines, whole-line and trailing comments
+        lines[100] += "  # trailing"
+        return (["# x y z ir r g label", ""] + lines[:3000]
+                + ["", "   # note", "\t"] + lines[3000:])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_comments_and_blank_lines(self, rng, tmp_path, newline):
+        lines = self.lines(rng)
+        self.write(tmp_path / "p.txt", lines, newline)
+        cloud = load_points(tmp_path / "p.txt")
+        rows = [line.split("#")[0].split() for line in lines]
+        rows = np.array([[float(t) for t in r] for r in rows if r])
+        assert cloud.xyz.tobytes() == rows[:, :3].copy().tobytes()
+        assert cloud.spectral.tobytes() == rows[:, 3:6].copy().tobytes()
+        assert np.array_equal(cloud.labels, rows[:, 6])
+        assert cloud.labels.dtype == np.int32
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ("1.0 2.0 abc 4 5 6 7", ParseError, "z 'abc' is not a number"),
+        ("1.0 2.0 3.0 4 5 6 7.5", ParseError, "label '7.5' is not an integer"),
+        ("1.0 2.0 nan 4 5 6 7", ParseError, "non-finite z"),
+        ("1.0 2.0 3.0 4 inf 6 7", ParseError, "non-finite r"),
+        ("1.0 2.0 3.0 4 5 6 -7", ParseError, "label -7 outside 0..2147483647"),
+        ("1.0 2.0 3.0 4 5 6", SchemaError, "expected 7 columns, got 6"),
+        ("1.0 2.0 3.0 4 5 6 7 8", SchemaError, "expected 7 columns, got 8"),
+        ("1.0 2.0 3.0 4 5 6 7\x0c8", SchemaError, "expected 7 columns, got 8"),
+    ])
+    def test_one_bad_line_deep_inside(self, rng, tmp_path, bad, error, message):
+        lines = self.lines(rng)
+        lines[4500] = bad
+        self.write(tmp_path / "p.txt", lines)
+        with pytest.raises(error, match=f"^line 4501: {message}$") as info:
+            load_points(tmp_path / "p.txt")
+        assert (error is SchemaError) == isinstance(info.value, SchemaError)
 
 
 class TestParseColumns:
