@@ -31,14 +31,16 @@ assert trace_p.g_segments.tobytes() == trace.g_segments.tobytes()
 print("permuted input -> identically permuted output, bitwise-equal "
       "global feature")
 
-# the global feature is the column-wise max over the points
-assert np.array_equal(trace.g_segments[0], trace.pooled_input.max(axis=0))
-print("global feature == column max of the deepest per-point features")
-
 # training mode normalizes with batch statistics and returns a trace
-# that the manual backward pass consumes
+# that the manual backward pass consumes (an eval trace keeps only the
+# probabilities and the pooled feature)
 labels = rng.integers(0, 9, len(x))
 train_trace = net.forward(x, params, "train")
+
+# the global feature is the column-wise max over the points
+assert np.array_equal(train_trace.g_segments[0],
+                      train_trace.pooled_input.max(axis=0))
+print("global feature == column max of the deepest per-point features")
 loss = net.cross_entropy(train_trace.q, labels)
 grads = net.backward(train_trace, labels, params)
 print(f"cross-entropy {loss:.4f}; gradient tensors: {len(grads)}")

@@ -186,6 +186,13 @@ def canonical_order(cloud):
 
 def _grid(cloud, size, overlap):
     """Footprint origins along x and along y of a non-empty cloud."""
+    xy = cloud.xyz[:, :2]
+    bad = ~np.isfinite(xy).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"point {i} has a non-finite coordinate "
+                         f"(x={xy[i, 0]}, y={xy[i, 1]}); tiling needs "
+                         f"finite x and y")
     stride = size - overlap
 
     def origins(values):

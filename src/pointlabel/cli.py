@@ -2,13 +2,15 @@
 
 Subcommands: preprocess, train, predict, evaluate, raster2points. Every
 run writes a key=value manifest next to its artifacts recording the
-command, configuration, input digests, seed and timings; artifacts
+command, configuration, input digests, seed and timings (and, for
+preprocess, train and predict, the peak resident memory); artifacts
 themselves are bit-reproducible for identical inputs and seeds.
 """
 
 import argparse
 import hashlib
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -24,6 +26,12 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _peak_rss_mb():
+    """The process's resident-memory high-water mark so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 1024)
 
 
 def write_manifest(path, command, settings, inputs, timings):
@@ -138,7 +146,8 @@ def cmd_preprocess(args):
     write_manifest(Path(args.out) / "run_manifest.txt", "preprocess",
                    {"seed": args.seed, "scales": args.scales,
                     "augment": args.augment, "no_dtm": args.no_dtm,
-                    "points": len(cloud), "blocks": len(all_blocks), **counts},
+                    "points": len(cloud), "blocks": len(all_blocks),
+                    "peak_rss_mb": f"{_peak_rss_mb():.1f}", **counts},
                    inputs, {"load": t1 - t0, "attribution": t2 - t1,
                             "blocking": t3 - t2})
     print(f"preprocess: {len(cloud)} points -> {len(all_blocks)} blocks "
@@ -189,6 +198,7 @@ def cmd_train(args):
                     "best_epoch": result.best_epoch,
                     "parameters": network.param_count(result.params),
                     "diverged": result.diverged,
+                    "peak_rss_mb": f"{_peak_rss_mb():.1f}",
                     "rows_per_s": f"{rows / epoch_s if epoch_s else 0.0:.1f}",
                     # float32 training bits can depend on BLAS threads
                     **{f"env.{v}": os.environ.get(v, "unset") for v in (
@@ -217,10 +227,11 @@ def cmd_predict(args):
     t2 = time.perf_counter()
     pio.save_points(args.out, cloud, labels=labels)
     if args.probs:
-        np.savetxt(args.probs, probs, fmt="%.6f")
+        pio.save_values(args.probs, probs)
     write_manifest(str(args.out) + ".manifest", "predict",
                    {"seed": args.seed, "scales": args.scales,
                     "threads": args.threads,
+                    "peak_rss_mb": f"{_peak_rss_mb():.1f}",
                     "features": blk.feature_set(params.encoder_specs[0].in_width),
                     "points": len(cloud), **counts},
                    [args.points, args.model],

@@ -174,10 +174,15 @@ def _forward_scales(cloud, params, scales, seed=0, threads=1):
     def merge(field, chunk, q):
         field.stats["forward_calls"] += 1
         field.stats["rows_forwarded"] += len(q)
+        probs = field.probs.reshape(-1)
         start = 0
         for parent_idx, inverse, xs in chunk:
             votes = q[start:start + len(xs)][inverse]
-            np.add.at(field.probs, parent_idx, votes.astype(np.float64))
+            # flat index parent * C + c per vote element (a 1-D add.at is
+            # the fast one); each probability sums its votes in row order
+            flat = parent_idx[:, None] * n_classes + np.arange(n_classes)
+            np.add.at(probs, flat.reshape(-1),
+                      votes.astype(np.float64).reshape(-1))
             np.add.at(field.counts, parent_idx, 1)
             start += len(xs)
 

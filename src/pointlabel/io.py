@@ -35,9 +35,9 @@ import numpy as np
 __all__ = [
     "PointCloud", "Raster", "ParseError", "SchemaError", "ShapeError",
     "SamplingError", "BoundsError", "parse_points", "write_points",
-    "load_points", "save_points", "parse_ascii_grid", "write_ascii_grid",
-    "read_ascii_grid", "read_ppm_image", "write_ppm_image", "raster_overhang",
-    "sample_raster",
+    "load_points", "save_points", "save_values", "parse_ascii_grid",
+    "write_ascii_grid", "read_ascii_grid", "read_ppm_image", "write_ppm_image",
+    "raster_overhang", "sample_raster",
 ]
 
 # rows write_points renders at a time: bounds its byte matrices
@@ -462,6 +462,16 @@ def save_points(path, cloud, labels=None):
     with open(path, "w", encoding="utf-8") as fh:
         for chunk in _text_chunks(cloud, labels):
             fh.write(chunk)
+
+
+def save_values(path, values):
+    """Write the rows of a 2-D float array as "%.6f" columns separated by
+    one space: the bytes of np.savetxt(path, values, fmt="%.6f"), rendered
+    WRITE_CHUNK_ROWS rows at a time by _render_rows."""
+    values = np.asarray(values, dtype=np.float64)
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(values), WRITE_CHUNK_ROWS):
+            fh.write(_render_rows(values[start:start + WRITE_CHUNK_ROWS], None))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ accumulate in float64 either way. Matrix products of float32 tensors are
 float32 BLAS products in the train-mode forward and in backward, where a
 run only has to repeat itself; eval-mode forwards use matmul's exact
 product, so a row's output does not depend on which rows share its
-forward (see the README's notes on numerics). An exact product of
-more than EXACT_PANEL_ROWS rows is formed in float64 panels, each
-rounded into the float32 result, so no float64 array of the whole
-product is held; an eval layer then adds its bias and applies ReLU in
-place on that result.
+forward (see the README's notes on numerics). So an eval forward runs
+in row panels of at most EXACT_PANEL_ROWS rows and max-pools as it goes
+(`_eval_forward`): it never holds the pooled layer's (N, G) output or a
+float64 product of more than one panel, and its bits are a whole-array
+forward's. An eval layer adds its bias and applies ReLU in place on its
+product.
 
 Batch norm, ReLU and their backward write into arrays the step itself
 made, never into the caller's inputs or weights nor into trace fields
@@ -50,7 +51,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LOG_CLAMP = 1e-12
 POOL_PANEL = 64           # rows per equality scan for the pool's winners
-EXACT_PANEL_ROWS = 1024   # most rows per float64 panel of an exact product; >= 4
+EXACT_PANEL_ROWS = 256    # most rows per panel of an eval forward; >= 4
 LOCAL_LAYER = 1           # encoder layer whose output is head0's local input
 DEFAULT_ENCODER_WIDTHS = (64, 64, 128, 512, 2048)
 DEFAULT_HEAD_WIDTHS = (256, 128)
@@ -180,37 +181,25 @@ def _row_panels(m, size):
 def matmul(a, b, exact=True):
     """Matrix product; an empty inner dimension yields zeros.
 
-    With `exact` (the default), float32 operands are multiplied in float64
-    and the result rounded once to float32, so each output row is the
-    same bits whichever rows share the call. A float64 product of more
-    than EXACT_PANEL_ROWS rows is formed in near-equal panels of at most
-    that many rows, each rounded into the float32 result, which by that
-    same row property is bitwise the whole product rounded once; no
-    panel has one row, whose product may take another BLAS kernel.
-    Smaller products are formed whole: allocated in the panel order,
-    their float32 result cannot reuse the freed float64 operands, and a
-    300-row forward then faulted in fresh pages on every call. Without
-    `exact`, two float32 operands give the float32 BLAS product `a @ b`:
-    about twice as fast and as repeatable from run to run for the same
-    shapes, but a row's bits may change with the number of rows. Other
-    dtypes take the exact path either way; float64 operands stay
-    float64.
+    With `exact` (the default), the operands are multiplied in float64
+    and the result rounded once to the dtype of `a` when that is float32,
+    so each output row is the same bits whichever rows share the call. A
+    float64 `b` that is the exact widening of float32 weights gives the
+    same bits as those weights, so an eval forward of several row panels
+    widens each layer's W once for all of them. Without `exact`, two float32
+    operands give the float32 BLAS product `a @ b`: about twice as fast
+    and as repeatable from run to run for the same shapes, but a row's
+    bits may change with the number of rows. Other dtypes take the exact
+    path either way; a float64 `a` gives a float64 result.
     """
     a = _as_2d(a, "a")
     b = _as_2d(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    single = a.dtype == np.float32 and b.dtype == np.float32
-    if single and not exact:
+    if not exact and a.dtype == np.float32 and b.dtype == np.float32:
         return a @ b
-    if not single or len(a) <= EXACT_PANEL_ROWS:
-        out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-        return out.astype(np.float32) if single else out
-    b64 = b.astype(np.float64)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
-    for start, stop in _row_panels(len(a), EXACT_PANEL_ROWS):
-        out[start:stop] = a[start:stop].astype(np.float64) @ b64
-    return out
+    out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+    return out.astype(np.float32) if a.dtype == np.float32 else out
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +402,8 @@ def cross_entropy(q, labels):
 @dataclass
 class ForwardTrace:
     mode: str
-    encoder_traces: list
-    head_traces: list
+    encoder_traces: list | None   # per layer; None in eval mode
+    head_traces: list | None      # per layer; None in eval mode
     segments: tuple               # rows per block in this forward
     g_segments: np.ndarray        # (S, G) pooled feature per block
     argmax_segments: np.ndarray | None  # (S, G) winning absolute row per
@@ -423,6 +412,7 @@ class ForwardTrace:
 
     @property
     def pooled_input(self):
+        """The last encoder layer's output; train mode only."""
         return self.encoder_traces[-1].f_out
 
 
@@ -436,17 +426,18 @@ def _check_segments(segments, n):
 
 
 def forward(x, params, mode="eval", segments=None):
-    """Run points through both stages; returns the full trace.
+    """Run points through both stages; returns the trace.
 
     `segments` lists the per-block row counts when several blocks are
     stacked into one call: batch statistics then cover all rows (the
     whole mini-batch) while pooling and the global term of the first head
     layer stay per block. The default is one block. Only train mode
-    records the pool's winning rows, which backward routes through; eval
-    mode takes the max alone. Output probabilities have
-    one row per input row for any N >= 1 (train mode needs N >= 2 for the
-    batch statistics), and permuting a block's input rows permutes its
-    output rows identically.
+    records the pool's winning rows and every layer's trace, which
+    backward reads; an eval forward (`_eval_forward`) runs in row panels
+    and its trace holds q and the pooled features only. Output
+    probabilities have one row per input row for any N >= 1 (train mode
+    needs N >= 2 for the batch statistics), and permuting a block's input
+    rows permutes its output rows identically.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -457,6 +448,8 @@ def forward(x, params, mode="eval", segments=None):
     if len(x) == 0:
         raise ValueError("empty point set")
     segments = _check_segments(segments, len(x))
+    if mode == "eval":
+        return _eval_forward(x, params, segments)
     enc_traces = []
     f = x
     for spec, lp in zip(params.encoder_specs, params.encoder):
@@ -464,12 +457,11 @@ def forward(x, params, mode="eval", segments=None):
         enc_traces.append(tr)
     offsets = _offsets(segments)
     g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
-    am_seg = np.empty(g_seg.shape, dtype=np.int64) if mode == "train" else None
+    am_seg = np.empty(g_seg.shape, dtype=np.int64)
     for s, (start, rows) in enumerate(zip(offsets, segments)):
         block = f[start:start + rows]
         block.max(axis=0, out=g_seg[s])
-        if am_seg is not None:
-            am_seg[s] = _pool_winners(block, g_seg[s]) + start
+        am_seg[s] = _pool_winners(block, g_seg[s]) + start
     f, tr = pointwise_forward(enc_traces[LOCAL_LAYER].f_out, params.head_specs[0],
                               params.head[0], mode, g=g_seg, segments=segments)
     head_traces = [tr]
@@ -479,6 +471,88 @@ def forward(x, params, mode="eval", segments=None):
     q = softmax_rows(f)
     return ForwardTrace(mode, enc_traces, head_traces, segments, g_seg,
                         am_seg, q)
+
+
+def _eval_layer(spec, lp, widen):
+    """(spec, params) of a layer as an eval forward runs it: batch norm
+    folded into W and b (`_fold_layer`), and with `widen` W widened to
+    float64, which is exact."""
+    W, b = lp.W, lp.b
+    if spec.has_bn:
+        W, b = _fold_layer(lp, np.empty_like(W))
+        spec = LayerSpec(spec.in_width, spec.out_width, has_bn=False,
+                         has_relu=spec.has_relu)
+    return spec, LayerParams(W.astype(np.float64, copy=False) if widen else W, b)
+
+
+def _panel_segments(ends, start, stop):
+    """First block and rows per block of the row panel [start, stop),
+    given each block's end row."""
+    first = int(np.searchsorted(ends, start, side="right"))
+    last = int(np.searchsorted(ends, stop, side="left"))
+    cuts = np.minimum(ends[first:last + 1], stop)
+    return first, np.diff(cuts, prepend=start)
+
+
+def _eval_forward(x, params, segments):
+    """Eval forward in near-equal row panels of at most EXACT_PANEL_ROWS
+    rows (`_row_panels`: none has one row unless N is 1).
+
+    Pass 1 runs the encoder on each panel, keeps the LOCAL_LAYER rows and
+    folds the panel's last-layer rows into each block's running column
+    max. Pass 2 runs the head on each panel against those pooled
+    features; the logits land in one (N, C) array, softmaxed at the end.
+    Every eval layer is row-wise (exact products) and max is exact, so
+    the result is bitwise one whole-array forward's; no (N, G) array of
+    the pooled layer is ever built.
+    """
+    n = len(x)
+    panels = _row_panels(n, EXACT_PANEL_ROWS)
+    ends = np.cumsum(segments)
+    begins = _offsets(segments).tolist()
+    local = g_seg = None
+    # a forward of one panel leaves the widening to its one product per
+    # layer, so each float64 W is freed before the next layer's is made;
+    # more panels share each layer's float64 W
+    widen = len(panels) > 1
+    encoder = [_eval_layer(spec, lp, widen) for spec, lp in
+               zip(params.encoder_specs, params.encoder)]
+    for start, stop in panels:
+        f = x[start:stop]
+        for i, (spec, lp) in enumerate(encoder):
+            f, _ = pointwise_forward(f, spec, lp, "eval")
+            if i == LOCAL_LAYER:
+                if local is None:
+                    local = np.empty((n, f.shape[1]), dtype=f.dtype)
+                local[start:stop] = f
+        if g_seg is None:
+            g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
+        first, parts = _panel_segments(ends, start, stop)
+        at = 0
+        for s, rows in enumerate(parts.tolist(), first):
+            block = f[at:at + rows]
+            if begins[s] >= start:
+                block.max(axis=0, out=g_seg[s])
+            else:
+                np.maximum(g_seg[s], block.max(axis=0), out=g_seg[s])
+            at += rows
+    del encoder, f              # pass 2 holds the head's weights instead
+    head = [_eval_layer(spec, lp, widen) for spec, lp in
+            zip(params.head_specs, params.head)]
+    logits = None
+    for start, stop in panels:
+        first, parts = _panel_segments(ends, start, stop)
+        spec, lp = head[0]
+        f, _ = pointwise_forward(local[start:stop], spec, lp, "eval",
+                                 g=g_seg[first:first + len(parts)],
+                                 segments=tuple(parts.tolist()))
+        for spec, lp in head[1:]:
+            f, _ = pointwise_forward(f, spec, lp, "eval")
+        if logits is None:
+            logits = np.empty((n, f.shape[1]), dtype=f.dtype)
+        logits[start:stop] = f
+    return ForwardTrace("eval", None, None, segments, g_seg, None,
+                        softmax_rows(logits))
 
 
 def backward(trace, labels, params):

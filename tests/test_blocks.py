@@ -121,6 +121,16 @@ class TestTileBlocks:
     def test_empty_cloud(self):
         assert blk.tile_blocks(PointCloud(np.zeros((0, 3))), 5.0, 1.0) == []
 
+    @pytest.mark.parametrize("row, axis, value", [(1, 0, np.nan),
+                                                  (2, 1, np.inf),
+                                                  (0, 0, -np.inf)])
+    def test_non_finite_xy_named(self, row, axis, value):
+        # the origin grid would grow without end towards a NaN or inf
+        xyz = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        xyz[row, axis] = value
+        with pytest.raises(ValueError, match=f"point {row} has a non-finite"):
+            blk.tile_blocks(cloud_of(xyz), 5.0, 1.0, min_points=1)
+
     def test_every_point_covered_before_discard(self, scene):
         for size, overlap in [(2.0, 1.0), (5.0, 2.0), (10.0, 2.0)]:
             fps = blk.tile_blocks(scene, size, overlap, min_points=0)

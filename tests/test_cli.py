@@ -290,6 +290,20 @@ class TestPredictEvaluate:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-4)
         assert (fixture_dir / "labeled.txt.manifest").exists()
 
+    def test_manifests_record_peak_memory(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep, epochs=1)
+        out = fixture_dir / "labeled.txt"
+        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
+                       "--model", str(model / "model.ckpt"),
+                       "--out", str(out), "--scales", SCALES])
+        assert rc == 0
+        for path in (prep / "run_manifest.txt", model / "run_manifest.txt",
+                     fixture_dir / "labeled.txt.manifest"):
+            manifest = dict(line.split("=", 1)
+                            for line in path.read_text().splitlines())
+            assert float(manifest["peak_rss_mb"]) > 0, path.name
+
     def test_probs_file_matches_per_value_formatting(self, fixture_dir,
                                                      monkeypatch):
         prep = run_preprocess(fixture_dir)

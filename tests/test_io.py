@@ -320,6 +320,24 @@ class TestWritePoints:
         assert np.allclose(back.xyz, cloud.xyz, atol=1e-6)
 
 
+class TestSaveValues:
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_bytes_equal_savetxt(self, tmp_path, rng, chunk):
+        # 0, 1, the exact ties k/128 and values within an ulp of the
+        # rounding ties (k + 0.5) * 1e-6, among random probabilities
+        ties = (np.arange(20) + 0.5) * 1e-6
+        awkward = np.concatenate([
+            [0.0, 1.0, -0.0, 5e-7], np.arange(129) / 128, ties,
+            np.nextafter(ties, 0.0), np.nextafter(ties, 1.0)])
+        values = rng.dirichlet(np.ones(9), 40)
+        values.flat[:len(awkward)] = awkward
+        want, got = tmp_path / "want.txt", tmp_path / "got.txt"
+        np.savetxt(want, values, fmt="%.6f")
+        with mock.patch.object(pio, "WRITE_CHUNK_ROWS", chunk):
+            pio.save_values(got, values)
+        assert got.read_bytes() == want.read_bytes()
+
+
 class TestLoadPointsFile:
     """load_points on whole files: the one-pass read and, on a bad line,
     the per-line walk's message."""

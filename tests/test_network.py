@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -229,8 +230,9 @@ class TestForward:
     def test_pooled_feature_matches_column_max(self, rng):
         params = toy_params()
         x = rng.standard_normal((16, 9)).astype(np.float32)
+        f = _encoder_reference(x, params, "eval")
         tr = net.forward(x, params, "eval")
-        assert np.array_equal(tr.g_segments[0], tr.pooled_input.max(axis=0))
+        assert np.array_equal(tr.g_segments[0], f.max(axis=0))
 
     @settings(max_examples=40, deadline=None)
     @given(segments=st.lists(st.integers(1, 9), min_size=1, max_size=6),
@@ -242,9 +244,9 @@ class TestForward:
             segments = segments + [1]
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((sum(segments), 9)).astype(np.float32)
-        tr = net.forward(x, toy_params(seed=seed % 1000), mode,
-                         segments=segments)
-        f = tr.pooled_input
+        params = toy_params(seed=seed % 1000)
+        f = _encoder_reference(x, params, mode)
+        tr = net.forward(x, params, mode, segments=segments)
         start = 0
         for s, rows in enumerate(segments):
             want = f[start:start + rows].max(axis=0)
@@ -265,6 +267,58 @@ class TestForward:
         x = rng.standard_normal((4, 9)).astype(np.float32)
         with pytest.raises(ValueError, match="partition"):
             net.forward(x, toy_params(), "eval", segments=(4, 0))
+
+
+class TestEvalPanels:
+    """An eval forward runs in row panels of at most EXACT_PANEL_ROWS rows
+    and pools as it goes; no bit depends on the panel size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=st.sampled_from([4, 7, 64]),
+           segments=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           folded=st.booleans(), nan_column=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_panel_size_changes_no_bit(self, panel, segments, folded,
+                                       nan_column, seed):
+        # blocks of up to 40 rows straddle panels of 4, 7 and 64 rows; the
+        # default forward holds every row in one panel
+        assert sum(segments) <= net.EXACT_PANEL_ROWS
+        params = _moved_stats_params(seed % 1000)
+        if folded:
+            params = net.fold_batch_norm(params)
+        column = seed % params.encoder_specs[-1].out_width
+        if nan_column:
+            params.encoder[-1].b[column] = np.nan
+        x = np.random.default_rng(seed).normal(
+            0, 2, (sum(segments), 9)).astype(np.float32)
+        want = net.forward(x, params, "eval", segments=segments)
+        with mock.patch.object(net, "EXACT_PANEL_ROWS", panel):
+            got = net.forward(x, params, "eval", segments=segments)
+        assert np.isnan(want.g_segments[:, column]).all() == nan_column
+        assert got.g_segments.tobytes() == want.g_segments.tobytes()
+        assert got.q.tobytes() == want.q.tobytes()
+
+    def test_trace_holds_q_and_pooled_features_only(self, rng):
+        x = rng.standard_normal((12, 9)).astype(np.float32)
+        trace = net.forward(x, toy_params(), "eval", segments=(5, 7))
+        assert trace.encoder_traces is None and trace.head_traces is None
+        assert trace.q.shape == (12, 3) and trace.g_segments.shape == (2, 32)
+
+    def test_peak_memory_of_a_4096_row_forward(self):
+        # whole-array layers held about 75 MB here (a 4096 x 2048 pooled
+        # layer, its float64 panels and every layer's trace)
+        enc, head = net.default_architecture()
+        params = net.fold_batch_norm(
+            net.init_params(enc, head, np.random.default_rng(0)))
+        x = np.random.default_rng(1).standard_normal((4096, 9)).astype(
+            np.float32)
+        tracemalloc.start()
+        try:
+            net.forward(x, params, "eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestBackward:
@@ -443,6 +497,16 @@ class TestParamCount:
                   + (8 * 3 + 3)
                   + 2 * (8 + 8 + 16 + 16 + 32 + 16 + 8))
         assert net.param_count(params) == expect
+
+
+def _encoder_reference(x, params, mode):
+    """The last encoder layer's rows from a pointwise_forward chain over
+    all of x, on a copy of params (train mode moves running statistics)."""
+    params = net.copy_params(params)
+    f = x
+    for spec, lp in zip(params.encoder_specs, params.encoder):
+        f, _ = net.pointwise_forward(f, spec, lp, mode)
+    return f
 
 
 def _concat_reference(x, params, mode, segments, labels):
