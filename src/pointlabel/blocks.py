@@ -139,11 +139,9 @@ def normalize_height(cloud, dtm):
         log.warning("normalize_height: dropped %d point(s) over nodata "
                     "terrain and %d outside the DTM extent",
                     int(nodata.sum()), int(outside.sum()))
-    xyz = cloud.xyz[keep]
-    xyz[:, 2] -= terrain[keep, 0]
-    return PointCloud(xyz,
-                      cloud.spectral[keep] if cloud.spectral is not None else None,
-                      cloud.labels[keep] if cloud.labels is not None else None)
+    out = cloud.select(keep)
+    out.xyz[:, 2] -= terrain[keep, 0]
+    return out
 
 
 def _copy(a):

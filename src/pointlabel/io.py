@@ -12,13 +12,14 @@ the column count of the first data line picks a named layout:
 Raw survey exports with extra columns (intensity, return counts) pass an
 explicit layout instead, "-" marking a column to discard.
 
-A file is read in one np.loadtxt pass over all its lines; the per-line
-walk runs only when that pass fails or finds an invalid value, and names
-the first bad line. The writer renders each chunk of rows as a byte
-matrix of digits and matches Python's "%.6f" (values) and "%d" (labels)
-byte for byte: a row holding a value whose rounding the matrix cannot
-vouch for (non-finite, within 2^-50 relative of a tie, or |v| * 1e6 of
-2^52 and beyond) is formatted by Python.
+A file is read in one np.loadtxt pass over all its lines; when that pass
+fails or finds an invalid value, the lines are bisected with the same
+conversion to find the first bad line, and that line alone is classified
+to name what is wrong with it. The writer renders each chunk of rows as
+a byte matrix of digits and matches Python's "%.6f" (values) and "%d"
+(labels) byte for byte: a row holding a value whose rounding the matrix
+cannot vouch for (non-finite, within 2^-50 relative of a tie, or
+|v| * 1e6 of 2^52 and beyond) is formatted by Python.
 
 Rasters come from two carriers: ESRI ASCII grids (DTM/DSM heights) and
 8-bit plain-text PPM `P3` images (IR,R,G bands, maxval 255) with a 6-line
@@ -28,6 +29,7 @@ converted on parse. Rasters are sampled bilinearly.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +112,8 @@ class PointCloud:
         return self.labels is not None
 
     def select(self, idx):
-        """New cloud restricted to the given point indices."""
+        """New cloud holding copies of the points idx picks (indices or a
+        boolean mask)."""
         return PointCloud(
             self.xyz[idx],
             self.spectral[idx] if self.spectral is not None else None,
@@ -169,69 +172,22 @@ def _check_layout(columns):
     return columns
 
 
-def _convert(lines, layout):
-    """Convert data lines of the layout's width in one numpy pass.
-
-    Returns the kept coordinate and spectral columns as float64 (N, k) in
-    x,y,z,ir,r,g order, and the int64 labels or None; "-" columns are not
-    read. Raises ValueError if any value is malformed.
-    """
-    names = [c for c in COLUMN_NAMES[:-1] if c in layout]
-    fields = [("v", np.float64, (len(names),))]
-    usecols = [layout.index(c) for c in names]
-    if "label" in layout:
-        fields.append(("label", np.int64))
-        usecols.append(layout.index("label"))
-    if lines:
-        table = np.loadtxt(lines, dtype=fields, usecols=usecols,
-                           comments=None, ndmin=1)
-    else:
-        table = np.zeros(0, dtype=fields)
-    return table["v"], table["label"] if "label" in layout else None
-
-
-def _first_invalid(values, labels, layout):
-    """(row, reason) of the first row holding a non-finite value or a label
-    outside 0..MAX_LABEL, or None."""
-    bad_value = ~np.isfinite(values)
-    bad = bad_value.any(axis=1)
-    if labels is not None:
-        bad |= (labels < 0) | (labels > MAX_LABEL)
-    if not bad.any():
-        return None
-    row = int(bad.argmax())
-    if bad_value[row].any():
-        name = [c for c in COLUMN_NAMES if c in layout][int(bad_value[row].argmax())]
-        return row, f"non-finite {name}"
-    return row, f"label {labels[row]} outside 0..{MAX_LABEL}"
-
-
-def _malformed(line, layout):
-    """What _convert rejects in one line: its first malformed column."""
-    for name, tok in zip(layout, line.split()):
-        if name == "-":
-            continue
-        try:
-            _convert([tok], (name,))
-        except ValueError:
-            kind = "an integer" if name == "label" else "a number"
-            return f"{name} {tok!r} is not {kind}"
-    return f"malformed line {line.strip()!r}"
-
-
-def _convert_all(lines, layout):
-    """The one-pass reader: convert raw lines, comments and blank lines
-    included, with one np.loadtxt call that types every column of the
-    layout ("-" columns as text), so that a line of another width fails
-    the pass just as a malformed value does.
-
-    Returns the PointCloud when every line converts and every value is
-    valid, else None.
+def _table(lines, layout):
+    """The reader's one np.loadtxt call: one pass over raw lines, comments
+    and blank lines included, that types every column of the layout ("-"
+    columns as text) as structured fields c0, c1, ..., so that a line of
+    another width fails just as a malformed value does. Raises ValueError.
     """
     kinds = {"label": np.int64, "-": "U1"}
     fields = [(f"c{i}", kinds.get(c, np.float64)) for i, c in enumerate(layout)]
+    return np.loadtxt(lines, dtype=fields, comments="#", ndmin=1)
+
+
+def _convert(lines, layout):
+    """The PointCloud of raw lines, or None when a line fails to convert
+    or holds a non-finite value or a label outside 0..MAX_LABEL."""
     try:
-        table = np.loadtxt(lines, dtype=fields, comments="#", ndmin=1)
+        table = _table(lines, layout)
     except ValueError:
         return None
 
@@ -251,57 +207,35 @@ def _convert_all(lines, layout):
     return PointCloud(xyz, spectral, labels)
 
 
-def _parse_walk(lines, layout):
-    """The per-line reader: checks every line's width in Python and finds
-    the first bad line. parse_points runs it only when the one-pass reader
-    fails, to raise the error that names the line."""
-    lines_kept, linenos, width_error = [], [], None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
-        width = len(line.split())
-        if not width:
+def _raise_line_fault(lineno, line, layout):
+    """Raise the error naming why _convert refuses this one line: its
+    column count, else its first malformed kept column in file order, else
+    numpy's refusal of the line as a whole, else its first non-finite
+    value in x, y, z, ir, r, g order, else its label's range."""
+    data = line.split("#", 1)[0]
+    tokens = data.split()
+    if len(tokens) != len(layout):
+        raise SchemaError(f"line {lineno}: expected {len(layout)} columns, "
+                          f"got {len(tokens)}")
+    for name, token in zip(layout, tokens):
+        if name == "-":
             continue
-        if layout is None:
-            layout = LAYOUTS.get(width)
-            if layout is None:
-                raise SchemaError(f"line {lineno}: {width} columns match no "
-                                  f"named layout (3, 4, 6 or 7 columns)")
-        if width != len(layout):
-            width_error = SchemaError(f"line {lineno}: expected {len(layout)} "
-                                      f"columns, got {width}")
-            break
-        lines_kept.append(line)
-        linenos.append(lineno)
-    lines = lines_kept
-    layout = layout or LAYOUTS[3]
-    # a bad value before the first wrong column count is reported first
-    malformed = None
+        try:
+            _table([token], (name,))
+        except ValueError:
+            kind = "an integer" if name == "label" else "a number"
+            raise ParseError(f"line {lineno}: {name} {token!r} is not "
+                             f"{kind}") from None
     try:
-        values, labels = _convert(lines, layout)
+        row = _table([line], layout)[0]
     except ValueError:
-        # bisect for the first line that does not convert
-        lo, hi = 0, len(lines)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _convert(lines[lo:mid], layout)
-                lo = mid
-            except ValueError:
-                hi = mid
-        malformed = lo
-        values, labels = _convert(lines[:lo], layout)
-    invalid = _first_invalid(values, labels, layout)
-    if invalid is not None:
-        row, reason = invalid
-        raise ParseError(f"line {linenos[row]}: {reason}")
-    if malformed is not None:
-        raise ParseError(f"line {linenos[malformed]}: "
-                         f"{_malformed(lines[malformed], layout)}")
-    if width_error is not None:
-        raise width_error
-    return PointCloud(values[:, :3].copy(),
-                      values[:, 3:6].copy() if "ir" in layout else None,
-                      labels)
+        raise ParseError(f"line {lineno}: malformed line {data.strip()!r}") from None
+    for name in COLUMN_NAMES[:6]:
+        if name in layout and not np.isfinite(row[layout.index(name)]):
+            raise ParseError(f"line {lineno}: non-finite {name}")
+    # what _convert can still refuse is the label's range
+    raise ParseError(f"line {lineno}: label {row[layout.index('label')]} "
+                     f"outside 0..{MAX_LABEL}")
 
 
 def parse_points(stream, columns=None):
@@ -315,23 +249,50 @@ def parse_points(stream, columns=None):
     0..2^31-1. The first bad line is reported by its 1-based number: a
     wrong column count raises SchemaError, any other bad value ParseError.
 
-    The whole input is converted in one np.loadtxt pass; numpy splits a
-    line into the same whitespace-separated tokens as str.split(), and
-    refuses a line holding a line break of its own. Only when that pass
-    fails or finds an invalid value does the per-line walk run, which
-    names the first bad line.
+    A string is split into lines as a file read in text mode is, at
+    "\n", "\r\n" and "\r" only. The whole input is converted in one
+    np.loadtxt pass; numpy splits a line into the same whitespace-separated
+    tokens as str.split(), and refuses a line holding a line break of its
+    own. When that pass fails or finds an invalid value, the raw lines are
+    bisected with the same conversion to find the first bad line, and that
+    one line is classified to name what is wrong with it.
     """
     layout = None if columns is None else _check_layout(columns)
-    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
+    if isinstance(stream, str):
+        # text read from a file holds no "\r", and the "\r\n" search alone
+        # would cost about 4 ms on a 2.7 MB text (2-vCPU VM)
+        if "\r" in stream:
+            stream = stream.replace("\r\n", "\n").replace("\r", "\n")
+        stream = stream.split("\n")
+    lines = list(stream)
     # the first data line picks the layout; without one there is no data
-    width = next(filter(None, (len(raw.split("#", 1)[0].split())
-                               for raw in lines)), 0)
+    widths = (len(raw.split("#", 1)[0].split()) for raw in lines)
+    lineno, width = next(((n, w) for n, w in enumerate(widths, 1) if w), (0, 0))
+    if not width:
+        layout = layout or LAYOUTS[3]
+        return PointCloud(np.zeros((0, 3)),
+                          np.zeros((0, 3)) if "ir" in layout else None,
+                          np.zeros(0, np.int32) if "label" in layout else None)
     if layout is None:
         layout = LAYOUTS.get(width)
-    if not width:
-        return _parse_walk([], layout)
-    cloud = None if layout is None else _convert_all(lines, layout)
-    return cloud if cloud is not None else _parse_walk(lines, layout)
+        if layout is None:
+            raise SchemaError(f"line {lineno}: {width} columns match no "
+                              f"named layout (3, 4, 6 or 7 columns)")
+    cloud = _convert(lines, layout)
+    if cloud is not None:
+        return cloud
+    # lines[:lo] convert and lines[lo:hi] hold a bad line; a chunk of
+    # comments and blank lines converts to no points
+    lo, hi = 0, len(lines)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _convert(lines[lo:mid], layout) is None:
+                hi = mid
+            else:
+                lo = mid
+    _raise_line_fault(lo + 1, lines[lo], layout)
 
 
 # ASCII codes of the writer's byte matrices; a 0 byte is padding, dropped
@@ -454,7 +415,7 @@ def write_points(cloud, labels=None):
 def load_points(path, columns=None):
     """Read a point file; see parse_points for columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_points(fh.read().split("\n"), columns)
+        return parse_points(fh.read(), columns)
 
 
 def save_points(path, cloud, labels=None):

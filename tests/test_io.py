@@ -119,6 +119,26 @@ class TestReader:
                 with pytest.raises(ParseError):
                     parse_points([line], LAYOUTS[3])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, columns, error, message", [
+        ("1 nan abc", None, ParseError, "line 1: z 'abc' is not a number"),
+        ("-1 q nan inf 1", ["label", "-", "z", "y", "x"], ParseError,
+         "line 1: non-finite y"),
+        ("1 2 3 -5", None, ParseError, "line 1: label -5 outside 0..2147483647"),
+        ("inf 2 3 x", ["x", "y", "z", "label"], ParseError,
+         "line 1: label 'x' is not an integer"),
+        # the bisection meets a chunk of comments and blank lines
+        ("# a\n# b\n# c\n\n1 2 3\n1 2", None, SchemaError,
+         "line 6: expected 3 columns, got 2"),
+    ])
+    def test_faults_of_one_line_named_in_order(self, text, columns, error,
+                                               message):
+        # column count, then malformed columns in file order, then
+        # non-finite values in x, y, z, ir, r, g order, then the label range
+        with pytest.raises(ParseError) as info:
+            parse_points(text, columns)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_largest_label_accepted(self):
         cloud = parse_points("1 2 3 2147483647\n")
         assert cloud.labels[0] == 2 ** 31 - 1
@@ -340,7 +360,7 @@ class TestSaveValues:
 
 class TestLoadPointsFile:
     """load_points on whole files: the one-pass read and, on a bad line,
-    the per-line walk's message."""
+    the message naming the line the bisection finds."""
 
     def write(self, path, lines, newline="\n"):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -384,6 +404,30 @@ class TestLoadPointsFile:
         with pytest.raises(error, match=f"^line 4501: {message}$") as info:
             load_points(tmp_path / "p.txt")
         assert (error is SchemaError) == isinstance(info.value, SchemaError)
+
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_string_splits_lines_as_a_file(self, tmp_path, char):
+        # str.splitlines() would also break lines at these characters; a
+        # file read in text mode breaks them at \n, \r\n and \r only
+        def outcome(read):
+            try:
+                cloud = read()
+            except ParseError as e:
+                return type(e), str(e)
+            return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                         for a in (cloud.xyz, cloud.spectral, cloud.labels))
+
+        texts = [f"1 2 3{char}4 5 6\n", f"1 2 3\n4{char}5 6\n",
+                 f"1 2 3 1{char}\r\n4 5 6 2{char}7\r9 8 7 0\n",
+                 f"# a{char}b\n{char}1 2 3\n", f"1 2 3\r{char}\r\n4 5 6{char}"]
+        for text in texts:
+            with open(tmp_path / "p.txt", "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            for columns in (None, ["x", "y", "z"]):
+                assert (outcome(lambda: parse_points(text, columns))
+                        == outcome(lambda: load_points(tmp_path / "p.txt", columns)))
 
 
 class TestParseColumns:
