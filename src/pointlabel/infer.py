@@ -123,14 +123,14 @@ def _forward_scales(cloud, params, scales, seed=0, threads=1):
     `threads` + 1 in flight, while the main thread samples the next;
     with 1 the chunks run inline. Votes merge in submission order, so
     each field takes its own scale's chunks in block order and is
-    bitwise what a serial run of that scale alone gives. Batch norm that
-    `params` still holds is folded into a copy once per call
-    (network.fold_batch_norm, the formula of every eval forward).
+    bitwise what a serial run of that scale alone gives. The weights are
+    prepared once per call (network.eval_weights: batch norm folded, W
+    widened to float64), on a copy unless `params` is prepared already,
+    and every forward on every worker reads that one copy.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if any(spec.has_bn for spec, _ in params.layers()):
-        params = network.fold_batch_norm(network.copy_params(params))
+    params = network.eval_weights(params)
     columns = blk.FEATURE_SETS[blk.feature_set(params.encoder_specs[0].in_width)]
     n_classes = params.head_specs[-1].out_width
     fields = [ProbabilityField(np.zeros((len(cloud), n_classes)),

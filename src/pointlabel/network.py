@@ -13,7 +13,9 @@ block (PointNet's segmentation head, Qi et al., arXiv 1612.00593).
 Eval-mode batch norm is one affine map per column, which `_fold_layer`
 turns into its layer's W and b: every eval forward runs matmul, bias and
 ReLU only. `fold_batch_norm` folds a loaded model once, in place, with
-the same bits.
+the same bits. `eval_weights` prepares a call's weights once: batch norm
+folded and each W widened exactly to float64, the operand matmul's exact
+product reads, so no forward, panel or worker widens a W again.
 
 Shapes follow the per-block convention: the "batch" dimension of every
 layer is the N points of one block, so batch normalization standardizes
@@ -40,7 +42,8 @@ is argmax's, and a column holding a NaN falls back to argmax, which
 returns its first NaN.
 """
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,12 +188,12 @@ def matmul(a, b, exact=True):
     and the result rounded once to the dtype of `a` when that is float32,
     so each output row is the same bits whichever rows share the call. A
     float64 `b` that is the exact widening of float32 weights gives the
-    same bits as those weights, so an eval forward of several row panels
-    widens each layer's W once for all of them. Without `exact`, two float32
-    operands give the float32 BLAS product `a @ b`: about twice as fast
-    and as repeatable from run to run for the same shapes, but a row's
-    bits may change with the number of rows. Other dtypes take the exact
-    path either way; a float64 `a` gives a float64 result.
+    same bits as those weights and is read as it is, so eval_weights
+    widens each W once per call for every product. Without `exact`, two
+    float32 operands give the float32 BLAS product `a @ b`: about twice as
+    fast and as repeatable from run to run for the same shapes, but a
+    row's bits may change with the number of rows. Other dtypes take the
+    exact path either way; a float64 `a` gives a float64 result.
     """
     a = _as_2d(a, "a")
     b = _as_2d(b, "b")
@@ -473,18 +476,6 @@ def forward(x, params, mode="eval", segments=None):
                         am_seg, q)
 
 
-def _eval_layer(spec, lp, widen):
-    """(spec, params) of a layer as an eval forward runs it: batch norm
-    folded into W and b (`_fold_layer`), and with `widen` W widened to
-    float64, which is exact."""
-    W, b = lp.W, lp.b
-    if spec.has_bn:
-        W, b = _fold_layer(lp, np.empty_like(W))
-        spec = LayerSpec(spec.in_width, spec.out_width, has_bn=False,
-                         has_relu=spec.has_relu)
-    return spec, LayerParams(W.astype(np.float64, copy=False) if widen else W, b)
-
-
 def _panel_segments(ends, start, stop):
     """First block and rows per block of the row panel [start, stop),
     given each block's end row."""
@@ -492,6 +483,12 @@ def _panel_segments(ends, start, stop):
     last = int(np.searchsorted(ends, stop, side="left"))
     cuts = np.minimum(ends[first:last + 1], stop)
     return first, np.diff(cuts, prepend=start)
+
+
+def _eval_stage(specs, layers):
+    """(spec, layer params) pairs of one stage, prepared by eval_weights."""
+    stage = eval_weights(NetworkParams(list(layers), [], list(specs), []))
+    return list(zip(stage.encoder_specs, stage.encoder))
 
 
 def _eval_forward(x, params, segments):
@@ -511,12 +508,9 @@ def _eval_forward(x, params, segments):
     ends = np.cumsum(segments)
     begins = _offsets(segments).tolist()
     local = g_seg = None
-    # a forward of one panel leaves the widening to its one product per
-    # layer, so each float64 W is freed before the next layer's is made;
-    # more panels share each layer's float64 W
-    widen = len(panels) > 1
-    encoder = [_eval_layer(spec, lp, widen) for spec, lp in
-               zip(params.encoder_specs, params.encoder)]
+    # unprepared weights (eval_weights) are prepared one stage at a time,
+    # so pass 1 never holds the head's float64 W nor pass 2 the encoder's
+    encoder = _eval_stage(params.encoder_specs, params.encoder)
     for start, stop in panels:
         f = x[start:stop]
         for i, (spec, lp) in enumerate(encoder):
@@ -537,8 +531,7 @@ def _eval_forward(x, params, segments):
                 np.maximum(g_seg[s], block.max(axis=0), out=g_seg[s])
             at += rows
     del encoder, f              # pass 2 holds the head's weights instead
-    head = [_eval_layer(spec, lp, widen) for spec, lp in
-            zip(params.head_specs, params.head)]
+    head = _eval_stage(params.head_specs, params.head)
     logits = None
     for start, stop in panels:
         first, parts = _panel_segments(ends, start, stop)
@@ -638,7 +631,9 @@ def params_astype(params, dtype):
 
 
 def copy_params(params):
-    return params_astype(params, params.encoder[0].W.dtype)
+    """Deep copy in which every tensor keeps its dtype (a prepared
+    network's float32 b stays float32 beside its float64 W)."""
+    return copy.deepcopy(params)
 
 
 def fold_batch_norm(params):
@@ -663,6 +658,35 @@ def fold_batch_norm(params):
     return params
 
 
+def eval_weights(params):
+    """The weights every eval forward of a call runs on: each batch norm
+    folded into its layer's W and b (`fold_batch_norm`) and each W widened
+    to float64, which is exact, so every product of every panel and
+    worker reads the one float64 W that matmul would form for it. b keeps
+    its dtype.
+
+    Returns params itself when it is prepared already (no batch norm,
+    every W float64). Otherwise returns a prepared network, leaving params
+    and its arrays as they were: batch norm is folded on a copy, and a
+    network without any gets new layers whose W is widened. Widening
+    replaces one layer's W at a time, so a folded network that nothing
+    else holds never has all of its float32 and float64 weights at once.
+    """
+    if all(not spec.has_bn and lp.W.dtype == np.float64
+           for spec, lp in params.layers()):
+        return params
+    if any(spec.has_bn for spec, _ in params.layers()):
+        params = fold_batch_norm(copy_params(params))
+    else:
+        params = NetworkParams([replace(lp) for lp in params.encoder],
+                               [replace(lp) for lp in params.head],
+                               list(params.encoder_specs),
+                               list(params.head_specs))
+    for lp in params.encoder + params.head:
+        lp.W = lp.W.astype(np.float64, copy=False)
+    return params
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -684,8 +708,9 @@ def load_checkpoint(path):
     Layer specs are inferred: widths from the weight shapes, has_bn from
     the presence of BN tensors, and has_relu == has_bn (every normalized
     layer is ReLU-activated; the final linear layer is neither). A missing
-    layer or tensor, or a tensor name that is not <layer>.<tensor>, raises
-    ContainerError; `meta.momentum` is ignored.
+    layer or tensor, a tensor name that is not <layer>.<tensor>, or a
+    tensor holding a NaN or an infinity raises ContainerError naming the
+    first such tensor in file order; `meta.momentum` is ignored.
     """
     n_layers, tensors = _container.read_container_file(path)
     tensors.pop("meta.momentum", None)
@@ -695,6 +720,11 @@ def load_checkpoint(path):
         if len(parts) != 2 or not all(parts):
             raise _container.ContainerError(
                 f"checkpoint tensor {name!r} is not named <layer>.<tensor>")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise _container.ContainerError(
+                f"checkpoint tensor {name!r} holds a non-finite value "
+                f"({arr[~finite][0]})")
         layer_name, attr = parts
         groups.setdefault(layer_name, {})[attr] = arr
     if len(groups) != n_layers:

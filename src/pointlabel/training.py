@@ -191,8 +191,9 @@ class FitResult:
 
 def evaluate_blocks(blocks, params):
     """Point-weighted mean loss and accuracy over labeled blocks (eval
-    mode), on a copy of params whose batch norm is folded once."""
-    params = network.fold_batch_norm(network.copy_params(params))
+    mode), on weights prepared once per call (network.eval_weights: a
+    folded, widened copy; params are left as they are)."""
+    params = network.eval_weights(params)
     total_nll = 0.0
     correct = 0
     count = 0

@@ -611,6 +611,26 @@ class TestMalformedCheckpoint:
                                [(name, np.zeros(2, dtype=np.float32))])
         assert repr(name) in assert_error_exit(rc, capsys)
 
+    @pytest.mark.parametrize("name, value", [("enc4.W", np.nan),
+                                             ("head1.running_var", np.inf),
+                                             ("enc0.beta", -np.inf)])
+    def test_non_finite_tensor(self, tmp_path, capsys, name, value):
+        # a NaN weight used to label every point class 0, and exit 0
+        path = tmp_path / "model.ckpt"
+        network.save_checkpoint(path, toy_params())
+        n_layers, tensors = read_container_file(path)
+        tensors[name].reshape(-1)[-1] = value
+        write_container_file(path, n_layers, tensors.items())
+        scene = strata_scene(n_points=60, seed=2)
+        pio.save_points(tmp_path / "points.txt", scene)
+        out = tmp_path / "labeled.txt"
+        rc = cli.main(["predict", "--points", str(tmp_path / "points.txt"),
+                       "--model", str(path), "--out", str(out),
+                       "--scales", "6:2:32"])
+        err = assert_error_exit(rc, capsys)
+        assert repr(name) in err and "non-finite" in err and str(value) in err
+        assert not out.exists()
+
     def test_checkpoint_without_momentum_predicts(self, tmp_path):
         rc = self.predict_with(tmp_path, lambda k: k == "meta.momentum")
         assert rc == 0

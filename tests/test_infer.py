@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -259,6 +261,61 @@ class TestPredictScale:
         folds.clear()
         infer.predict(scene, folded, scales, threads=2)
         assert folds == []
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_weights_prepared_once_per_call(self, scene, monkeypatch,
+                                            threads):
+        seen, prepared = [], []
+        forward, eval_weights = network.forward, network.eval_weights
+
+        def spy_forward(x, params, mode="eval", segments=None):
+            seen.append(params)
+            return forward(x, params, mode, segments)
+
+        def spy_eval_weights(params):
+            out = eval_weights(params)
+            if out is not params:
+                prepared.append(out)
+            return out
+
+        monkeypatch.setattr(network, "forward", spy_forward)
+        monkeypatch.setattr(network, "eval_weights", spy_eval_weights)
+        params = toy_params(seed=4)
+        before = [(n, a.dtype, a.tobytes())
+                  for n, a in network.iter_tensors(params, False)]
+        scales = infer.ScaleConfig.parse("6:2:64,12:2:128,3:1:32")
+        infer.predict(scene, params, scales, threads=threads)
+        # one preparation, one object for every forward on every worker
+        assert len(prepared) == 1 and len(seen) > 3
+        assert all(p is prepared[0] for p in seen)
+        assert all(lp.W.dtype == np.float64 and lp.b.dtype == np.float32
+                   for lp in prepared[0].encoder + prepared[0].head)
+        assert before == [(n, a.dtype, a.tobytes())
+                          for n, a in network.iter_tensors(params, False)]
+        assert all(s.has_bn for s in params.encoder_specs)
+        # prepared weights passed in are neither copied nor prepared again
+        weights = prepared.pop()
+        arrays = [id(a) for _, a in network.iter_tensors(weights)]
+        seen.clear()
+        infer.predict(scene, weights, scales, threads=threads)
+        assert prepared == [] and seen and all(p is weights for p in seen)
+        assert arrays == [id(a) for _, a in network.iter_tensors(weights)]
+
+    def test_peak_memory_of_a_two_worker_predict(self):
+        # 42.5 MB traced at the parent of eval_weights, where every worker
+        # folded and widened its own copy of the weights per forward, and
+        # 31.3 MB with one prepared copy per call (numpy 2.4.6)
+        enc, head = network.default_architecture()
+        params = network.init_params(enc, head, np.random.default_rng(0))
+        scene = strata_scene(n_points=1200, seed=3, extent=4.0)
+        scales = infer.ScaleConfig.parse("4:2:1024,8:2:2048")
+        tracemalloc.start()
+        try:
+            infer.predict(scene, params, scales, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 37e6
 
     def test_threaded_matches_serial(self, scene):
         params = toy_params(seed=7)

@@ -9,8 +9,9 @@ from pointlabel import io as pio
 from pointlabel.io import (LAYOUTS, BoundsError, ParseError, PointCloud,
                            Raster, SamplingError, SchemaError, ShapeError,
                            load_points, parse_ascii_grid, parse_points,
-                           read_ppm_image, sample_raster, save_points,
-                           write_ascii_grid, write_points, write_ppm_image)
+                           read_ascii_grid, read_ppm_image, sample_raster,
+                           save_points, write_ascii_grid, write_points,
+                           write_ppm_image)
 
 
 class TestParsePoints:
@@ -514,6 +515,32 @@ class TestAsciiGrid:
     def test_bad_header_or_value_names_its_line(self, text, match):
         with pytest.raises(ParseError, match=match):
             parse_ascii_grid(text)
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_string_splits_lines_as_a_file(self, tmp_path, char):
+        # a file read in text mode breaks lines at \n, \r\n and \r only,
+        # where str.splitlines() also breaks them at these characters
+        def outcome(read):
+            try:
+                r = read()
+            except (ParseError, SchemaError) as e:
+                return type(e), str(e)
+            return (r.data.tobytes(), r.data.shape, r.origin_x, r.origin_y,
+                    r.cell_size, r.nodata)
+
+        two = GRID_1X1.replace("ncols 1", "ncols 2")
+        texts = [GRID_1X1.replace("\nnrows", f"{char}nrows"),
+                 two.replace("7\n", f"7{char}8\n"),
+                 GRID_1X1.replace("7\n", f"{char}7\r\n{char}\r"),
+                 GRID_1X1.replace("\n", "\r").replace("cellsize",
+                                                      f"{char}cellsize")]
+        for text in texts:
+            with open(tmp_path / "g.asc", "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert (outcome(lambda: parse_ascii_grid(text))
+                    == outcome(lambda: read_ascii_grid(tmp_path / "g.asc")))
+        assert outcome(lambda: parse_ascii_grid(texts[0]))[1] == (
+            "line 1: malformed header line")
 
     def test_header_keys_any_case(self):
         r = parse_ascii_grid(GRID_1X1.upper().replace("NODATA_VALUE", "nodata_Value"))

@@ -509,6 +509,25 @@ def _encoder_reference(x, params, mode):
     return f
 
 
+def _layerwise_eval(x, params, segments):
+    """(pooled features, q) of an eval forward as one pointwise_forward
+    per layer over all rows, head0 split into its local and per-block
+    terms."""
+    f = x
+    for i, (spec, lp) in enumerate(zip(params.encoder_specs, params.encoder)):
+        f, _ = net.pointwise_forward(f, spec, lp, "eval")
+        if i == net.LOCAL_LAYER:
+            local = f
+    offsets = np.concatenate([[0], np.cumsum(segments)[:-1]])
+    g = np.stack([f[o:o + rows].max(axis=0)
+                  for o, rows in zip(offsets, segments)])
+    f, _ = net.pointwise_forward(local, params.head_specs[0], params.head[0],
+                                 "eval", g=g, segments=tuple(segments))
+    for spec, lp in zip(params.head_specs[1:], params.head[1:]):
+        f, _ = net.pointwise_forward(f, spec, lp, "eval")
+    return g, net.softmax_rows(f)
+
+
 def _concat_reference(x, params, mode, segments, labels):
     """The network with head0 reading the built (N, local + G)
     concat/repeat of each row's local feature and its block's pooled
@@ -679,6 +698,81 @@ class TestFoldBatchNorm:
         with pytest.raises(ValueError, match="folded"):
             net.save_checkpoint(tmp_path / "model.ckpt", params)
         assert not (tmp_path / "model.ckpt").exists()
+
+
+class TestEvalWeights:
+    """eval_weights folds batch norm and widens every W to float64 once;
+    forwards on the result carry the bits of forwards on the raw or the
+    folded network."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           panel=st.sampled_from([None, 4, 7]),
+           segments=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_prepared_weights_change_no_bit(self, dtype, panel, segments,
+                                            seed):
+        # every forward prepares unprepared weights with eval_weights, so
+        # the reference is a whole-array chain of pointwise_forward calls,
+        # which fold per call and widen inside each product. Panel None
+        # runs every forward as one panel, 4 and 7 split it; float64
+        # products are BLAS products, whose rows may change with the rows
+        # beside them, so split float64 forwards are compared to each other
+        params = _moved_stats_params(seed % 1000, dtype)
+        x = np.random.default_rng(seed).normal(
+            0, 2, (sum(segments), 9)).astype(dtype)
+        rows = panel or net.EXACT_PANEL_ROWS
+        folded = net.fold_batch_norm(net.copy_params(params))
+        with mock.patch.object(net, "EXACT_PANEL_ROWS", rows):
+            outs = [net.forward(x, weights, "eval", segments=segments)
+                    for weights in (params, net.eval_weights(params), folded)]
+        if dtype == np.float64 and panel:
+            g_want, q_want = outs[0].g_segments, outs[0].q
+        else:
+            g_want, q_want = _layerwise_eval(x, params, segments)
+        for got in outs:
+            assert got.g_segments.tobytes() == g_want.tobytes()
+            assert got.q.dtype == dtype
+            assert got.q.tobytes() == q_want.tobytes()
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_caller_keeps_its_network(self, fold):
+        params = _moved_stats_params(8)
+        if fold:
+            net.fold_batch_norm(params)
+        specs = [(s.has_bn, s.has_relu) for s, _ in params.layers()]
+        before = [(n, id(a), a.dtype, a.tobytes())
+                  for n, a in net.iter_tensors(params, False)]
+        weights = net.eval_weights(params)
+        assert weights is not params
+        assert [(s.has_bn, s.has_relu) for s, _ in params.layers()] == specs
+        assert [(n, id(a), a.dtype, a.tobytes())
+                for n, a in net.iter_tensors(params, False)] == before
+        for (spec, lp), (_, relu) in zip(weights.layers(), specs):
+            assert not spec.has_bn and spec.has_relu is relu
+            assert lp.W.dtype == np.float64 and lp.b.dtype == np.float32
+            assert lp.gamma is None and lp.running_var is None
+
+    def test_prepared_weights_returned_unchanged(self):
+        weights = net.eval_weights(_moved_stats_params(9))
+        assert net.eval_weights(weights) is weights
+        # a folded float64 network is prepared as it is
+        shadow = net.fold_batch_norm(_moved_stats_params(9, np.float64))
+        assert net.eval_weights(shadow) is shadow
+
+    def test_copy_keeps_bits_and_dtypes(self, rng):
+        # a copy that cast b to float64 added head0's global term to the
+        # local one unrounded, and most forwards changed bits
+        weights = net.eval_weights(_moved_stats_params(10))
+        copied = net.copy_params(weights)
+        for (n, a), (_, b) in zip(net.iter_tensors(weights),
+                                  net.iter_tensors(copied)):
+            assert a is not b and a.dtype == b.dtype, n
+            assert a.tobytes() == b.tobytes(), n
+        x = rng.normal(0, 2, (64, 9)).astype(np.float32)
+        q = [net.forward(x, w, "eval", segments=(30, 34)).q.tobytes()
+             for w in (copied, weights)]
+        assert q[0] == q[1]
 
 
 class TestPrecisionPolicy:
