@@ -106,11 +106,13 @@ class Block:
 # ---------------------------------------------------------------------------
 # per-point attribution
 
-def attribute_spectral(cloud, image):
+def attribute_spectral(cloud, image, counts=None):
     """Attach (IR,R,G) to every point by bilinear lookup in the image.
 
     Existing spectral values are overwritten. A sampling failure re-raises
-    with the index of the first failing point.
+    with the index of the first failing point. A dict passed as `counts`
+    receives `attribution_clamped`, the points beyond the image's pixel
+    centers that took edge-clamped values.
     """
     if image.bands != 3:
         raise ShapeError(f"spectral image must have 3 bands, got {image.bands}")
@@ -120,25 +122,33 @@ def attribute_spectral(cloud, image):
     except (SamplingError, BoundsError) as exc:
         raise type(exc)(f"point {exc.index}: {exc}") from None
     clamped = int(raster_overhang(image, x, y)[0].sum())
+    if counts is not None:
+        counts["attribution_clamped"] = clamped
     if clamped:
         log.warning("attribute_spectral: %d point(s) beyond the image "
                     "footprint took edge-clamped values", clamped)
     return PointCloud(cloud.xyz.copy(), spectral, _copy(cloud.labels))
 
 
-def normalize_height(cloud, dtm):
+def normalize_height(cloud, dtm, counts=None):
     """Subtract the terrain height under each point (raw difference, no
     clamping at zero). Points over nodata terrain or outside the DTM
-    extent are dropped; both counts are logged."""
+    extent are dropped; both counts are logged, and a dict passed as
+    `counts` receives them as `dtm_dropped_nodata` and
+    `dtm_dropped_outside`."""
     if dtm.bands != 1:
         raise ShapeError(f"DTM must be single-band, got {dtm.bands} bands")
     terrain, outside, empty = _sample(dtm, cloud.xyz[:, 0], cloud.xyz[:, 1])
     nodata = empty[:, 0] & ~outside
     keep = ~(outside | nodata)
-    if not keep.all():
+    n_nodata, n_outside = int(nodata.sum()), int(outside.sum())
+    if counts is not None:
+        counts["dtm_dropped_nodata"] = n_nodata
+        counts["dtm_dropped_outside"] = n_outside
+    if n_nodata or n_outside:
         log.warning("normalize_height: dropped %d point(s) over nodata "
                     "terrain and %d outside the DTM extent",
-                    int(nodata.sum()), int(outside.sum()))
+                    n_nodata, n_outside)
     out = cloud.select(keep)
     out.xyz[:, 2] -= terrain[keep, 0]
     return out

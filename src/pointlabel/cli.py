@@ -125,18 +125,11 @@ def cmd_preprocess(args):
     image = pio.read_ppm_image(args.image)
     dtm = None if args.no_dtm else pio.read_ascii_grid(args.dtm)
     t1 = time.perf_counter()
-    cloud = blk.attribute_spectral(cloud, image)
-    x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
-    clamped, _ = pio.raster_overhang(image, x, y)
-    counts = {"attribution_clamped": int(clamped.sum()),
-              "dtm_dropped_nodata": 0, "dtm_dropped_outside": 0}
+    counts = {"dtm_dropped_nodata": 0, "dtm_dropped_outside": 0}
+    cloud = blk.attribute_spectral(cloud, image, counts=counts)
     inputs = [args.points, args.image]
     if dtm is not None:
-        outside = int(pio.raster_overhang(dtm, x, y)[1].sum())
-        attributed = len(cloud)
-        cloud = blk.normalize_height(cloud, dtm)
-        counts["dtm_dropped_outside"] = outside
-        counts["dtm_dropped_nodata"] = attributed - len(cloud) - outside
+        cloud = blk.normalize_height(cloud, dtm, counts=counts)
         inputs.append(args.dtm)
     t2 = time.perf_counter()
     all_blocks = blk.build_blocks(cloud, scales, args.seed, training=True,
@@ -218,11 +211,9 @@ def cmd_train(args):
 def cmd_predict(args):
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
-    # only eval_weights holds the folded network (CPython 3.11 and later
-    # hand a call its arguments), so it frees each float32 W as it widens
-    # it: 15.7 MB traced at most for the default network, 20.4 MB if kept
-    params = network.eval_weights(
-        network.fold_batch_norm(network.load_checkpoint(args.model)))
+    # prepared in place, each float32 W freed as it is widened: 15.7 MB
+    # traced at most for the default network, 20.4 MB if both were kept
+    params = network.fold_batch_norm(network.load_checkpoint(args.model))
     scales = infer.ScaleConfig.parse(args.scales)
     t1 = time.perf_counter()
     counts = {}

@@ -77,7 +77,7 @@ class ProbabilityField:
 
     probs: np.ndarray     # (N, C) float64, sum of votes
     counts: np.ndarray    # (N,) int64
-    stats: dict | None = None   # predict_scale's run counts, by name
+    stats: dict | None = None   # _forward_scales' run counts, by name
 
     @property
     def covered(self):

@@ -12,10 +12,11 @@ block (PointNet's segmentation head, Qi et al., arXiv 1612.00593).
 
 Eval-mode batch norm is one affine map per column, which `_fold_layer`
 turns into its layer's W and b: every eval forward runs matmul, bias and
-ReLU only. `fold_batch_norm` folds a loaded model once, in place, with
-the same bits. `eval_weights` prepares a call's weights once: batch norm
-folded and each W widened exactly to float64, the operand matmul's exact
-product reads, so no forward, panel or worker widens a W again.
+ReLU only. `fold_batch_norm` prepares a network for eval, in place:
+batch norm folded with the same bits and each W widened exactly to
+float64, the operand matmul's exact product reads, so no forward, panel
+or worker folds or widens a W again. `eval_weights` is that preparation
+on a copy, for a caller who keeps its network.
 
 Shapes follow the per-block convention: the "batch" dimension of every
 layer is the N points of one block, so batch normalization standardizes
@@ -43,7 +44,7 @@ returns its first NaN.
 """
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,8 +189,8 @@ def matmul(a, b, exact=True):
     and the result rounded once to the dtype of `a` when that is float32,
     so each output row is the same bits whichever rows share the call. A
     float64 `b` that is the exact widening of float32 weights gives the
-    same bits as those weights and is read as it is, so eval_weights
-    widens each W once per call for every product. Without `exact`, two
+    same bits as those weights and is read as it is, so fold_batch_norm
+    widens each W once for every product. Without `exact`, two
     float32 operands give the float32 BLAS product `a @ b`: about twice as
     fast and as repeatable from run to run for the same shapes, but a
     row's bits may change with the number of rows. Other dtypes take the
@@ -485,12 +486,6 @@ def _panel_segments(ends, start, stop):
     return first, np.diff(cuts, prepend=start)
 
 
-def _eval_stage(specs, layers):
-    """(spec, layer params) pairs of one stage, prepared by eval_weights."""
-    stage = eval_weights(NetworkParams(list(layers), [], list(specs), []))
-    return list(zip(stage.encoder_specs, stage.encoder))
-
-
 def _eval_forward(x, params, segments):
     """Eval forward in near-equal row panels of at most EXACT_PANEL_ROWS
     rows (`_row_panels`: none has one row unless N is 1).
@@ -501,16 +496,17 @@ def _eval_forward(x, params, segments):
     features; the logits land in one (N, C) array, softmaxed at the end.
     Every eval layer is row-wise (exact products) and max is exact, so
     the result is bitwise one whole-array forward's; no (N, G) array of
-    the pooled layer is ever built.
+    the pooled layer is ever built. Both passes read the weights
+    eval_weights prepares, once per forward unless they come prepared.
     """
+    params = eval_weights(params)
+    encoder = list(zip(params.encoder_specs, params.encoder))
+    head = list(zip(params.head_specs, params.head))
     n = len(x)
     panels = _row_panels(n, EXACT_PANEL_ROWS)
     ends = np.cumsum(segments)
     begins = _offsets(segments).tolist()
     local = g_seg = None
-    # unprepared weights (eval_weights) are prepared one stage at a time,
-    # so pass 1 never holds the head's float64 W nor pass 2 the encoder's
-    encoder = _eval_stage(params.encoder_specs, params.encoder)
     for start, stop in panels:
         f = x[start:stop]
         for i, (spec, lp) in enumerate(encoder):
@@ -530,8 +526,6 @@ def _eval_forward(x, params, segments):
             else:
                 np.maximum(g_seg[s], block.max(axis=0), out=g_seg[s])
             at += rows
-    del encoder, f              # pass 2 holds the head's weights instead
-    head = _eval_stage(params.head_specs, params.head)
     logits = None
     for start, stop in panels:
         first, parts = _panel_segments(ends, start, stop)
@@ -637,54 +631,40 @@ def copy_params(params):
 
 
 def fold_batch_norm(params):
-    """Fold every batch norm's eval-mode affine map into its layer's W and
-    b, in place (`_fold_layer`, the formula every eval forward uses);
-    returns params.
+    """Prepare params for eval-mode forwards, in place; returns params.
 
-    Folded layers become has_bn=False and keep their ReLU; layers without
-    batch norm are left as they are, so a second fold changes nothing. The
-    result is for eval-mode forwards only: train mode would not normalize,
-    and save_checkpoint refuses it.
+    Each batch norm's eval-mode affine map is folded into its layer's W
+    and b (`_fold_layer`, the formula every eval forward uses), and then
+    each W is widened to float64, which is exact, so every product of
+    every panel and worker reads the one float64 W that matmul would form
+    for it. b keeps its dtype. Folded layers become has_bn=False and keep
+    their ReLU; preparing again changes nothing. W is replaced one layer
+    at a time, so a network that nothing else holds never has all of its
+    float32 and float64 weights at once. The result is for eval-mode
+    forwards only: train mode would not normalize, and save_checkpoint
+    refuses it.
     """
     for specs, layers in ((params.encoder_specs, params.encoder),
                           (params.head_specs, params.head)):
         for i, (spec, lp) in enumerate(zip(specs, layers)):
-            if not spec.has_bn:
-                continue
-            lp.W, lp.b = _fold_layer(lp, lp.W)
-            lp.gamma = lp.beta = lp.running_mean = lp.running_var = None
-            specs[i] = LayerSpec(spec.in_width, spec.out_width, has_bn=False,
-                                 has_relu=spec.has_relu)
+            if spec.has_bn:
+                lp.W, lp.b = _fold_layer(lp, lp.W)
+                lp.gamma = lp.beta = lp.running_mean = lp.running_var = None
+                specs[i] = LayerSpec(spec.in_width, spec.out_width,
+                                     has_bn=False, has_relu=spec.has_relu)
+            lp.W = lp.W.astype(np.float64, copy=False)
     return params
 
 
 def eval_weights(params):
-    """The weights every eval forward of a call runs on: each batch norm
-    folded into its layer's W and b (`fold_batch_norm`) and each W widened
-    to float64, which is exact, so every product of every panel and
-    worker reads the one float64 W that matmul would form for it. b keeps
-    its dtype.
-
-    Returns params itself when it is prepared already (no batch norm,
-    every W float64). Otherwise returns a prepared network, leaving params
-    and its arrays as they were: batch norm is folded on a copy, and a
-    network without any gets new layers whose W is widened. Widening
-    replaces one layer's W at a time, so a folded network that nothing
-    else holds never has all of its float32 and float64 weights at once.
-    """
+    """The weights every eval forward of a call runs on: params itself
+    when it is prepared already (no batch norm, every W float64), else
+    `fold_batch_norm` of a copy, leaving params and its arrays as they
+    were."""
     if all(not spec.has_bn and lp.W.dtype == np.float64
            for spec, lp in params.layers()):
         return params
-    if any(spec.has_bn for spec, _ in params.layers()):
-        params = fold_batch_norm(copy_params(params))
-    else:
-        params = NetworkParams([replace(lp) for lp in params.encoder],
-                               [replace(lp) for lp in params.head],
-                               list(params.encoder_specs),
-                               list(params.head_specs))
-    for lp in params.encoder + params.head:
-        lp.W = lp.W.astype(np.float64, copy=False)
-    return params
+    return fold_batch_norm(copy_params(params))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,32 @@ class TestPreprocess:
         assert "dtm_dropped_outside=2" in lines
         assert f"points={len(cloud)}" in lines
 
+    def test_library_counts_match_the_manifest(self, fixture_dir):
+        # two points in the image's half-cell margin, one over the DTM's
+        # nodata cell and two past the DTM's extent; the manifest reports
+        # the counts of the library steps that clamp and drop them
+        cloud = pio.load_points(fixture_dir / "points.txt")
+        extra = [[10.5, 11.5, 3.0], [-1.8, 4.0, 3.0], [11.5, 5.0, 3.0],
+                 [11.8, 5.0, 3.0]]
+        pio.save_points(fixture_dir / "points.txt", PointCloud(
+            np.vstack([cloud.xyz, extra]), None,
+            np.concatenate([cloud.labels, [0, 0, 0, 0]])))
+        data = np.full((14, 13), 1.0)
+        data[0, 12] = -9999.0
+        dtm = Raster(data, origin_x=-1.5, origin_y=11.5, cell_size=1.0)
+        (fixture_dir / "dtm.asc").write_text(pio.write_ascii_grid(dtm))
+        counts = {}
+        attributed = blk.attribute_spectral(
+            pio.load_points(fixture_dir / "points.txt"),
+            pio.read_ppm_image(fixture_dir / "image.ppm"), counts=counts)
+        blk.normalize_height(attributed, dtm, counts=counts)
+        assert counts == {"attribution_clamped": 2, "dtm_dropped_nodata": 1,
+                          "dtm_dropped_outside": 2}
+        prep = run_preprocess(fixture_dir)
+        manifest = dict(line.split("=", 1) for line in
+                        (prep / "run_manifest.txt").read_text().splitlines())
+        assert {k: int(manifest[k]) for k in counts} == counts
+
     @pytest.mark.parametrize("augment", ["0", "1"])
     def test_manifest_counts_footprints_and_duplicated_rows(self, fixture_dir,
                                                             augment):

@@ -17,7 +17,10 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
+    # the warnings pyproject.toml makes errors inside pytest
+    proc = subprocess.run([sys.executable, "-W", "error::UserWarning",
+                           "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / script)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

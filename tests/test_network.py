@@ -664,7 +664,7 @@ class TestFoldBatchNorm:
         for (had_bn, relu), (spec, lp) in zip(before, params.layers()):
             assert spec.has_bn is False and spec.has_relu is relu
             assert lp.gamma is None and lp.running_var is None
-            assert lp.W.dtype == np.float32 and lp.b.dtype == np.float32
+            assert lp.W.dtype == np.float64 and lp.b.dtype == np.float32
 
     def test_second_fold_is_a_no_op(self):
         params = net.fold_batch_norm(_moved_stats_params(4))
@@ -682,7 +682,7 @@ class TestFoldBatchNorm:
         last = params.head[-1]
         W, b = last.W.copy(), last.b.copy()
         net.fold_batch_norm(params)
-        assert params.head[-1].W.tobytes() == W.tobytes()
+        assert params.head[-1].W.tobytes() == W.astype(np.float64).tobytes()
         assert params.head[-1].b.tobytes() == b.tobytes()
         assert params.head_specs[-1] == net.LayerSpec(8, 3, False, False)
 
@@ -698,6 +698,39 @@ class TestFoldBatchNorm:
         with pytest.raises(ValueError, match="folded"):
             net.save_checkpoint(tmp_path / "model.ckpt", params)
         assert not (tmp_path / "model.ckpt").exists()
+
+    @staticmethod
+    def _default_checkpoint(path):
+        enc, head = net.default_architecture()
+        net.save_checkpoint(path, net.init_params(enc, head,
+                                                  np.random.default_rng(0)))
+        return path
+
+    def test_prepares_a_loaded_checkpoint(self, tmp_path):
+        path = self._default_checkpoint(tmp_path / "model.ckpt")
+        params = net.fold_batch_norm(net.load_checkpoint(path))
+        for spec, lp in params.layers():
+            assert not spec.has_bn and lp.gamma is None
+            assert lp.W.dtype == np.float64 and lp.b.dtype == np.float32
+        arrays = [id(a) for _, a in net.iter_tensors(params)]
+        assert net.eval_weights(params) is params
+        assert arrays == [id(a) for _, a in net.iter_tensors(params)]
+
+    def test_peak_memory_of_preparing_a_checkpoint(self, tmp_path):
+        # each float32 W is freed as it is widened: 15.7 MB traced for the
+        # default network (numpy 2.4.6), against 20.4 MB when the float32
+        # network is held beside the float64 one
+        path = self._default_checkpoint(tmp_path / "model.ckpt")
+        tracemalloc.start()
+        try:
+            params = net.fold_batch_norm(net.load_checkpoint(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layers = params.encoder + params.head
+        assert all(lp.W.dtype == np.float64 for lp in layers)
+        widened = sum(lp.W.nbytes for lp in layers)
+        assert peak < widened + max(lp.W.nbytes for lp in layers) // 2
 
 
 class TestEvalWeights:
@@ -735,11 +768,8 @@ class TestEvalWeights:
             assert got.q.dtype == dtype
             assert got.q.tobytes() == q_want.tobytes()
 
-    @pytest.mark.parametrize("fold", [False, True])
-    def test_caller_keeps_its_network(self, fold):
+    def test_caller_keeps_its_network(self):
         params = _moved_stats_params(8)
-        if fold:
-            net.fold_batch_norm(params)
         specs = [(s.has_bn, s.has_relu) for s, _ in params.layers()]
         before = [(n, id(a), a.dtype, a.tobytes())
                   for n, a in net.iter_tensors(params, False)]
@@ -752,6 +782,22 @@ class TestEvalWeights:
             assert not spec.has_bn and spec.has_relu is relu
             assert lp.W.dtype == np.float64 and lp.b.dtype == np.float32
             assert lp.gamma is None and lp.running_var is None
+
+    def test_forward_prepares_unprepared_weights_once(self, monkeypatch,
+                                                      rng):
+        calls = []
+        eval_weights = net.eval_weights
+
+        def spy(params):
+            calls.append(params)
+            return eval_weights(params)
+
+        monkeypatch.setattr(net, "eval_weights", spy)
+        monkeypatch.setattr(net, "EXACT_PANEL_ROWS", 4)
+        params = _moved_stats_params(11)
+        x = rng.normal(0, 2, (12, 9)).astype(np.float32)
+        net.forward(x, params, "eval", segments=(5, 7))
+        assert len(calls) == 1 and calls[0] is params
 
     def test_prepared_weights_returned_unchanged(self):
         weights = net.eval_weights(_moved_stats_params(9))

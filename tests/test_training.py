@@ -293,9 +293,10 @@ class TestFit:
         # a ReLU layer without batch norm: gating mapped the NaN column to
         # 0 and training went on; now the NaN reaches the loss
         train, val = self.build_sets(rng)
-        enc, head = self.toy_specs()
+        enc, head = [[net.LayerSpec(s.in_width, s.out_width, has_bn=False,
+                                    has_relu=s.has_relu) for s in specs]
+                     for specs in self.toy_specs()]
         params = net.init_params(enc, head, np.random.default_rng(0))
-        net.fold_batch_norm(params)
         params.encoder[0].W[0, 0] = np.nan
         result = tr.fit(train, val, toy_fit_config(epoch_total=2),
                         params=params, n_classes=3)
