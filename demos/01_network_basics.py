@@ -37,9 +37,14 @@ print("permuted input -> identically permuted output, bitwise-equal "
 labels = rng.integers(0, 9, len(x))
 train_trace = net.forward(x, params, "train")
 
-# the global feature is the column-wise max over the points
-assert np.array_equal(train_trace.g_segments[0],
-                      train_trace.pooled_input.max(axis=0))
+# the global feature is the column-wise max over the points of the
+# deepest encoder layer (enc4), here recomputed layer by layer on a copy
+# (a train-mode layer moves its batch-norm running statistics)
+f = x
+shadow = net.copy_params(params)
+for spec, lp in zip(shadow.encoder_specs, shadow.encoder):
+    f, _ = net.pointwise_forward(f, spec, lp, "train")
+assert np.array_equal(train_trace.g_segments[0], f.max(axis=0))
 print("global feature == column max of the deepest per-point features")
 loss = net.cross_entropy(train_trace.q, labels)
 grads = net.backward(train_trace, labels, params)

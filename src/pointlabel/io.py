@@ -551,10 +551,10 @@ _WORLD_VALUES = ("x cell size", "row rotation", "column rotation",
 
 def read_ppm_image(path):
     """Read an 8-bit P3 (ASCII) PPM plus its ESRI world file sidecar;
-    width, height, maxval and samples must be integers, maxval 255 and
-    every sample in 0..255, and the world file's six values finite numbers
-    with an x cell size > 0 (ParseError otherwise, naming the world file's
-    line)."""
+    width, height, maxval and samples must be integers, width and height
+    positive, maxval 255 and every sample in 0..255, and the world
+    file's six values finite numbers with an x cell size > 0 (ParseError
+    otherwise, naming the world file's line)."""
     with open(path, "r", encoding="utf-8") as fh:
         toks = []
         for raw in fh:
@@ -565,6 +565,9 @@ def read_ppm_image(path):
         width, height, maxval = int(toks[1]), int(toks[2]), int(toks[3])
     except (IndexError, ValueError):
         raise ParseError(f"{path}: malformed image header") from None
+    for what, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise ParseError(f"{path}: {what} is {size}, not a positive integer")
     samples = []
     for k, t in enumerate(toks[4:]):
         try:

@@ -10,37 +10,35 @@ array is never built: with W split into W_l and W_g, its pre-activation
 is `local_i·W_l + (g·W_g + b)`, and the global term is computed once per
 block (PointNet's segmentation head, Qi et al., arXiv 1612.00593).
 
-Eval-mode batch norm is one affine map per column, which `_fold_layer`
-turns into its layer's W and b: every eval forward runs matmul, bias and
-ReLU only. `fold_batch_norm` prepares a network for eval, in place:
-batch norm folded with the same bits and each W widened exactly to
-float64, the operand matmul's exact product reads, so no forward, panel
-or worker folds or widens a W again. `eval_weights` is that preparation
-on a copy, for a caller who keeps its network.
+Weights are trainable or, for eval forwards only, prepared: one step
+(`_prepare_layer`) folds a layer's eval-mode batch norm, one affine map
+per column, into its W and b and widens W exactly to float64.
+`fold_batch_norm` prepares a network in place, `eval_weights` a copy
+once per call, and an eval-mode `pointwise_forward` an unprepared layer
+on a copy.
 
 Shapes follow the per-block convention: the "batch" dimension of every
 layer is the N points of one block, so batch normalization standardizes
 over points. All math runs in the dtype of the inputs/parameters
 (float32 in production, float64 for gradient checking); reductions
-accumulate in float64 either way. Matrix products of float32 tensors are
-float32 BLAS products in the train-mode forward and in backward, where a
-run only has to repeat itself; eval-mode forwards use matmul's exact
-product, so a row's output does not depend on which rows share its
-forward (see the README's notes on numerics). So an eval forward runs
-in row panels of at most EXACT_PANEL_ROWS rows and max-pools as it goes
-(`_eval_forward`): it never holds the pooled layer's (N, G) output or a
-float64 product of more than one panel, and its bits are a whole-array
-forward's. An eval layer adds its bias and applies ReLU in place on its
-product.
+accumulate in float64 either way. The operand dtypes pick each matrix
+product (`matmul`): a train step multiplies float32 by float32 (BLAS),
+where a run only has to repeat itself, and every eval product reads a
+prepared float64 W, so a row's output does not depend on which rows
+share its forward (see the README's notes on numerics). So an eval
+forward runs in row panels of at most EXACT_PANEL_ROWS rows and
+max-pools as it goes (`_eval_forward`): it never holds the pooled
+layer's (N, G) output or a float64 product of more than one panel, and
+its bits are a whole-array forward's.
 
-Batch norm, ReLU and their backward write into arrays the step itself
-made, never into the caller's inputs or weights nor into trace fields
-that backward reads. Each elementwise operation, its operand order and
-every float64 reduction are those of the out-of-place formulas, so the
-results are bitwise theirs. The train-mode pool finds each column's
-winning row by comparing row panels with the column max: the first hit
-is argmax's, and a column holding a NaN falls back to argmax, which
-returns its first NaN.
+Every layer adds its bias and applies batch norm and ReLU in place on
+its product, never into the caller's inputs or weights, and a train
+trace holds only what backward reads. Each elementwise operation, its
+operand order and every float64 reduction are those of the out-of-place
+formulas, so the results are bitwise theirs. The train-mode pool finds
+each column's winning row by comparing row panels with the column max:
+the first hit is argmax's, and a column holding a NaN falls back to
+argmax, which returns its first NaN.
 """
 
 import copy
@@ -153,16 +151,17 @@ def init_params(encoder_specs, head_specs, rng):
 
 
 def _check_chain(encoder_specs, head_specs):
-    for prev, cur in zip(encoder_specs, encoder_specs[1:]):
-        if prev.out_width != cur.in_width:
-            raise ShapeError(f"encoder chain break: {prev.out_width} -> {cur.in_width}")
-    for prev, cur in zip(head_specs, head_specs[1:]):
-        if prev.out_width != cur.in_width:
-            raise ShapeError(f"head chain break: {prev.out_width} -> {cur.in_width}")
+    """ShapeError naming the first layer's W whose rows are not the width
+    the layers before it give; head0 reads LOCAL_LAYER's and the last
+    encoder layer's outputs."""
     concat = encoder_specs[LOCAL_LAYER].out_width + encoder_specs[-1].out_width
-    if head_specs[0].in_width != concat:
-        raise ShapeError(f"head expects {head_specs[0].in_width} inputs, "
-                         f"concat provides {concat}")
+    for prefix, specs, width in (("enc", encoder_specs, None),
+                                 ("head", head_specs, concat)):
+        for i, spec in enumerate(specs):
+            if width is not None and spec.in_width != width:
+                raise ShapeError(f"'{prefix}{i}.W' has {spec.in_width} rows, "
+                                 f"but the layers before it give {width}")
+            width = spec.out_width
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +181,25 @@ def _row_panels(m, size):
     return [(i * m // n, (i + 1) * m // n) for i in range(n)]
 
 
-def matmul(a, b, exact=True):
-    """Matrix product; an empty inner dimension yields zeros.
+def matmul(a, b):
+    """Matrix product whose operand dtypes pick its form; an empty inner
+    dimension yields zeros.
 
-    With `exact` (the default), the operands are multiplied in float64
-    and the result rounded once to the dtype of `a` when that is float32,
-    so each output row is the same bits whichever rows share the call. A
-    float64 `b` that is the exact widening of float32 weights gives the
-    same bits as those weights and is read as it is, so fold_batch_norm
-    widens each W once for every product. Without `exact`, two
-    float32 operands give the float32 BLAS product `a @ b`: about twice as
-    fast and as repeatable from run to run for the same shapes, but a
-    row's bits may change with the number of rows. Other dtypes take the
-    exact path either way; a float64 `a` gives a float64 result.
+    Operands of one dtype give `a @ b`: float32 BLAS in a train step and
+    its backward, about twice as fast as accumulating in float64 and as
+    repeatable from run to run for the same shapes, though a row's bits
+    may change with the number of rows. Mixed dtypes are multiplied in
+    float64, and the result is rounded once to float32 when `a` is
+    float32. A prepared layer's W is float32 weights widened exactly to
+    float64, so a float32 input against it gives the exact product of the
+    float32 operands: each output row is the same bits whichever rows
+    share the call.
     """
     a = _as_2d(a, "a")
     b = _as_2d(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    if not exact and a.dtype == np.float32 and b.dtype == np.float32:
+    if a.dtype == b.dtype:
         return a @ b
     out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
     return out.astype(np.float32) if a.dtype == np.float32 else out
@@ -211,15 +210,11 @@ def matmul(a, b, exact=True):
 
 @dataclass
 class LayerTrace:
+    """What backward reads of one train-mode layer."""
     f_in: np.ndarray                 # per-row input (the local part if g is set)
-    s: np.ndarray                    # pre-BN pre-activation; in eval mode
-                                     # (BN folded) the array f_out, after
-                                     # ReLU: nothing reads an eval s
     s_hat: np.ndarray | None         # normalized, pre gamma/beta
     inv_std: np.ndarray | None
-    mask: np.ndarray | None          # ReLU gate (pre-activation > 0); train
-                                     # mode only
-    f_out: np.ndarray
+    mask: np.ndarray | None          # ReLU gate (pre-activation > 0)
     g: np.ndarray | None = None      # (S, G) per-block input, read by every row
     segments: tuple | None = None    # rows per block when g is set
 
@@ -254,16 +249,26 @@ def _pool_winners(block, top):
     return winners
 
 
-def _fold_layer(params, out):
-    """Eval-mode batch norm of s = x·W + b as the layer's own weights
-    (Jacob et al., arXiv 1712.05877, section 3.2): returns W·diag(k),
-    rounded once into `out` (which may be params.W), and (b - mean)·k +
-    beta, with k = gamma/sqrt(var + eps) and the bias formed in float64."""
-    k = params.gamma / np.sqrt(params.running_var.astype(np.float64) + BN_EPS)
-    np.multiply(params.W, k, out=out, casting="unsafe")
-    b = ((params.b - params.running_mean.astype(np.float64)) * k
-         + params.beta).astype(params.b.dtype)
-    return out, b
+def _prepared(spec, params):
+    return not spec.has_bn and params.W.dtype == np.float64
+
+
+def _prepare_layer(spec, params):
+    """Prepare one layer for eval forwards, in place; returns its spec.
+    Eval-mode batch norm of s = x·W + b becomes the layer's own weights
+    (Jacob et al., arXiv 1712.05877, section 3.2): W·diag(k), rounded once
+    into W, and (b - mean)·k + beta formed in float64, k = gamma/sqrt(var
+    + eps). Then W is widened exactly to float64; b keeps its dtype."""
+    if spec.has_bn:
+        k = params.gamma / np.sqrt(params.running_var.astype(np.float64) + BN_EPS)
+        np.multiply(params.W, k, out=params.W, casting="unsafe")
+        params.b = ((params.b - params.running_mean.astype(np.float64)) * k
+                    + params.beta).astype(params.b.dtype)
+        params.gamma = params.beta = params.running_mean = params.running_var = None
+        spec = LayerSpec(spec.in_width, spec.out_width, has_bn=False,
+                         has_relu=spec.has_relu)
+    params.W = params.W.astype(np.float64, copy=False)
+    return spec
 
 
 def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
@@ -275,9 +280,10 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     once per block and repeated over that block's rows.
 
     Train mode normalizes with the batch statistics of the N input rows
-    (biased variance, eps under the square root) and advances the running
-    statistics in place at momentum BN_MOMENTUM; eval mode folds the
-    running statistics into W and b first (`_fold_layer`).
+    (biased variance, eps under the square root), advances the running
+    statistics in place at momentum BN_MOMENTUM and returns the trace
+    that backward reads. Eval mode reads a prepared layer, preparing an
+    unprepared one on a copy (`_prepare_layer`), and returns no trace.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -285,33 +291,31 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     local_w = spec.in_width - (0 if g is None else g.shape[1])
     if f_in.ndim != 2 or f_in.shape[1] != local_w:
         raise ShapeError(f"layer expects (N,{local_w}), got {f_in.shape}")
-    exact = mode == "eval"
-    normalize = spec.has_bn and not exact
-    W, b = params.W, params.b
-    if spec.has_bn and exact:
-        W, b = _fold_layer(params, np.empty_like(W))
-    # the (N, out) arrays below come fresh from matmul or are made here,
-    # so elementwise steps write into them; nothing is written into f_in,
-    # g or params, and the train-mode s, s_hat and mask stay as the trace
-    # records them
+    if mode == "eval" and not _prepared(spec, params):
+        params = copy.deepcopy(params)
+        spec = _prepare_layer(spec, params)
+    # s comes fresh from matmul and the squares z are made here, so
+    # elementwise steps write into them; nothing is written into f_in, g
+    # or params, and s_hat and mask stay as the trace records them
+    W = params.W
     if g is None:
-        s = matmul(f_in, W, exact=exact)
-        s += b
+        s = matmul(f_in, W)
+        s += params.b
     else:
         if (segments is None or len(segments) != len(g)
                 or sum(segments) != len(f_in)):
             raise ShapeError(f"segments {segments} do not match {len(g)} "
                              f"global rows and {len(f_in)} local rows")
-        s = matmul(f_in, W[:local_w], exact=exact)
-        s += np.repeat(matmul(g, W[local_w:], exact=exact) + b,
-                       segments, axis=0)
-    s_hat = inv_std = None
-    if normalize:
+        s = matmul(f_in, W[:local_w])
+        s += np.repeat(matmul(g, W[local_w:]) + params.b, segments, axis=0)
+    s_hat = inv_std = mask = None
+    z = s
+    if spec.has_bn:
         if len(s) < 2:
             raise ValueError("batch norm in train mode needs N >= 2 points")
         mu = _colstat(s, np.mean)
-        s_hat = s - mu                  # deviations, scaled below
-        z = np.multiply(s_hat, s_hat)   # squares, then gamma·s_hat
+        s_hat = np.subtract(s, mu, out=s)   # deviations, scaled below
+        z = np.multiply(s_hat, s_hat)       # squares, then gamma·s_hat
         var = _colstat(z, np.mean)
         inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=s.dtype))
         s_hat *= inv_std
@@ -322,20 +326,13 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
                                    - params.running_var)
         np.multiply(params.gamma, s_hat, out=z)
         z += params.beta
-    else:
-        z = s
-    mask = None
     if spec.has_relu:
-        # only backward reads the gate; a NaN pre-activation stays NaN.
-        # Without batch norm z is s, which a train trace keeps and an eval
-        # trace does not (nothing reads it).
+        # only backward reads the gate; a NaN pre-activation stays NaN
         if mode == "train":
             mask = z > 0
-        f_out = np.maximum(z, np.asarray(0, dtype=z.dtype),
-                           out=z if normalize or exact else None)
-    else:
-        f_out = z
-    return f_out, LayerTrace(f_in, s, s_hat, inv_std, mask, f_out, g, segments)
+        np.maximum(z, np.asarray(0, dtype=z.dtype), out=z)
+    return z, (LayerTrace(f_in, s_hat, inv_std, mask, g, segments)
+               if mode == "train" else None)
 
 
 def pointwise_backward(d_out, spec, params, trace):
@@ -365,15 +362,15 @@ def pointwise_backward(d_out, spec, params, trace):
         d = np.multiply(trace.inv_std, ds_hat, out=ds_hat)
     grads["b"] = _colstat(d, np.sum)
     if trace.g is None:
-        grads["W"] = matmul(trace.f_in.T, d, exact=False)
-        return matmul(d, params.W.T, exact=False), grads
+        grads["W"] = matmul(trace.f_in.T, d)
+        return matmul(d, params.W.T), grads
     local_w = trace.f_in.shape[1]
     d_seg = np.add.reduceat(d.astype(np.float64), _offsets(trace.segments),
                             axis=0).astype(d.dtype)
-    grads["W"] = np.vstack([matmul(trace.f_in.T, d, exact=False),
-                            matmul(trace.g.T, d_seg, exact=False)])
-    return (matmul(d, params.W[:local_w].T, exact=False),
-            matmul(d_seg, params.W[local_w:].T, exact=False)), grads
+    grads["W"] = np.vstack([matmul(trace.f_in.T, d),
+                            matmul(trace.g.T, d_seg)])
+    return (matmul(d, params.W[:local_w].T),
+            matmul(d_seg, params.W[local_w:].T)), grads
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +411,6 @@ class ForwardTrace:
                                         # column; None in eval mode
     q: np.ndarray                 # (N, C) class probabilities
 
-    @property
-    def pooled_input(self):
-        """The last encoder layer's output; train mode only."""
-        return self.encoder_traces[-1].f_out
-
 
 def _check_segments(segments, n):
     if segments is None:
@@ -456,9 +448,11 @@ def forward(x, params, mode="eval", segments=None):
         return _eval_forward(x, params, segments)
     enc_traces = []
     f = x
-    for spec, lp in zip(params.encoder_specs, params.encoder):
+    for i, (spec, lp) in enumerate(zip(params.encoder_specs, params.encoder)):
         f, tr = pointwise_forward(f, spec, lp, mode)
         enc_traces.append(tr)
+        if i == LOCAL_LAYER:
+            local = f
     offsets = _offsets(segments)
     g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
     am_seg = np.empty(g_seg.shape, dtype=np.int64)
@@ -466,8 +460,8 @@ def forward(x, params, mode="eval", segments=None):
         block = f[start:start + rows]
         block.max(axis=0, out=g_seg[s])
         am_seg[s] = _pool_winners(block, g_seg[s]) + start
-    f, tr = pointwise_forward(enc_traces[LOCAL_LAYER].f_out, params.head_specs[0],
-                              params.head[0], mode, g=g_seg, segments=segments)
+    f, tr = pointwise_forward(local, params.head_specs[0], params.head[0],
+                              mode, g=g_seg, segments=segments)
     head_traces = [tr]
     for spec, lp in zip(params.head_specs[1:], params.head[1:]):
         f, tr = pointwise_forward(f, spec, lp, mode)
@@ -570,9 +564,8 @@ def backward(trace, labels, params):
         for k, v in g.items():
             grads[f"head{i}.{k}"] = v
     d_local, dg_seg = d
-    f5 = trace.pooled_input
-    d = np.zeros_like(f5)
-    cols = np.arange(f5.shape[1])
+    d = np.zeros((n, trace.g_segments.shape[1]), dtype=trace.g_segments.dtype)
+    cols = np.arange(d.shape[1])
     for s in range(len(trace.segments)):
         d[trace.argmax_segments[s], cols] += dg_seg[s]
     for i in reversed(range(len(params.encoder))):
@@ -633,11 +626,11 @@ def copy_params(params):
 def fold_batch_norm(params):
     """Prepare params for eval-mode forwards, in place; returns params.
 
-    Each batch norm's eval-mode affine map is folded into its layer's W
-    and b (`_fold_layer`, the formula every eval forward uses), and then
-    each W is widened to float64, which is exact, so every product of
-    every panel and worker reads the one float64 W that matmul would form
-    for it. b keeps its dtype. Folded layers become has_bn=False and keep
+    Each layer is prepared by `_prepare_layer`, the step an eval-mode
+    pointwise_forward takes on an unprepared layer: batch norm folded
+    into W and b, and W widened exactly to float64, so every product of
+    every panel and worker reads the one W that gives the float32
+    weights' exact product. Folded layers become has_bn=False and keep
     their ReLU; preparing again changes nothing. W is replaced one layer
     at a time, so a network that nothing else holds never has all of its
     float32 and float64 weights at once. The result is for eval-mode
@@ -647,12 +640,7 @@ def fold_batch_norm(params):
     for specs, layers in ((params.encoder_specs, params.encoder),
                           (params.head_specs, params.head)):
         for i, (spec, lp) in enumerate(zip(specs, layers)):
-            if spec.has_bn:
-                lp.W, lp.b = _fold_layer(lp, lp.W)
-                lp.gamma = lp.beta = lp.running_mean = lp.running_var = None
-                specs[i] = LayerSpec(spec.in_width, spec.out_width,
-                                     has_bn=False, has_relu=spec.has_relu)
-            lp.W = lp.W.astype(np.float64, copy=False)
+            specs[i] = _prepare_layer(spec, lp)
     return params
 
 
@@ -661,8 +649,7 @@ def eval_weights(params):
     when it is prepared already (no batch norm, every W float64), else
     `fold_batch_norm` of a copy, leaving params and its arrays as they
     were."""
-    if all(not spec.has_bn and lp.W.dtype == np.float64
-           for spec, lp in params.layers()):
+    if all(_prepared(spec, lp) for spec, lp in params.layers()):
         return params
     return fold_batch_norm(copy_params(params))
 
@@ -688,9 +675,11 @@ def load_checkpoint(path):
     Layer specs are inferred: widths from the weight shapes, has_bn from
     the presence of BN tensors, and has_relu == has_bn (every normalized
     layer is ReLU-activated; the final linear layer is neither). A missing
-    layer or tensor, a tensor name that is not <layer>.<tensor>, or a
-    tensor holding a NaN or an infinity raises ContainerError naming the
-    first such tensor in file order; `meta.momentum` is ignored.
+    layer or tensor, a tensor name that is not <layer>.<tensor>, a
+    tensor holding a NaN or an infinity, a vector not as wide as its W,
+    or a W whose rows do not chain to the layers before it raises
+    ContainerError naming the first such tensor; `meta.momentum` is
+    ignored.
     """
     n_layers, tensors = _container.read_container_file(path)
     tensors.pop("meta.momentum", None)
@@ -727,12 +716,21 @@ def load_checkpoint(path):
                 raise _container.ContainerError(
                     f"checkpoint lacks tensor {layer}.{missing[0]}")
             W = t["W"]
+            narrow = [n for n in names[1:] if t[n].shape != (1, W.shape[1])]
+            if narrow:
+                raise _container.ContainerError(
+                    f"checkpoint tensor '{layer}.{narrow[0]}' has shape "
+                    f"{t[narrow[0]].shape}, but {layer}.W has {W.shape[1]} columns")
             specs.append(LayerSpec(W.shape[0], W.shape[1], has_bn, has_bn))
             layers.append(LayerParams(W, *[t[n].reshape(-1) for n in names[1:]]))
         return specs, layers
 
     enc_specs, enc = build("enc")
     head_specs, head = build("head")
-    if not enc or not head:
+    if len(enc) <= LOCAL_LAYER or not head:
         raise _container.ContainerError("checkpoint is missing layer tensors")
+    try:
+        _check_chain(enc_specs, head_specs)
+    except ShapeError as e:
+        raise _container.ContainerError(f"checkpoint tensor {e}") from None
     return NetworkParams(enc, head, enc_specs, head_specs)

@@ -192,7 +192,10 @@ class FitResult:
 def evaluate_blocks(blocks, params):
     """Point-weighted mean loss and accuracy over labeled blocks (eval
     mode), on weights prepared once per call (network.eval_weights: a
-    folded, widened copy; params are left as they are)."""
+    folded, widened copy; params are left as they are). Needs at least
+    one block."""
+    if not blocks:
+        raise ValueError("evaluate_blocks needs at least one block")
     params = network.eval_weights(params)
     total_nll = 0.0
     correct = 0

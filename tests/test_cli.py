@@ -637,6 +637,21 @@ class TestMalformedCheckpoint:
                                [(name, np.zeros(2, dtype=np.float32))])
         assert repr(name) in assert_error_exit(rc, capsys)
 
+    @pytest.mark.parametrize("name", ["enc2.b", "head1.running_var"])
+    def test_vector_narrower_than_its_layer(self, tmp_path, capsys, name):
+        # a 7-wide enc2.b loaded, and predict failed in numpy's broadcast
+        rc = self.predict_with(tmp_path, lambda k: k == name,
+                               [(name, np.zeros(7, dtype=np.float32))])
+        err = assert_error_exit(rc, capsys)
+        assert repr(name) in err and "(1, 7)" in err
+
+    def test_weights_that_do_not_chain(self, tmp_path, capsys):
+        # a 100-row enc3.W loaded, and the first forward failed
+        rc = self.predict_with(tmp_path, lambda k: k == "enc3.W",
+                               [("enc3.W", np.zeros((100, 16), dtype=np.float32))])
+        err = assert_error_exit(rc, capsys)
+        assert "'enc3.W' has 100 rows" in err
+
     @pytest.mark.parametrize("name, value", [("enc4.W", np.nan),
                                              ("head1.running_var", np.inf),
                                              ("enc0.beta", -np.inf)])

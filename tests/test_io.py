@@ -593,6 +593,19 @@ class TestPpmWorld:
         with pytest.raises(ParseError, match=match):
             read_ppm_image(path)
 
+    @pytest.mark.parametrize("header,samples,match", [
+        ("-2 -3", 18, "width is -2, not a positive integer"),
+        ("0 0", 0, "width is 0, not a positive integer"),
+        ("2 0", 0, "height is 0, not a positive integer"),
+    ], ids=["negative", "empty", "no-rows"])
+    def test_positive_size_required(self, tmp_path, header, samples, match):
+        # -2 x -3 failed in numpy's reshape; 0 x 0 loaded as an empty raster
+        path = tmp_path / "img.ppm"
+        path.write_text(f"P3 {header} 255\n" + " 1" * samples + "\n")
+        (tmp_path / "img.wld").write_text("1.0\n0.0\n0.0\n-1.0\n0.0\n0.0\n")
+        with pytest.raises(ParseError, match=match):
+            read_ppm_image(path)
+
     def test_full_8bit_range_read(self, tmp_path):
         path = tmp_path / "img.ppm"
         path.write_text("P3\n1 1\n255\n0 128 255\n")

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import tracemalloc
 from unittest import mock
 
@@ -83,13 +84,15 @@ class TestPointwise:
 
     @pytest.mark.parametrize("has_bn", [False, True])
     def test_relu_gate_recorded_in_train_mode_only(self, has_bn, rng):
+        # an eval layer returns no trace, so no gate
         spec = net.LayerSpec(4, 6, has_bn=has_bn, has_relu=True)
         lp = net.init_layer(spec, rng)
         x = rng.standard_normal((32, 4)).astype(np.float32)
         _, ev = net.pointwise_forward(x, spec, lp, "eval")
-        assert ev.mask is None
+        assert ev is None
         out, tr = net.pointwise_forward(x, spec, lp, "train")
-        z = tr.s if not has_bn else lp.gamma * tr.s_hat + lp.beta
+        z = (matmul(x, lp.W) + lp.b if not has_bn
+             else lp.gamma * tr.s_hat + lp.beta)
         assert np.array_equal(tr.mask, z > 0)
         assert 0 < tr.mask.sum() < tr.mask.size
         # finite inputs: the same bits as gating z by its sign
@@ -105,18 +108,42 @@ class TestPointwise:
         assert np.array_equal(out[1:], f32([[2, 0], [0, 2]]))
 
     @pytest.mark.parametrize("has_bn", [False, True])
-    def test_eval_bias_and_relu_write_into_the_product(self, has_bn, rng):
-        # an eval trace keeps one (N, out) array: s is f_out itself
+    def test_eval_bias_and_relu_write_into_the_product(self, has_bn, rng,
+                                                       monkeypatch):
+        # an eval layer holds one (N, out) array, the product it returns,
+        # and no trace
         spec = net.LayerSpec(4, 6, has_bn=has_bn, has_relu=True)
         lp = net.init_layer(spec, rng)
         lp.b[:] = rng.standard_normal(6)
         x = rng.standard_normal((32, 4)).astype(np.float32)
+        products = []
+        real = net.matmul
+
+        def spy(a, b):
+            products.append(real(a, b))
+            return products[-1]
+
+        monkeypatch.setattr(net, "matmul", spy)
         out, tr = net.pointwise_forward(x, spec, lp, "eval")
-        assert tr.s is out and tr.f_out is out
-        W, b = (net._fold_layer(lp, np.empty_like(lp.W)) if has_bn
-                else (lp.W, lp.b))
-        want = np.maximum(matmul(x, W) + b, np.float32(0))
+        assert tr is None and out is products[-1]
+        prepared = copy.deepcopy(lp)
+        net._prepare_layer(spec, prepared)
+        want = np.maximum(real(x, prepared.W) + prepared.b, np.float32(0))
         assert out.tobytes() == want.tobytes()
+
+    def test_unprepared_float32_eval_product_is_exact(self, rng):
+        # an unprepared layer is prepared on a copy, so its eval product
+        # is the float64 product rounded once, never float32 BLAS (which
+        # differs here), and the caller's W stays float32
+        spec = net.LayerSpec(2112, 256, has_bn=False, has_relu=False)
+        lp = net.init_layer(spec, rng)
+        lp.b[:] = rng.standard_normal(256)
+        x = np.maximum(rng.standard_normal((64, 2112)), 0).astype(np.float32)
+        out, _ = net.pointwise_forward(x, spec, lp, "eval")
+        exact = (x.astype(np.float64) @ lp.W.astype(np.float64)).astype(np.float32)
+        assert out.tobytes() == (exact + lp.b).tobytes()
+        assert (x @ lp.W + lp.b).tobytes() != out.tobytes()
+        assert lp.W.dtype == np.float32
 
     def test_running_stats_advance(self, rng):
         spec = net.LayerSpec(2, 2)
@@ -356,10 +383,10 @@ class TestBackward:
                                           params.head[i], trace.head_traces[i])
         _, dg_seg = d
         assert dg_seg.shape == trace.g_segments.shape
-        f5 = trace.pooled_input
-        cols = np.arange(f5.shape[1])
-        routed = np.zeros_like(f5)
-        winners = np.zeros_like(f5, dtype=bool)
+        pooled_shape = (10, trace.g_segments.shape[1])
+        cols = np.arange(pooled_shape[1])
+        routed = np.zeros(pooled_shape)
+        winners = np.zeros(pooled_shape, dtype=bool)
         start = 0
         for s, rows in enumerate(segments):
             am = trace.argmax_segments[s]
@@ -369,6 +396,23 @@ class TestBackward:
             start += rows
         assert (routed[~winners] == 0).all()
         assert np.count_nonzero(routed) > 0
+
+    def test_train_trace_holds_only_what_backward_reads(self):
+        # a 4096-row default-architecture trace held 170.8 MB when it kept
+        # every layer's pre-normalization s and output; without them it
+        # holds 84.7 MB (numpy 2.4.6)
+        enc, head = net.default_architecture()
+        params = net.init_params(enc, head, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((4096, 9)).astype(
+            np.float32)
+        tracemalloc.start()
+        try:
+            trace = net.forward(x, params, "train")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert trace.q.shape == (4096, 9)
+        assert held < 128e6
 
     @staticmethod
     def _gate_signature(trace):
@@ -532,15 +576,16 @@ def _concat_reference(x, params, mode, segments, labels):
     """The network with head0 reading the built (N, local + G)
     concat/repeat of each row's local feature and its block's pooled
     feature; returns (q, grads or None in eval mode)."""
-    f, enc_traces = x, []
+    f, enc_traces, enc_outputs = x, [], []
     for spec, lp in zip(params.encoder_specs, params.encoder):
         f, tr = net.pointwise_forward(f, spec, lp, mode)
         enc_traces.append(tr)
+        enc_outputs.append(f)
     offsets = np.concatenate([[0], np.cumsum(segments)[:-1]])
     parts = [f[o:o + rows] for o, rows in zip(offsets, segments)]
     g = np.stack([part.max(axis=0) for part in parts])
     am = np.stack([part.argmax(axis=0) + o for part, o in zip(parts, offsets)])
-    local = enc_traces[net.LOCAL_LAYER].f_out
+    local = enc_outputs[net.LOCAL_LAYER]
     h = np.concatenate([local, np.repeat(g, segments, axis=0)], axis=1)
     head_traces = []
     for spec, lp in zip(params.head_specs, params.head):
@@ -626,7 +671,8 @@ class TestSplitHead:
         x = rng.standard_normal((12, 9)).astype(np.float32)
         trace = net.forward(x, params, "train", segments=(5, 7))
         tr = trace.head_traces[0]
-        assert tr.f_in is trace.encoder_traces[net.LOCAL_LAYER].f_out
+        # the next encoder layer reads the same LOCAL_LAYER output
+        assert tr.f_in is trace.encoder_traces[net.LOCAL_LAYER + 1].f_in
         assert tr.g is trace.g_segments and tr.segments == (5, 7)
 
     def test_mismatched_segments_rejected(self, rng):
@@ -822,37 +868,38 @@ class TestEvalWeights:
 
 
 class TestPrecisionPolicy:
-    """Train-mode forwards and backward run float32 BLAS products; eval
-    forwards keep the exact product, whose rows do not depend on their
+    """The operand dtypes pick each product: a float32 train step and its
+    backward multiply float32 by float32 (BLAS); every eval product reads
+    a float64 W, the exact product, whose rows do not depend on their
     neighbours (TestPrecision)."""
 
     @staticmethod
-    def _record_forms(monkeypatch):
-        forms = []
+    def _record_dtypes(monkeypatch):
+        dtypes = []
         real = net.matmul
 
-        def spy(a, b, exact=True):
-            forms.append(exact)
-            return real(a, b, exact=exact)
+        def spy(a, b):
+            dtypes.append((a.dtype, b.dtype))
+            return real(a, b)
 
         monkeypatch.setattr(net, "matmul", spy)
-        return forms
+        return dtypes
 
     def test_train_step_uses_only_the_float32_form(self, monkeypatch, rng):
         params = toy_params()
         x = rng.standard_normal((12, 9)).astype(np.float32)
-        forms = self._record_forms(monkeypatch)
+        dtypes = self._record_dtypes(monkeypatch)
         trace = net.forward(x, params, "train", segments=(5, 7))
         net.backward(trace, rng.integers(0, 3, 12), params)
-        assert forms and not any(forms)
+        assert dtypes and all(d == (np.float32, np.float32) for d in dtypes)
 
     def test_eval_forward_uses_only_the_exact_form(self, monkeypatch, rng):
         params = toy_params()
         x = rng.standard_normal((12, 9)).astype(np.float32)
-        forms = self._record_forms(monkeypatch)
+        dtypes = self._record_dtypes(monkeypatch)
         net.forward(x, params, "eval", segments=(5, 7))
         net.forward(x, net.fold_batch_norm(params), "eval", segments=(5, 7))
-        assert forms and all(forms)
+        assert dtypes and all(d == (np.float32, np.float64) for d in dtypes)
 
     def test_float32_gradients_track_the_float64_shadow(self):
         rng = np.random.default_rng(5)
@@ -883,7 +930,8 @@ def _colstat(x, stat):
 def _reference_layer_forward(f_in, spec, params, mode, g=None, segments=None):
     """pointwise_forward with every elementwise step writing a fresh
     array, in the order and with the float64 reductions the library
-    keeps; eval mode folds batch norm into a new W and b."""
+    keeps; eval mode folds batch norm into a new W and b and multiplies
+    by W widened to float64, the exact product."""
     exact = mode == "eval"
     W, b = params.W, params.b
     if spec.has_bn and exact:
@@ -892,13 +940,14 @@ def _reference_layer_forward(f_in, spec, params, mode, g=None, segments=None):
         W = (params.W * k).astype(params.W.dtype)
         b = ((params.b - params.running_mean.astype(np.float64)) * k
              + params.beta).astype(params.b.dtype)
+    if exact:
+        W = W.astype(np.float64)
     if g is None:
-        s = net.matmul(f_in, W, exact=exact) + b
+        s = net.matmul(f_in, W) + b
     else:
         local_w = f_in.shape[1]
-        s = net.matmul(f_in, W[:local_w], exact=exact)
-        s += np.repeat(net.matmul(g, W[local_w:], exact=exact) + b,
-                       segments, axis=0)
+        s = net.matmul(f_in, W[:local_w])
+        s += np.repeat(net.matmul(g, W[local_w:]) + b, segments, axis=0)
     s_hat = inv_std = None
     if spec.has_bn and not exact:
         eps = np.asarray(net.BN_EPS, dtype=s.dtype)
@@ -922,8 +971,8 @@ def _reference_layer_forward(f_in, spec, params, mode, g=None, segments=None):
         f_out = np.maximum(z, np.asarray(0, dtype=z.dtype))
     else:
         f_out = z
-    return f_out, net.LayerTrace(f_in, s, s_hat, inv_std, mask, f_out, g,
-                                 segments)
+    return f_out, (None if exact else
+                   net.LayerTrace(f_in, s_hat, inv_std, mask, g, segments))
 
 
 def _reference_layer_backward(d_out, spec, params, trace):
@@ -941,15 +990,15 @@ def _reference_layer_backward(d_out, spec, params, trace):
                              - trace.s_hat * _colstat(ds_hat * trace.s_hat, np.mean))
     grads["b"] = _colstat(d, np.sum)
     if trace.g is None:
-        grads["W"] = net.matmul(trace.f_in.T, d, exact=False)
-        return net.matmul(d, params.W.T, exact=False), grads
+        grads["W"] = net.matmul(trace.f_in.T, d)
+        return net.matmul(d, params.W.T), grads
     local_w = trace.f_in.shape[1]
     d_seg = np.add.reduceat(d.astype(np.float64), net._offsets(trace.segments),
                             axis=0).astype(d.dtype)
-    grads["W"] = np.vstack([net.matmul(trace.f_in.T, d, exact=False),
-                            net.matmul(trace.g.T, d_seg, exact=False)])
-    return (net.matmul(d, params.W[:local_w].T, exact=False),
-            net.matmul(d_seg, params.W[local_w:].T, exact=False)), grads
+    grads["W"] = np.vstack([net.matmul(trace.f_in.T, d),
+                            net.matmul(trace.g.T, d_seg)])
+    return (net.matmul(d, params.W[:local_w].T),
+            net.matmul(d_seg, params.W[local_w:].T)), grads
 
 
 def _reference_adam_step(params, grads, state, lr):
@@ -1151,25 +1200,33 @@ class TestMatmul:
 
 
 class TestPrecision:
+    """The operand dtypes pick the product: one dtype gives `a @ b`, a
+    float32 `a` against a float64 `b` (exactly widened float32 weights)
+    the float64 product rounded once to float32."""
+
     def test_float32_form_is_the_blas_product(self, rng):
         a = rng.standard_normal((37, 300)).astype(np.float32)
         b = rng.standard_normal((300, 45)).astype(np.float32)
-        out = matmul(a, b, exact=False)
+        out = matmul(a, b)
         assert out.dtype == np.float32
         assert out.tobytes() == (a @ b).tobytes()
 
     def test_float64_operands_ignore_the_form(self, rng):
         a = rng.standard_normal((37, 300))
         b = rng.standard_normal((300, 45))
-        fast = matmul(a, b, exact=False)
-        assert fast.dtype == np.float64
-        assert fast.tobytes() == matmul(a, b).tobytes()
+        out = matmul(a, b)
+        assert out.dtype == np.float64
+        assert out.tobytes() == (a @ b).tobytes()
+        # a float32 b is widened exactly, so it gives the same bits
+        assert matmul(a, b.astype(np.float32)).tobytes() == \
+            (a @ b.astype(np.float32).astype(np.float64)).tobytes()
 
     def test_exact_form_rounds_the_float64_product_once(self, rng):
         a = rng.standard_normal((20, 64)).astype(np.float32)
         b = rng.standard_normal((64, 8)).astype(np.float32)
         want = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
-        assert matmul(a, b).tobytes() == want.tobytes()
+        out = matmul(a, b.astype(np.float64))
+        assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 64), k=st.sampled_from([9, 64, 300, 2112]),
@@ -1179,7 +1236,8 @@ class TestPrecision:
         # bits a forward of that row alone gives
         rng = np.random.default_rng(seed)
         a = np.maximum(rng.standard_normal((m, k)), 0).astype(np.float32)
-        b = rng.uniform(-0.05, 0.05, (k, n)).astype(np.float32)
+        b = rng.uniform(-0.05, 0.05, (k, n)).astype(np.float32).astype(
+            np.float64)
         out = matmul(a, b)
         for i in range(m):
             assert out[i].tobytes() == matmul(a[i:i + 1], b)[0].tobytes()
@@ -1197,7 +1255,7 @@ class TestPrecision:
         b = rng.uniform(-0.05, 0.05, (k, n)).astype(np.float32)
         want = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
         with mock.patch.object(net, "EXACT_PANEL_ROWS", panel):
-            got = matmul(a, b)
+            got = matmul(a, b.astype(np.float64))
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("size", [4, 5, 7, 64, net.EXACT_PANEL_ROWS])

@@ -323,3 +323,10 @@ class TestFit:
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
             tr.fit([], [], toy_fit_config())
+
+    def test_evaluate_needs_a_block(self):
+        # an empty set divided 0 by 0 points
+        enc, head = self.toy_specs()
+        params = net.init_params(enc, head, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one block"):
+            tr.evaluate_blocks([], params)
