@@ -192,6 +192,7 @@ def cmd_train(args):
                     "parameters": network.param_count(result.params),
                     "diverged": result.diverged,
                     "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+                    "step_rows_max": result.step_rows_max,
                     "rows_per_s": f"{rows / epoch_s if epoch_s else 0.0:.1f}",
                     # float32 training bits can depend on BLAS threads
                     **{f"env.{v}": os.environ.get(v, "unset") for v in (

@@ -33,9 +33,15 @@ its bits are a whole-array forward's.
 
 Every layer adds its bias and applies batch norm and ReLU in place on
 its product, never into the caller's inputs or weights, and a train
-trace holds only what backward reads. Each elementwise operation, its
-operand order and every float64 reduction are those of the out-of-place
-formulas, so the results are bitwise theirs. The train-mode pool finds
+trace holds only what backward reads. Backward hands each layer step
+(`_layer_backward`) a gradient it owns (q's copy, a matmul product, the
+routed pool gradient), which the step gates, runs through batch norm's
+chain rule and scales in place; the chain rule's products with s_hat
+run in row panels of at most EXACT_PANEL_ROWS rows, each column summed
+in float64 row by row. So a train step holds its trace plus about one
+layer's gradient. Each elementwise operation, its operand order and
+every float64 reduction are those of the out-of-place formulas, so the
+results are bitwise theirs. The train-mode pool finds
 each column's winning row by comparing row panels with the column max:
 the first hit is argmax's, and a column holding a NaN falls back to
 argmax, which returns its first NaN.
@@ -53,7 +59,8 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LOG_CLAMP = 1e-12
 POOL_PANEL = 64           # rows per equality scan for the pool's winners
-EXACT_PANEL_ROWS = 256    # most rows per panel of an eval forward; >= 4
+EXACT_PANEL_ROWS = 256    # most rows per panel of an eval forward and of
+                          # batch norm's backward products; >= 4
 LOCAL_LAYER = 1           # encoder layer whose output is head0's local input
 DEFAULT_ENCODER_WIDTHS = (64, 64, 128, 512, 2048)
 DEFAULT_HEAD_WIDTHS = (256, 128)
@@ -340,25 +347,56 @@ def pointwise_backward(d_out, spec, params, trace):
 
     For a layer with a per-block input g, d_in is the pair (gradient into
     f_in, gradient into g); both, and W's g rows, come from the
-    per-block sums of the pre-activation gradient.
+    per-block sums of the pre-activation gradient. d_out is left as it
+    is: the step runs on a copy (`backward` hands its own gradients to
+    the step itself).
     """
-    d = d_out
+    return _layer_backward(d_out.copy(), spec, params, trace)
+
+
+def _column_dots(a, b):
+    """Column sums of `a * b` (rounded in a's dtype), accumulated in
+    float64 row by row, without the (N, out) product: each panel of at
+    most EXACT_PANEL_ROWS products follows the running sums in one
+    float64 buffer, so the bits are `np.sum(a * b, axis=0,
+    dtype=np.float64)`'s. numpy sums a single column pairwise, so one is
+    summed whole."""
+    if a.shape[1] == 1:
+        return np.sum(a * b, axis=0, dtype=np.float64)
+    sums = np.zeros(a.shape[1])
+    buf = np.empty((min(len(a), EXACT_PANEL_ROWS) + 1, a.shape[1]))
+    for start, stop in _row_panels(len(a), EXACT_PANEL_ROWS):
+        rows = buf[:stop - start + 1]
+        rows[0] = sums
+        np.multiply(a[start:stop], b[start:stop], out=rows[1:], dtype=a.dtype)
+        np.sum(rows, axis=0, out=sums)
+    return sums
+
+
+def _layer_backward(d, spec, params, trace):
+    """pointwise_backward on a gradient the step owns: the ReLU gate, the
+    batch-norm chain rule and the scaling by inv_std overwrite d, and the
+    chain rule's products with s_hat run in row panels, so neither gate
+    nor batch norm allocates an (N, out) array beside d."""
     if spec.has_relu:
-        d = d * trace.mask
+        d *= trace.mask
     grads = {}
     if spec.has_bn:
         s_hat = trace.s_hat
-        tmp = d * s_hat
-        grads["gamma"] = _colstat(tmp, np.sum)
+        n = len(d)
+        grads["gamma"] = _column_dots(d, s_hat).astype(d.dtype)
         grads["beta"] = _colstat(d, np.sum)
-        # d_out is the caller's; the gated d is ours to overwrite
-        ds_hat = np.multiply(d, params.gamma, out=d if spec.has_relu else None)
+        ds_hat = np.multiply(d, params.gamma, out=d)
         # biased-variance batch-statistics chain rule, evaluated as
         # inv_std * ((ds_hat - mean(ds_hat)) - s_hat * mean(ds_hat * s_hat))
         mean_ds = _colstat(ds_hat, np.mean)
-        mean_ds_s = _colstat(np.multiply(ds_hat, s_hat, out=tmp), np.mean)
+        mean_ds_s = (_column_dots(ds_hat, s_hat) / n).astype(d.dtype)
         ds_hat -= mean_ds
-        ds_hat -= np.multiply(s_hat, mean_ds_s, out=tmp)
+        tmp = np.empty((min(n, EXACT_PANEL_ROWS), d.shape[1]), d.dtype)
+        for start, stop in _row_panels(n, EXACT_PANEL_ROWS):
+            part = ds_hat[start:stop]
+            part -= np.multiply(s_hat[start:stop], mean_ds_s,
+                                out=tmp[:stop - start])
         d = np.multiply(trace.inv_std, ds_hat, out=ds_hat)
     grads["b"] = _colstat(d, np.sum)
     if trace.g is None:
@@ -557,10 +595,12 @@ def backward(trace, labels, params):
     d[np.arange(n), labels] -= 1
     d /= n
 
+    # every d below is backward's own (q's copy, a matmul product, the
+    # routed pool gradient), so each layer step writes into it
     grads = {}
     for i in reversed(range(len(params.head))):
-        d, g = pointwise_backward(d, params.head_specs[i], params.head[i],
-                                  trace.head_traces[i])
+        d, g = _layer_backward(d, params.head_specs[i], params.head[i],
+                               trace.head_traces[i])
         for k, v in g.items():
             grads[f"head{i}.{k}"] = v
     d_local, dg_seg = d
@@ -571,8 +611,8 @@ def backward(trace, labels, params):
     for i in reversed(range(len(params.encoder))):
         if i == LOCAL_LAYER:
             d += d_local
-        d, g = pointwise_backward(d, params.encoder_specs[i], params.encoder[i],
-                                  trace.encoder_traces[i])
+        d, g = _layer_backward(d, params.encoder_specs[i], params.encoder[i],
+                               trace.encoder_traces[i])
         for k, v in g.items():
             grads[f"enc{i}.{k}"] = v
     # present gradients in the same order as iter_tensors

@@ -180,6 +180,7 @@ class FitResult:
     diverged: bool = False
     epoch_seconds: list = field(default_factory=list)  # per completed epoch
     validation_seconds: float = 0.0     # spent in evaluate_blocks, all epochs
+    step_rows_max: int = 0              # most rows one optimizer step forwarded
 
     def history_csv(self):
         lines = ["epoch,lr,train_loss,train_acc,val_loss,val_acc"]
@@ -225,7 +226,10 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     is returned. A non-finite training loss or gradient aborts before the
     offending step with the last good snapshot flagged as diverged. The
     result records each completed epoch's wall seconds, validation
-    included, and the seconds spent scoring validation.
+    included, the seconds spent scoring validation and the most rows one
+    step forwarded. A step's trace is let go once its loss and accuracy
+    are read, so Adam, validation and the next forward run without it,
+    and its gradients before the next backward and before validation.
     """
     if not train_blocks or not val_blocks:
         raise ValueError("need non-empty train and validation block sets")
@@ -245,6 +249,7 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
     history = []
     epoch_seconds = []
     validation_seconds = 0.0
+    step_rows_max = 0
 
     for epoch in range(config.epoch_total):
         t0 = time.perf_counter()
@@ -260,10 +265,17 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
             by = np.concatenate([train_blocks[bi].labels for bi in batch], axis=0)
             trace = network.forward(bx, params, "train",
                                     segments=[len(x) for x in xs])
+            # the previous step's gradients go only now, with the new trace
+            # above them: freed right after Adam, next to the freed trace,
+            # they let malloc give the heap's top back to the system, to
+            # be faulted in again on every small step
+            grads = None
             grads = network.backward(trace, by, params)
             nll_sum += network.cross_entropy(trace.q, by) * len(bx)
             correct += int((trace.q.argmax(axis=1) == by).sum())
+            del trace   # as large as the step's layers
             seen += len(bx)
+            step_rows_max = max(step_rows_max, len(bx))
             diverged = not math.isfinite(nll_sum)
             if not diverged:
                 try:
@@ -275,7 +287,9 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
                           "at epoch %d; keeping last good checkpoint", epoch)
                 return FitResult(best, history, best_epoch, diverged=True,
                                  epoch_seconds=epoch_seconds,
-                                 validation_seconds=validation_seconds)
+                                 validation_seconds=validation_seconds,
+                                 step_rows_max=step_rows_max)
+        grads = None   # not kept through validation
         train_loss = nll_sum / seen
         train_acc = correct / seen
         t_val = time.perf_counter()
@@ -295,4 +309,5 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
                 log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                 break
     return FitResult(best, history, best_epoch, epoch_seconds=epoch_seconds,
-                     validation_seconds=validation_seconds)
+                     validation_seconds=validation_seconds,
+                     step_rows_max=step_rows_max)

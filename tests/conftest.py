@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ def toy_params(in_width=9, n_classes=3, seed=0, dtype=np.float32):
     if dtype != np.float32:
         params = network.params_astype(params, dtype)
     return params
+
+
+def traced(fn, *args, **kwargs):
+    """Run fn(*args, **kwargs) under tracemalloc; returns (its result,
+    bytes still allocated when it returned, peak bytes while it ran),
+    counting only what the call allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def strata_scene(n_points=600, seed=0, extent=12.0):

@@ -330,6 +330,16 @@ class TestPredictEvaluate:
                             for line in path.read_text().splitlines())
             assert float(manifest["peak_rss_mb"]) > 0, path.name
 
+    def test_train_manifest_records_most_rows_per_step(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep, epochs=1,
+                          extra=("--scales", "5:1:64"))
+        manifest = dict(line.split("=", 1) for line in
+                        (model / "run_manifest.txt").read_text().splitlines())
+        # --batch 4 of 64-row blocks
+        assert int(manifest["step_rows_max"]) == 64 * min(
+            4, int(manifest["train_blocks"]))
+
     def test_probs_file_matches_per_value_formatting(self, fixture_dir,
                                                      monkeypatch):
         prep = run_preprocess(fixture_dir)

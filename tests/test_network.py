@@ -13,7 +13,7 @@ from pointlabel.container import read_container_file, write_container_file
 from pointlabel.io import ShapeError
 from pointlabel.network import matmul
 
-from conftest import toy_architecture, toy_params
+from conftest import toy_architecture, toy_params, traced
 
 
 def f32(x):
@@ -413,6 +413,23 @@ class TestBackward:
             tracemalloc.stop()
         assert trace.q.shape == (4096, 9)
         assert held < 128e6
+
+    def test_train_step_holds_its_trace_and_one_layers_gradient(self):
+        # a 4096-row default-architecture forward + backward peaked at
+        # 201.3 MB when every batch-norm layer's backward made a gated copy
+        # of its gradient and an (N, out) product with s_hat; it holds the
+        # 84.6 MB trace plus about one enc4 gradient now (136.3 MB,
+        # numpy 2.4.6)
+        enc, head = net.default_architecture()
+        params = net.init_params(enc, head, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((4096, 9)).astype(
+            np.float32)
+        labels = np.random.default_rng(2).integers(0, 9, 4096)
+        grads, _, peak = traced(
+            lambda: net.backward(net.forward(x, params, "train"), labels,
+                                 params))
+        assert set(grads) == {name for name, _ in net.iter_tensors(params)}
+        assert peak < 150e6
 
     @staticmethod
     def _gate_signature(trace):
@@ -1019,6 +1036,7 @@ def _reference_math():
     pool's winners taken by argmax."""
     with mock.patch.object(net, "pointwise_forward", _reference_layer_forward), \
             mock.patch.object(net, "pointwise_backward", _reference_layer_backward), \
+            mock.patch.object(net, "_layer_backward", _reference_layer_backward), \
             mock.patch.object(net, "_pool_winners",
                               lambda block, top: block.argmax(axis=0)):
         yield
@@ -1117,6 +1135,66 @@ class TestInPlaceStep:
         kept = d_out.copy()
         net.pointwise_backward(d_out, spec, lp, trace)
         _assert_same_bits(d_out, kept, "d_out")
+
+
+_P = net.EXACT_PANEL_ROWS
+_PANEL_EDGE_ROWS = [1, 2, _P - 1, _P, _P + 1, 3 * _P + 5]
+_FLAG_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
+# batch norm in train mode needs two rows
+_LAYER_CASES = [(rows, has_bn, has_relu) for rows in _PANEL_EDGE_ROWS
+                for has_bn, has_relu in _FLAG_PAIRS if rows > 1 or not has_bn]
+
+
+class TestPanelledBackward:
+    """Batch norm's backward forms its products with s_hat in row panels
+    of at most EXACT_PANEL_ROWS rows, summing each column in float64 row
+    by row; the out-of-place formulas sum whole (N, out) products."""
+
+    @pytest.mark.parametrize("rows,has_bn,has_relu", _LAYER_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 33])
+    def test_layer_matches_out_of_place_reference(self, rows, has_bn,
+                                                  has_relu, dtype, width):
+        rng = np.random.default_rng(rows * 7 + width)
+        spec = net.LayerSpec(5, width, has_bn, has_relu)
+        lp = net.init_layer(spec, rng)
+        lp = net.LayerParams(*[None if t is None else t.astype(dtype)
+                               for t in (lp.W, lp.b, lp.gamma, lp.beta,
+                                         lp.running_mean, lp.running_var)])
+        if has_bn:
+            lp.beta[0] = -100.0   # with ReLU, a dead column: its gated d is ±0
+        x = rng.normal(0, 2, (rows, 5)).astype(dtype)
+        _, trace = net.pointwise_forward(x, spec, lp, "train")
+        d_out = rng.standard_normal((rows, width)).astype(dtype)
+        d_out[::3, -1] = -0.0
+        kept = d_out.copy()
+        d_in, grads = net.pointwise_backward(d_out, spec, lp, trace)
+        ref_in, ref_grads = _reference_layer_backward(d_out, spec, lp, trace)
+        _assert_same_bits(d_out, kept, "d_out")
+        _assert_same_bits(d_in, ref_in, "d_in")
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            _assert_same_bits(grads[name], ref_grads[name], name)
+
+    @pytest.mark.parametrize("rows", _PANEL_EDGE_ROWS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_out_of_place_reference(self, rows, dtype):
+        # every hidden layer takes one of the four flag pairs in turn; a
+        # one-row forward has no batch norm to run
+        flags = [(has_bn and rows > 1, has_relu) for has_bn, has_relu
+                 in (_FLAG_PAIRS * 2)[:7]]
+        params = _mixed_params(flags, dtype, rows)
+        rng = np.random.default_rng(rows)
+        x = rng.normal(0, 2, (rows, 9)).astype(dtype)
+        labels = rng.integers(0, 3, rows)
+        segments = (rows,) if rows < 3 else (1, rows // 2, rows - 1 - rows // 2)
+        trace = net.forward(x, params, "train", segments=segments)
+        grads = net.backward(trace, labels, params)
+        with _reference_math():
+            ref_grads = net.backward(trace, labels, params)
+        assert list(grads) == list(ref_grads)
+        for name in ref_grads:
+            _assert_same_bits(grads[name], ref_grads[name], name)
 
 
 class TestPoolWinners:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,45 @@ class TestFit:
         for (n1, a1), (n2, a2) in zip(net.iter_tensors(r1.params, False),
                                       net.iter_tensors(r2.params, False)):
             assert a1.tobytes() == a2.tobytes(), n1
+
+    def test_each_step_is_let_go(self, rng, monkeypatch):
+        # a step's trace is dead before Adam runs, its gradients before
+        # the next backward, and neither lives on into validation
+        train, val = self.build_sets(rng)
+        enc, head = self.toy_specs()
+        traces, grad_sets, entered = [], [], []
+        real_backward, real_adam = net.backward, tr.adam_step
+        real_evaluate = tr.evaluate_blocks
+
+        class Grads(dict):
+            """A gradient dict that takes weak references."""
+
+        def backward(trace, labels, params):
+            entered.append(("backward", [r() is None for r in grad_sets]))
+            traces.append(weakref.ref(trace))
+            grads = Grads(real_backward(trace, labels, params))
+            grad_sets.append(weakref.ref(grads))
+            return grads
+
+        def adam_step(params, grads, state, lr):
+            entered.append(("adam", [r() is None for r in traces]))
+            return real_adam(params, grads, state, lr)
+
+        def evaluate_blocks(blocks, params):
+            entered.append(("validation",
+                            [r() is None for r in traces + grad_sets]))
+            return real_evaluate(blocks, params)
+
+        monkeypatch.setattr(net, "backward", backward)
+        monkeypatch.setattr(tr, "adam_step", adam_step)
+        monkeypatch.setattr(tr, "evaluate_blocks", evaluate_blocks)
+        result = tr.fit(train, val, toy_fit_config(epoch_total=2),
+                        encoder_specs=enc, head_specs=head, n_classes=3)
+        # 8 blocks in batches of 4: two steps and a validation per epoch
+        assert [what for what, _ in entered] == (
+            ["backward", "adam"] * 2 + ["validation"]) * 2
+        assert all(all(dead) for _, dead in entered)
+        assert result.step_rows_max == 4 * 16
 
     @pytest.mark.parametrize("fault", ["gradient", "loss"])
     def test_non_finite_step_returns_last_good_snapshot(self, rng, monkeypatch,
