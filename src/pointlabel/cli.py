@@ -156,10 +156,11 @@ def cmd_train(args):
     all_blocks, store_scales = read_block_store(args.blocks)
     if args.scales:
         wanted = infer.ScaleConfig.parse(args.scales)
+        missing = [s for s in wanted if s not in store_scales]
+        if missing:
+            raise ValueError(f"--scales: {missing[0]} is not a stored scale "
+                             f"(stored: {','.join(map(str, store_scales))})")
         keep_ids = {i for i, s in enumerate(store_scales) if s in wanted}
-        if not keep_ids:
-            raise ValueError(f"--scales {args.scales} matches none of the "
-                             f"stored scales")
         all_blocks = [b for b in all_blocks if b.scale_id in keep_ids]
     if any(b.labels is None for b in all_blocks):
         raise ValueError("training blocks must carry labels")

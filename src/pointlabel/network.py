@@ -34,7 +34,7 @@ its bits are a whole-array forward's.
 Every layer adds its bias and applies batch norm and ReLU in place on
 its product, never into the caller's inputs or weights, and a train
 trace holds only what backward reads. Backward hands each layer step
-(`_layer_backward`) a gradient it owns (q's copy, a matmul product, the
+(`pointwise_backward`) a gradient it owns (q's copy, a matmul product, the
 routed pool gradient), which the step gates, runs through batch norm's
 chain rule and scales in place; the chain rule's products with s_hat
 run in row panels of at most EXACT_PANEL_ROWS rows, each column summed
@@ -342,18 +342,6 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
                if mode == "train" else None)
 
 
-def pointwise_backward(d_out, spec, params, trace):
-    """Analytic gradients of one layer; returns (d_in, {name: grad}).
-
-    For a layer with a per-block input g, d_in is the pair (gradient into
-    f_in, gradient into g); both, and W's g rows, come from the
-    per-block sums of the pre-activation gradient. d_out is left as it
-    is: the step runs on a copy (`backward` hands its own gradients to
-    the step itself).
-    """
-    return _layer_backward(d_out.copy(), spec, params, trace)
-
-
 def _column_dots(a, b):
     """Column sums of `a * b` (rounded in a's dtype), accumulated in
     float64 row by row, without the (N, out) product: each panel of at
@@ -373,11 +361,17 @@ def _column_dots(a, b):
     return sums
 
 
-def _layer_backward(d, spec, params, trace):
-    """pointwise_backward on a gradient the step owns: the ReLU gate, the
-    batch-norm chain rule and the scaling by inv_std overwrite d, and the
-    chain rule's products with s_hat run in row panels, so neither gate
-    nor batch norm allocates an (N, out) array beside d."""
+def pointwise_backward(d, spec, params, trace):
+    """Analytic gradients of one layer; returns (d_in, {name: grad}).
+
+    For a layer with a per-block input g, d_in is the pair (gradient into
+    f_in, gradient into g); both, and W's g rows, come from the
+    per-block sums of the pre-activation gradient. The caller hands d
+    over: the ReLU gate, the batch-norm chain rule and the scaling by
+    inv_std overwrite it, and the chain rule's products with s_hat run in
+    row panels, so neither gate nor batch norm allocates an (N, out)
+    array beside d. params and the trace are only read.
+    """
     if spec.has_relu:
         d *= trace.mask
     grads = {}
@@ -599,20 +593,19 @@ def backward(trace, labels, params):
     # routed pool gradient), so each layer step writes into it
     grads = {}
     for i in reversed(range(len(params.head))):
-        d, g = _layer_backward(d, params.head_specs[i], params.head[i],
-                               trace.head_traces[i])
+        d, g = pointwise_backward(d, params.head_specs[i], params.head[i],
+                                  trace.head_traces[i])
         for k, v in g.items():
             grads[f"head{i}.{k}"] = v
     d_local, dg_seg = d
     d = np.zeros((n, trace.g_segments.shape[1]), dtype=trace.g_segments.dtype)
-    cols = np.arange(d.shape[1])
-    for s in range(len(trace.segments)):
-        d[trace.argmax_segments[s], cols] += dg_seg[s]
+    # each block's winners lie in its own rows, so no index repeats
+    d[trace.argmax_segments, np.arange(d.shape[1])] += dg_seg
     for i in reversed(range(len(params.encoder))):
         if i == LOCAL_LAYER:
             d += d_local
-        d, g = _layer_backward(d, params.encoder_specs[i], params.encoder[i],
-                               trace.encoder_traces[i])
+        d, g = pointwise_backward(d, params.encoder_specs[i],
+                                  params.encoder[i], trace.encoder_traces[i])
         for k, v in g.items():
             grads[f"enc{i}.{k}"] = v
     # present gradients in the same order as iter_tensors

@@ -209,17 +209,18 @@ def evaluate_blocks(blocks, params):
     return total_nll / count, correct / count
 
 
-def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
+def fit(train_blocks, val_blocks, config, encoder_specs=None,
         head_specs=None, n_classes=9):
     """Train until epoch_total or until validation loss stalls.
 
     The network reads every feature column of the blocks; to train on a
-    subset, select its columns in the blocks first. Without `params` or
-    both spec lists, the default architecture is built for that width and
-    n_classes.
+    subset, select its columns in the blocks first. Without both spec
+    lists, the default architecture is built for that width and
+    n_classes; the weights are initialized from the config's seed.
 
     Every epoch shuffles the training blocks into batches of batch_size,
-    averages block gradients within a batch, applies one Adam step per
+    forwards each batch as one call, takes the gradient of the mean
+    cross-entropy over the batch's points, applies one Adam step per
     batch at that epoch's learning rate, then scores the validation set.
     Weights are snapshotted whenever the validation loss improves; after
     `patience` non-improving epochs training stops and the best snapshot
@@ -235,11 +236,10 @@ def fit(train_blocks, val_blocks, config, params=None, encoder_specs=None,
         raise ValueError("need non-empty train and validation block sets")
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(c) for c in ss.spawn(2))
-    if params is None:
-        if encoder_specs is None or head_specs is None:
-            encoder_specs, head_specs = network.default_architecture(
-                train_blocks[0].features.shape[1], n_classes)
-        params = network.init_params(encoder_specs, head_specs, init_rng)
+    if encoder_specs is None or head_specs is None:
+        encoder_specs, head_specs = network.default_architecture(
+            train_blocks[0].features.shape[1], n_classes)
+    params = network.init_params(encoder_specs, head_specs, init_rng)
     state = AdamState.for_params(params)
 
     best = network.copy_params(params)

@@ -296,6 +296,17 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_partly_unknown_scales_rejected(self, fixture_dir, capsys):
+        # one stored scale must not train on its subset while the
+        # manifest records the unknown one too
+        prep = run_preprocess(fixture_dir)
+        rc = cli.main(["train", "--blocks", str(prep),
+                       "--out", str(fixture_dir / "m5"),
+                       "--scales", "5:1:64,99:1:10"])
+        assert rc == 1
+        assert "99:1:10 is not a stored scale" in capsys.readouterr().err
+        assert not (fixture_dir / "m5").exists()
+
 
 class TestPredictEvaluate:
     def test_predict_writes_labels_probs_manifest(self, fixture_dir):

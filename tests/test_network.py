@@ -348,6 +348,35 @@ class TestEvalPanels:
         assert peak < 24e6
 
 
+class TestLayerSteps:
+    """forward and backward run every layer through the module attributes
+    pointwise_forward and pointwise_backward, so a wrapper of either sees
+    each layer step."""
+
+    def test_train_step_calls_each_layer_step_once(self, rng):
+        params = toy_params()
+        x = rng.standard_normal((12, 9)).astype(np.float32)
+        with mock.patch.object(net, "pointwise_forward",
+                               wraps=net.pointwise_forward) as fwd, \
+                mock.patch.object(net, "pointwise_backward",
+                                  wraps=net.pointwise_backward) as bwd:
+            trace = net.forward(x, params, "train", segments=(5, 7))
+            net.backward(trace, rng.integers(0, 3, 12), params)
+        specs = params.encoder_specs + params.head_specs
+        assert [c.args[1] for c in fwd.call_args_list] == specs
+        assert [c.args[1] for c in bwd.call_args_list] == specs[::-1]
+
+    def test_eval_forward_calls_each_layer_once_per_panel(self, rng):
+        params = toy_params()
+        n_layers = len(params.encoder) + len(params.head)
+        x = rng.standard_normal((2 * net.EXACT_PANEL_ROWS + 1, 9)).astype(
+            np.float32)
+        with mock.patch.object(net, "pointwise_forward",
+                               wraps=net.pointwise_forward) as fwd:
+            net.forward(x, params, "eval", segments=(100, len(x) - 100))
+        assert fwd.call_count == 3 * n_layers   # three panels
+
+
 class TestBackward:
     def test_perfect_one_hot_gives_zero_gradients(self, rng):
         params = toy_params(dtype=np.float64)
@@ -992,7 +1021,7 @@ def _reference_layer_forward(f_in, spec, params, mode, g=None, segments=None):
                    net.LayerTrace(f_in, s_hat, inv_std, mask, g, segments))
 
 
-def _reference_layer_backward(d_out, spec, params, trace):
+def _reference_pointwise_backward(d_out, spec, params, trace):
     """pointwise_backward with every elementwise step writing a fresh
     array."""
     d = d_out
@@ -1035,8 +1064,8 @@ def _reference_math():
     """forward and backward composed from the reference layers, with the
     pool's winners taken by argmax."""
     with mock.patch.object(net, "pointwise_forward", _reference_layer_forward), \
-            mock.patch.object(net, "pointwise_backward", _reference_layer_backward), \
-            mock.patch.object(net, "_layer_backward", _reference_layer_backward), \
+            mock.patch.object(net, "pointwise_backward",
+                              _reference_pointwise_backward), \
             mock.patch.object(net, "_pool_winners",
                               lambda block, top: block.argmax(axis=0)):
         yield
@@ -1126,15 +1155,30 @@ class TestInPlaceStep:
             _assert_same_bits(first[name], second[name], name)
 
     @pytest.mark.parametrize("has_relu", [False, True])
-    def test_pointwise_backward_leaves_d_out(self, has_relu, rng):
-        spec = net.LayerSpec(4, 6, has_bn=True, has_relu=has_relu)
+    @pytest.mark.parametrize("per_block", [False, True])
+    def test_pointwise_backward_writes_only_d(self, has_relu, per_block, rng):
+        # the step is handed d to overwrite; params and the trace are read
+        spec = net.LayerSpec(7 if per_block else 4, 6, has_bn=True,
+                             has_relu=has_relu)
         lp = net.init_layer(spec, rng)
-        _, trace = net.pointwise_forward(
-            rng.standard_normal((16, 4)).astype(np.float32), spec, lp, "train")
-        d_out = rng.standard_normal((16, 6)).astype(np.float32)
-        kept = d_out.copy()
-        net.pointwise_backward(d_out, spec, lp, trace)
-        _assert_same_bits(d_out, kept, "d_out")
+        f_in = rng.standard_normal((16, 4)).astype(np.float32)
+        g = rng.standard_normal((2, 3)).astype(np.float32) if per_block else None
+        _, trace = net.pointwise_forward(f_in, spec, lp, "train", g=g,
+                                         segments=(9, 7) if per_block else None)
+        fields = {k: v for k, v in vars(trace).items()
+                  if isinstance(v, np.ndarray)}
+        assert fields.keys() == ({"f_in", "s_hat", "inv_std"}
+                                 | ({"mask"} if has_relu else set())
+                                 | ({"g"} if per_block else set()))
+        kept = {k: v.copy() for k, v in fields.items()}
+        tensors = {f: getattr(lp, f).copy() for f in vars(lp)}
+        net.pointwise_backward(rng.standard_normal((16, 6)).astype(np.float32),
+                               spec, lp, trace)
+        for k, v in fields.items():
+            _assert_same_bits(getattr(trace, k), kept[k], f"trace.{k}")
+        for f, a in tensors.items():
+            _assert_same_bits(getattr(lp, f), a, f"params.{f}")
+        assert trace.segments == ((9, 7) if per_block else None)
 
 
 _P = net.EXACT_PANEL_ROWS
@@ -1168,8 +1212,9 @@ class TestPanelledBackward:
         d_out = rng.standard_normal((rows, width)).astype(dtype)
         d_out[::3, -1] = -0.0
         kept = d_out.copy()
-        d_in, grads = net.pointwise_backward(d_out, spec, lp, trace)
-        ref_in, ref_grads = _reference_layer_backward(d_out, spec, lp, trace)
+        d_in, grads = net.pointwise_backward(d_out.copy(), spec, lp, trace)
+        ref_in, ref_grads = _reference_pointwise_backward(d_out, spec, lp,
+                                                          trace)
         _assert_same_bits(d_out, kept, "d_out")
         _assert_same_bits(d_in, ref_in, "d_in")
         assert grads.keys() == ref_grads.keys()

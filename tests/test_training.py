@@ -330,7 +330,7 @@ class TestFit:
         got, _ = tr.evaluate_blocks(val, result.params)
         assert got == pytest.approx(min(losses))
 
-    def test_nan_pre_activation_flags_divergence(self, rng):
+    def test_nan_pre_activation_flags_divergence(self, rng, monkeypatch):
         # a ReLU layer without batch norm: gating mapped the NaN column to
         # 0 and training went on; now the NaN reaches the loss
         train, val = self.build_sets(rng)
@@ -339,12 +339,13 @@ class TestFit:
                      for specs in self.toy_specs()]
         params = net.init_params(enc, head, np.random.default_rng(0))
         params.encoder[0].W[0, 0] = np.nan
+        monkeypatch.setattr(net, "init_params", lambda *args: params)
         result = tr.fit(train, val, toy_fit_config(epoch_total=2),
-                        params=params, n_classes=3)
+                        encoder_specs=enc, head_specs=head, n_classes=3)
         assert result.diverged
         assert result.history == [] and result.best_epoch == -1
 
-    def test_nan_pooled_column_flags_divergence(self, rng):
+    def test_nan_pooled_column_flags_divergence(self, rng, monkeypatch):
         # a NaN beta on the pooled layer: one NaN column in every block,
         # whose pool winner falls back to argmax's first NaN row
         train, val = self.build_sets(rng)
@@ -356,8 +357,9 @@ class TestFit:
         assert np.isnan(trace.g_segments[:, 0]).all()
         assert np.isfinite(trace.g_segments[:, 1:]).all()
         assert trace.argmax_segments[:, 0].tolist() == [0, 16]
+        monkeypatch.setattr(net, "init_params", lambda *args: params)
         result = tr.fit(train, val, toy_fit_config(epoch_total=2),
-                        params=params, n_classes=3)
+                        encoder_specs=enc, head_specs=head, n_classes=3)
         assert result.diverged
         assert result.history == [] and result.best_epoch == -1
 
