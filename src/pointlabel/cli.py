@@ -96,6 +96,9 @@ def read_block_store(in_dir):
         labels = tensors.get(f"b{i}.labels")
         if len(f) != 7 or features is None or parent is None:
             raise pio.ParseError(f"block {i}: manifest line or tensors missing")
+        if features.shape[1] != blk.FEATURE_DIM:
+            raise pio.ParseError(f"block {i}: features are {features.shape[1]} "
+                                 f"columns wide, not {blk.FEATURE_DIM}")
         rows = len(features)
         sizes = (int(f[4]), parent.size, rows if labels is None else labels.size)
         if sizes != (rows, rows, rows):

@@ -96,7 +96,13 @@ class ProbabilityField:
 
 
 def predict_scale(cloud, params, scale, scale_id=0, seed=0, threads=1):
-    """Accumulated per-point probability votes for one block scale.
+    """`_forward_scales` for one scale: its ProbabilityField of votes."""
+    return _forward_scales(cloud, params, [(scale_id, scale)], seed, threads)[0]
+
+
+def _forward_scales(cloud, params, scales, seed=0, threads=1):
+    """One ProbabilityField per (scale_id, ScaleConfig) of `scales`, in
+    that order, from one scheduler for all of them.
 
     Blocks come from blocks.sample_scale in test mode, and the network's
     input width picks the feature columns forwarded (blocks.feature_set).
@@ -105,23 +111,15 @@ def predict_scale(cloud, params, scale, scale_id=0, seed=0, threads=1):
     distinct rows, and each chunk is one segmented eval forward: pooling
     and the head's global term stay per block and every other layer acts
     row by row, so a chunk gives each block the bits its own forward
-    would. This is `_forward_scales` for one scale; `threads` (>= 1)
-    forward workers run as there. The field's `stats` count blocks,
-    forward calls and rows forwarded.
-    """
-    return _forward_scales(cloud, params, [(scale_id, scale)], seed, threads)[0]
+    would. A field's `stats` count blocks, forward calls and rows
+    forwarded.
 
-
-def _forward_scales(cloud, params, scales, seed=0, threads=1):
-    """One ProbabilityField per (scale_id, ScaleConfig) of `scales`, in
-    that order, from one scheduler for all of them.
-
-    The scales are chunked as predict_scale describes, largest
-    sample_count first (ties in the given order), so the biggest chunks
-    start first and smaller ones fill the workers after them. With
-    `threads` > 1 one pool forwards every scale's chunks, at most
-    `threads` + 1 in flight, while the main thread samples the next;
-    with 1 the chunks run inline. Votes merge in submission order, so
+    Scales are chunked largest sample_count first (ties in the given
+    order), so the biggest chunks start first and smaller ones fill the
+    workers after them. With `threads` > 1 one pool forwards every
+    scale's chunks, at most `threads` + 1 in flight, while the main
+    thread samples the next; with 1 the chunks run inline. Votes merge
+    in submission order, so
     each field takes its own scale's chunks in block order and is
     bitwise what a serial run of that scale alone gives. The weights are
     prepared once per call (network.eval_weights: batch norm folded, W

@@ -455,11 +455,12 @@ def parse_ascii_grid(stream):
 
     A line is a header line when its first word is one of _GRID_KEYS, in
     any case; every other non-blank line holds grid values. Header numbers
-    and grid values must be finite, ncols and nrows positive integers
-    and cellsize > 0; the first bad line raises ParseError naming it. The
-    header's lower-left corner coordinates are converted to the
-    upper-left pixel-center convention used by Raster. A string is split
-    into lines as a file read in text mode is (as in parse_points).
+    and grid values must be finite, ncols and nrows positive integers,
+    cellsize > 0 and no key given twice; the first bad line raises
+    ParseError naming it. The header's lower-left corner coordinates are
+    converted to the upper-left pixel-center convention used by Raster. A
+    string is split into lines as a file read in text mode is (as in
+    parse_points).
     """
     header = {}
     values = []
@@ -471,6 +472,8 @@ def parse_ascii_grid(stream):
         if key in _GRID_KEYS:
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: malformed header line")
+            if key in header:
+                raise ParseError(f"line {lineno}: repeated header key {toks[0]}")
             size = key in ("ncols", "nrows")
             positive = size or key == "cellsize"
             try:

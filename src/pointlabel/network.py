@@ -25,11 +25,12 @@ accumulate in float64 either way. The operand dtypes pick each matrix
 product (`matmul`): a train step multiplies float32 by float32 (BLAS),
 where a run only has to repeat itself, and every eval product reads a
 prepared float64 W, so a row's output does not depend on which rows
-share its forward (see the README's notes on numerics). So an eval
-forward runs in row panels of at most EXACT_PANEL_ROWS rows and
-max-pools as it goes (`_eval_forward`): it never holds the pooled
-layer's (N, G) output or a float64 product of more than one panel, and
-its bits are a whole-array forward's.
+share its forward (see the README's notes on numerics). So `forward`
+walks row panels and max-pools as it goes: an eval forward's panels hold
+at most EXACT_PANEL_ROWS rows, so it never holds the pooled layer's
+(N, G) output or a float64 product of more than one panel, and its bits
+are a whole-array forward's. A train forward is the walker's one-panel
+case, since its batch statistics read every row.
 
 Every layer adds its bias and applies batch norm and ReLU in place on
 its product, never into the caller's inputs or weights, and a train
@@ -453,56 +454,6 @@ def _check_segments(segments, n):
     return segments
 
 
-def forward(x, params, mode="eval", segments=None):
-    """Run points through both stages; returns the trace.
-
-    `segments` lists the per-block row counts when several blocks are
-    stacked into one call: batch statistics then cover all rows (the
-    whole mini-batch) while pooling and the global term of the first head
-    layer stay per block. The default is one block. Only train mode
-    records the pool's winning rows and every layer's trace, which
-    backward reads; an eval forward (`_eval_forward`) runs in row panels
-    and its trace holds q and the pooled features only. Output
-    probabilities have one row per input row for any N >= 1 (train mode
-    needs N >= 2 for the batch statistics), and permuting a block's input
-    rows permutes its output rows identically.
-    """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"input must be (N,M), got {x.shape}")
-    if x.shape[1] != params.encoder_specs[0].in_width:
-        raise ShapeError(f"input width {x.shape[1]}, network expects "
-                         f"{params.encoder_specs[0].in_width}")
-    if len(x) == 0:
-        raise ValueError("empty point set")
-    segments = _check_segments(segments, len(x))
-    if mode == "eval":
-        return _eval_forward(x, params, segments)
-    enc_traces = []
-    f = x
-    for i, (spec, lp) in enumerate(zip(params.encoder_specs, params.encoder)):
-        f, tr = pointwise_forward(f, spec, lp, mode)
-        enc_traces.append(tr)
-        if i == LOCAL_LAYER:
-            local = f
-    offsets = _offsets(segments)
-    g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
-    am_seg = np.empty(g_seg.shape, dtype=np.int64)
-    for s, (start, rows) in enumerate(zip(offsets, segments)):
-        block = f[start:start + rows]
-        block.max(axis=0, out=g_seg[s])
-        am_seg[s] = _pool_winners(block, g_seg[s]) + start
-    f, tr = pointwise_forward(local, params.head_specs[0], params.head[0],
-                              mode, g=g_seg, segments=segments)
-    head_traces = [tr]
-    for spec, lp in zip(params.head_specs[1:], params.head[1:]):
-        f, tr = pointwise_forward(f, spec, lp, mode)
-        head_traces.append(tr)
-    q = softmax_rows(f)
-    return ForwardTrace(mode, enc_traces, head_traces, segments, g_seg,
-                        am_seg, q)
-
-
 def _panel_segments(ends, start, stop):
     """First block and rows per block of the row panel [start, stop),
     given each block's end row."""
@@ -512,60 +463,89 @@ def _panel_segments(ends, start, stop):
     return first, np.diff(cuts, prepend=start)
 
 
-def _eval_forward(x, params, segments):
-    """Eval forward in near-equal row panels of at most EXACT_PANEL_ROWS
-    rows (`_row_panels`: none has one row unless N is 1).
+def forward(x, params, mode="eval", segments=None):
+    """Run points through both stages; returns the trace.
 
-    Pass 1 runs the encoder on each panel, keeps the LOCAL_LAYER rows and
-    folds the panel's last-layer rows into each block's running column
-    max. Pass 2 runs the head on each panel against those pooled
-    features; the logits land in one (N, C) array, softmaxed at the end.
-    Every eval layer is row-wise (exact products) and max is exact, so
-    the result is bitwise one whole-array forward's; no (N, G) array of
-    the pooled layer is ever built. Both passes read the weights
-    eval_weights prepares, once per forward unless they come prepared.
+    `segments` lists the per-block row counts when several blocks are
+    stacked into one call: batch statistics then cover all rows (the
+    whole mini-batch) while pooling and the global term of the first head
+    layer stay per block. The default is one block. Output probabilities
+    have one row per input row for any N >= 1 (train mode needs N >= 2
+    for the batch statistics), and permuting a block's input rows
+    permutes its output rows identically.
+
+    Pass 1 runs the encoder on each row panel, keeps its LOCAL_LAYER rows
+    and folds its last-layer rows into each block's running column max.
+    Pass 2 runs the head on each panel against those pooled features;
+    the logits are softmaxed once. Train mode runs one panel and alone
+    records the pool's winning rows and every layer's trace, which
+    backward reads. Eval mode reads the weights eval_weights prepares, in
+    near-equal panels of at most EXACT_PANEL_ROWS rows (`_row_panels`);
+    every eval layer is row-wise and max is exact, so no bit depends on
+    the panels, and its trace holds q and the pooled features only.
     """
-    params = eval_weights(params)
-    encoder = list(zip(params.encoder_specs, params.encoder))
-    head = list(zip(params.head_specs, params.head))
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ShapeError(f"input must be (N,M), got {x.shape}")
+    if x.shape[1] != params.encoder_specs[0].in_width:
+        raise ShapeError(f"input width {x.shape[1]}, network expects "
+                         f"{params.encoder_specs[0].in_width}")
     n = len(x)
-    panels = _row_panels(n, EXACT_PANEL_ROWS)
+    if n == 0:
+        raise ValueError("empty point set")
+    segments = _check_segments(segments, n)
+    train = mode == "train"
+    if train:
+        panels = [(0, n)]
+    else:
+        params = eval_weights(params)
+        panels = _row_panels(n, EXACT_PANEL_ROWS)
+    enc_traces, head_traces, local_panels = [], [], []
     ends = np.cumsum(segments)
     begins = _offsets(segments).tolist()
-    local = g_seg = None
+    g_seg = None
     for start, stop in panels:
         f = x[start:stop]
-        for i, (spec, lp) in enumerate(encoder):
-            f, _ = pointwise_forward(f, spec, lp, "eval")
+        for i, (spec, lp) in enumerate(zip(params.encoder_specs,
+                                           params.encoder)):
+            f, tr = pointwise_forward(f, spec, lp, mode)
+            enc_traces.append(tr)
             if i == LOCAL_LAYER:
-                if local is None:
-                    local = np.empty((n, f.shape[1]), dtype=f.dtype)
-                local[start:stop] = f
+                local_panels.append(f)
         if g_seg is None:
             g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
+            am_seg = np.empty(g_seg.shape, dtype=np.int64) if train else None
         first, parts = _panel_segments(ends, start, stop)
         at = 0
         for s, rows in enumerate(parts.tolist(), first):
             block = f[at:at + rows]
             if begins[s] >= start:
                 block.max(axis=0, out=g_seg[s])
+                if train:
+                    am_seg[s] = _pool_winners(block, g_seg[s]) + start + at
             else:
                 np.maximum(g_seg[s], block.max(axis=0), out=g_seg[s])
             at += rows
     logits = None
-    for start, stop in panels:
+    for (start, stop), local in zip(panels, local_panels):
         first, parts = _panel_segments(ends, start, stop)
-        spec, lp = head[0]
-        f, _ = pointwise_forward(local[start:stop], spec, lp, "eval",
-                                 g=g_seg[first:first + len(parts)],
-                                 segments=tuple(parts.tolist()))
-        for spec, lp in head[1:]:
-            f, _ = pointwise_forward(f, spec, lp, "eval")
+        # g_seg itself when one panel holds every block: the trace shares it
+        g = (g_seg if len(parts) == len(g_seg)
+             else g_seg[first:first + len(parts)])
+        f, tr = pointwise_forward(local, params.head_specs[0], params.head[0],
+                                  mode, g=g, segments=tuple(parts.tolist()))
+        head_traces.append(tr)
+        for spec, lp in zip(params.head_specs[1:], params.head[1:]):
+            f, tr = pointwise_forward(f, spec, lp, mode)
+            head_traces.append(tr)
         if logits is None:
             logits = np.empty((n, f.shape[1]), dtype=f.dtype)
         logits[start:stop] = f
-    return ForwardTrace("eval", None, None, segments, g_seg, None,
-                        softmax_rows(logits))
+    return ForwardTrace(mode, enc_traces if train else None,
+                        head_traces if train else None, segments, g_seg,
+                        am_seg, softmax_rows(logits))
 
 
 def backward(trace, labels, params):

@@ -307,6 +307,24 @@ class TestTrain:
         assert "99:1:10 is not a stored scale" in capsys.readouterr().err
         assert not (fixture_dir / "m5").exists()
 
+    @pytest.mark.parametrize("features", ["both", "xyz"])
+    def test_store_of_narrow_features_rejected(self, fixture_dir, capsys,
+                                               features):
+        # read unchecked, 5-wide blocks would train a 5-input network that
+        # predict refuses (both) or be indexed past their width (xyz)
+        prep = run_preprocess(fixture_dir)
+        blocks, scales = cli.read_block_store(prep)
+        for b in blocks:
+            b.features = np.ascontiguousarray(b.features[:, :5])
+        cli.write_block_store(prep, pio.load_points(prep / "points.txt"),
+                              blocks, scales)
+        rc = cli.main(["train", "--blocks", str(prep),
+                       "--out", str(fixture_dir / "m7"),
+                       "--features", features])
+        err = assert_error_exit(rc, capsys)
+        assert "block 0: features are 5 columns wide, not 9" in err
+        assert not (fixture_dir / "m7").exists()
+
 
 class TestPredictEvaluate:
     def test_predict_writes_labels_probs_manifest(self, fixture_dir):

@@ -542,6 +542,15 @@ class TestAsciiGrid:
         assert outcome(lambda: parse_ascii_grid(texts[0]))[1] == (
             "line 1: malformed header line")
 
+    @pytest.mark.parametrize("repeat,match", [
+        ("cellsize 5", "line 6: repeated header key cellsize"),
+        ("CELLSIZE 2", "line 6: repeated header key CELLSIZE"),
+    ])
+    def test_repeated_header_key_names_its_line(self, repeat, match):
+        text = GRID_1X1.replace("cellsize 2\n", f"cellsize 2\n{repeat}\n")
+        with pytest.raises(ParseError, match=match):
+            parse_ascii_grid(text)
+
     def test_header_keys_any_case(self):
         r = parse_ascii_grid(GRID_1X1.upper().replace("NODATA_VALUE", "nodata_Value"))
         assert r.data[0, 0, 0] == 7.0 and r.cell_size == 2.0

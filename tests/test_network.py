@@ -289,6 +289,16 @@ class TestForward:
         with pytest.raises(ValueError, match="empty"):
             net.forward(np.zeros((0, 9), dtype=np.float32), toy_params(), mode)
 
+    def test_unknown_mode_rejected_before_weights_are_touched(self, rng):
+        params = _moved_stats_params(12)
+        before = [(n, a.dtype, a.tobytes())
+                  for n, a in net.iter_tensors(params, False)]
+        x = rng.standard_normal((12, 9)).astype(np.float32)
+        with pytest.raises(ValueError, match="bogus"):
+            net.forward(x, params, "bogus")
+        assert [(n, a.dtype, a.tobytes())
+                for n, a in net.iter_tensors(params, False)] == before
+
     def test_empty_block_rejected(self, rng):
         # stacked blocks must each hold a row for the max-pool
         x = rng.standard_normal((4, 9)).astype(np.float32)
@@ -324,6 +334,30 @@ class TestEvalPanels:
         assert np.isnan(want.g_segments[:, column]).all() == nan_column
         assert got.g_segments.tobytes() == want.g_segments.tobytes()
         assert got.q.tobytes() == want.q.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(panel=st.sampled_from([4, 7, 64]),
+           segments=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_train_forward_is_one_panel(self, panel, segments, seed):
+        # batch statistics read every row, so no panel size splits a
+        # train forward
+        if sum(segments) < 2:
+            segments = segments + [1]
+        params = _moved_stats_params(seed % 1000)
+        x = np.random.default_rng(seed).normal(
+            0, 2, (sum(segments), 9)).astype(np.float32)
+        want_params, got_params = (net.copy_params(params) for _ in range(2))
+        want = net.forward(x, want_params, "train", segments=segments)
+        with mock.patch.object(net, "EXACT_PANEL_ROWS", panel):
+            got = net.forward(x, got_params, "train", segments=segments)
+        for field in ("q", "g_segments", "argmax_segments"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes()), field
+        for (name, a), (_, b) in zip(
+                net.iter_tensors(got_params, learnable_only=False),
+                net.iter_tensors(want_params, learnable_only=False)):
+            assert a.tobytes() == b.tobytes(), name    # running stats too
 
     def test_trace_holds_q_and_pooled_features_only(self, rng):
         x = rng.standard_normal((12, 9)).astype(np.float32)
