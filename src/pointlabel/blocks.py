@@ -8,6 +8,12 @@ bit, found with one stable argsort on x and a lexsort of the tied-x runs
 only; each footprint column's x strip is cut once and shared by the
 footprints above each other in it.
 
+A scale's blocks are sampled in groups of at most SAMPLE_GROUP_ROWS
+rows. Only each block's random draws run block by block; the gather of
+its points, the jitter and the features run once per group over
+(blocks, rows) arrays, and a single block (sample_block,
+assemble_features) is the one-block case of the same code.
+
 Feature columns per sampled point (all float32):
 
     0-2  x, y, z minus the centroid of the block's sampled points
@@ -41,6 +47,11 @@ JITTER_SIGMA_XY = 0.08   # meters
 JITTER_SIGMA_Z = 0.04
 JITTER_MAX_XY = 0.30
 JITTER_MAX_Z = 0.15
+
+# rows sampled per group in sample_scale. It bounds the group's arrays:
+# about 140 bytes a row at peak (9 MB at 2^16 rows), of which the blocks
+# keep 49 (features, parents, labels)
+SAMPLE_GROUP_ROWS = 2 ** 16
 
 
 @dataclass
@@ -135,7 +146,8 @@ def normalize_height(cloud, dtm, counts=None):
     clamping at zero). Points over nodata terrain or outside the DTM
     extent are dropped; both counts are logged, and a dict passed as
     `counts` receives them as `dtm_dropped_nodata` and
-    `dtm_dropped_outside`."""
+    `dtm_dropped_outside`. A DTM that covers none of the points raises a
+    ValueError naming both counts."""
     if dtm.bands != 1:
         raise ShapeError(f"DTM must be single-band, got {dtm.bands} bands")
     terrain, outside, empty = _sample(dtm, cloud.xyz[:, 0], cloud.xyz[:, 1])
@@ -145,6 +157,10 @@ def normalize_height(cloud, dtm, counts=None):
     if counts is not None:
         counts["dtm_dropped_nodata"] = n_nodata
         counts["dtm_dropped_outside"] = n_outside
+    if len(cloud) and not keep.any():
+        raise ValueError(f"the DTM covers none of the {len(cloud)} points: "
+                         f"{n_nodata} over nodata terrain and {n_outside} "
+                         f"outside the DTM extent")
     if n_nodata or n_outside:
         log.warning("normalize_height: dropped %d point(s) over nodata "
                     "terrain and %d outside the DTM extent",
@@ -254,14 +270,18 @@ def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
     return footprints
 
 
-def _jitter_deltas(rng, n):
-    d = np.empty((n, 3), dtype=np.float64)
-    d[:, 0] = rng.normal(0.0, JITTER_SIGMA_XY, n)
-    d[:, 1] = rng.normal(0.0, JITTER_SIGMA_XY, n)
-    d[:, 2] = rng.normal(0.0, JITTER_SIGMA_Z, n)
-    d[:, :2] = np.clip(d[:, :2], -JITTER_MAX_XY, JITTER_MAX_XY)
-    d[:, 2] = np.clip(d[:, 2], -JITTER_MAX_Z, JITTER_MAX_Z)
-    return d
+def _jitter_draws(rng, n):
+    """n unclipped jitter deltas per axis, drawn x, then y, then z."""
+    return (rng.normal(0.0, JITTER_SIGMA_XY, n),
+            rng.normal(0.0, JITTER_SIGMA_XY, n),
+            rng.normal(0.0, JITTER_SIGMA_Z, n))
+
+
+def _jitter_deltas(draws):
+    """Per axis, the deltas of a list of _jitter_draws results laid end to
+    end, clipped."""
+    return [np.clip(np.concatenate(column), -limit, limit) for column, limit
+            in zip(zip(*draws), (JITTER_MAX_XY, JITTER_MAX_XY, JITTER_MAX_Z))]
 
 
 def sample_block(cloud, footprint, count, training, rng, extent,
@@ -273,30 +293,54 @@ def sample_block(cloud, footprint, count, training, rng, extent,
     the remainder is drawn with replacement; in training mode each
     duplicate row is jittered so no two rows coincide, at test time
     duplicates are exact repeats. parent_idx maps every row back to its
-    source point.
+    source point. This is the one-block case of sample_scale's groups.
     """
-    idx = footprint.indices
-    n = len(idx)
+    n = len(footprint.indices)
     if n < MIN_BLOCK_POINTS:
         raise ValueError(f"footprint holds {n} points; caller must discard < "
                          f"{MIN_BLOCK_POINTS}")
-    if n >= count:
-        sel = rng.choice(n, size=count, replace=False)
-    else:
-        base = rng.permutation(n)
-        extra = rng.integers(0, n, size=count - n)
-        sel = np.concatenate([base, extra])
-    # fancy indexing copies: parent, coords and labels are the block's own
-    parent = idx[sel].astype(np.int64, copy=False)
-    coords = cloud.xyz[parent]
-    if training and n < count:
-        # the duplicates are the rows after the first n
-        coords[n:] += _jitter_deltas(rng, count - n)
-    spectral = cloud.spectral[parent] if cloud.spectral is not None else None
-    features = assemble_features(coords, spectral, extent)
-    labels = cloud.labels[parent] if cloud.labels is not None else None
-    return Block(footprint.origin_x, footprint.origin_y, footprint.size,
-                 scale_id, features, parent, labels, replica)
+    return _sample_group(cloud, [footprint], count, training, [rng], extent,
+                         scale_id, replica)[0]
+
+
+def _sample_group(cloud, footprints, count, training, rngs, extent,
+                  scale_id, replica):
+    """sample_block for each footprint, the i-th drawn from rngs[i].
+
+    Per block only the random draws run: `choice`, or `permutation` then
+    `integers` when the footprint holds fewer than `count` points, then in
+    training mode the three jitter draws for its duplicate rows. The
+    gather, jitter and features run once over (blocks, rows) arrays, and
+    each Block holds views of the group's arrays.
+    """
+    sizes = [len(fp.indices) for fp in footprints]
+    parent = np.empty((len(footprints), count), dtype=np.int64)
+    draws = []
+    for b, (fp, n, rng) in enumerate(zip(footprints, sizes, rngs)):
+        if n >= count:
+            sel = rng.choice(n, size=count, replace=False)
+        else:
+            base = rng.permutation(n)
+            extra = rng.integers(0, n, size=count - n)
+            sel = np.concatenate([base, extra])
+            if training:
+                draws.append(_jitter_draws(rng, count - n))
+        parent[b] = fp.indices[sel]
+    coords = np.take(cloud.xyz, parent, axis=0)
+    if draws:
+        # each block's duplicates are its rows after its first n; only they
+        # move, since adding even 0.0 would turn a -0.0 into 0.0
+        dup = np.flatnonzero(np.arange(count) >= np.array(sizes)[:, None])
+        rows = coords.reshape(-1, 3)
+        for ax, delta in enumerate(_jitter_deltas(draws)):
+            rows[dup, ax] += delta
+    spectral = (None if cloud.spectral is None
+                else np.take(cloud.spectral, parent, axis=0))
+    features = _features(coords, spectral, extent)
+    labels = None if cloud.labels is None else cloud.labels[parent]
+    return [Block(fp.origin_x, fp.origin_y, fp.size, scale_id, features[b],
+                  parent[b], None if labels is None else labels[b], replica)
+            for b, fp in enumerate(footprints)]
 
 
 def assemble_features(coords, spectral, extent):
@@ -308,25 +352,38 @@ def assemble_features(coords, spectral, extent):
     [0,1] (jitter can push a point slightly outside the extent).
     """
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    if spectral is not None:
+        spectral = np.asarray(spectral, dtype=np.float64).reshape(-1, 3)
+        if len(spectral) != len(coords):
+            raise ShapeError("spectral length != coordinate length")
+    return _features(coords, spectral, extent)
+
+
+def _features(coords, spectral, extent):
+    """assemble_features of blocks of S rows: (..., S, 3) float64 coords
+    and spectral values give (..., S, 9) float32 features."""
     if spectral is None:
         raise ValueError("points must be spectrally attributed before feature "
                          "assembly")
-    spectral = np.asarray(spectral, dtype=np.float64).reshape(-1, 3)
-    if len(spectral) != len(coords):
-        raise ShapeError("spectral length != coordinate length")
     span = extent.maxs - extent.mins
     if np.all(span == 0):
         raise ValueError("scene extent is degenerate on all axes")
-    out = np.empty((len(coords), FEATURE_DIM), dtype=np.float32)
-    out[:, 0:3] = coords - coords.mean(axis=0)
-    out[:, 3:6] = spectral / 255.0
-    norm = np.empty_like(coords)
+    out = np.empty(coords.shape[:-1] + (FEATURE_DIM,), dtype=np.float32)
+    # each block's rows added in row order, the bits of one block's
+    # mean(axis=0): with the rows axis first, the sum adds whole rows,
+    # while numpy sums along a contiguous rows axis pairwise
+    centroid = np.moveaxis(coords, -2, 0).copy().sum(axis=0) / coords.shape[-2]
+    # float64 results, each rounded once into its float32 column
+    np.divide(spectral, 255.0, out=out[..., 3:6], casting="same_kind")
     for ax in range(3):
+        column = coords[..., ax]
+        np.subtract(column, centroid[..., ax, None], out=out[..., ax],
+                    casting="same_kind")
         if span[ax] == 0:
-            norm[:, ax] = 0.5
+            out[..., 6 + ax] = 0.5
         else:
-            norm[:, ax] = (coords[:, ax] - extent.mins[ax]) / span[ax]
-    out[:, 6:9] = np.clip(norm, 0.0, 1.0)
+            np.clip((column - extent.mins[ax]) / span[ax], 0.0, 1.0,
+                    out=out[..., 6 + ax], casting="same_kind")
     return out
 
 
@@ -350,7 +407,8 @@ def augment_rotate_z(cloud, angle, pivot=None):
 def augment_jitter(cloud, rng):
     """Additive Gaussian noise, sigma 0.08 m horizontal / 0.04 m vertical,
     clipped per component at 0.30 m / 0.15 m."""
-    xyz = cloud.xyz + _jitter_deltas(rng, len(cloud))
+    xyz = cloud.xyz + np.stack(_jitter_deltas([_jitter_draws(rng, len(cloud))]),
+                               axis=1)
     return PointCloud(xyz, _copy(cloud.spectral), _copy(cloud.labels))
 
 
@@ -405,7 +463,12 @@ def sample_scale(scene, scale, scale_id, seed, training, replica=0,
     scale is an object with size/overlap/sample_count fields. Each block
     is drawn from its own block_rng(seed, scale_id, footprint index,
     replica), so a block depends only on the scene, the scale, the seed
-    and the replica, never on which blocks were drawn before it.
+    and the replica, never on which blocks were drawn before it. Blocks
+    are sampled in groups of at most SAMPLE_GROUP_ROWS rows (at least one
+    block), each bitwise what sample_block gives on its footprint and
+    generator. The scene extent is taken once a footprint is kept, so a
+    scene that is empty or whose footprints are all discarded yields
+    nothing and raises nothing.
 
     A dict passed as `counts` gains, when sampling starts, the scale's
     `footprints_kept`, `footprints_discarded` (fewer than
@@ -413,7 +476,6 @@ def sample_scale(scene, scale, scale_id, seed, training, replica=0,
     repeating a point of their block: a footprint of n < sample_count
     points repeats sample_count - n).
     """
-    extent = SceneExtent.of(scene)
     footprints = tile_blocks(scene, scale.size, scale.overlap)
     if counts is not None:
         cells = 0
@@ -427,10 +489,17 @@ def sample_scale(scene, scale, scale_id, seed, training, replica=0,
                 ("duplicated_rows", sum(max(count - len(fp.indices), 0)
                                         for fp in footprints))):
             counts[key] = counts.get(key, 0) + value
-    for bi, fp in enumerate(footprints):
-        yield sample_block(scene, fp, scale.sample_count, training,
-                           block_rng(seed, scale_id, bi, replica), extent,
-                           scale_id, replica)
+    if not footprints:
+        return
+    # taken only once a footprint is kept: an empty scene has no extent
+    extent = SceneExtent.of(scene)
+    per_group = max(1, SAMPLE_GROUP_ROWS // scale.sample_count)
+    for start in range(0, len(footprints), per_group):
+        group = footprints[start:start + per_group]
+        rngs = [block_rng(seed, scale_id, bi, replica)
+                for bi in range(start, start + len(group))]
+        yield from _sample_group(scene, group, scale.sample_count, training,
+                                 rngs, extent, scale_id, replica)
 
 
 def build_blocks(cloud, scales, seed, training=True, augment_copies=0,

@@ -3,7 +3,8 @@
 Subcommands: preprocess, train, predict, evaluate, raster2points. Every
 run writes a key=value manifest next to its artifacts recording the
 command, configuration, input digests, seed and timings (and, for
-preprocess, train and predict, the peak resident memory); artifacts
+preprocess, train and predict, the peak resident memory and the minor
+page faults the command took); artifacts
 themselves are bit-reproducible for identical inputs and seeds.
 """
 
@@ -32,6 +33,11 @@ def _peak_rss_mb():
     """The process's resident-memory high-water mark so far, in MB."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (2 ** 20 if sys.platform == "darwin" else 1024)
+
+
+def _minor_faults():
+    """Minor page faults the process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def write_manifest(path, command, settings, inputs, timings):
@@ -119,6 +125,7 @@ def read_block_store(in_dir):
 # subcommands
 
 def cmd_preprocess(args):
+    faults = _minor_faults()
     scales = infer.ScaleConfig.parse(args.scales)
     if args.augment < 0:
         raise ValueError(f"--augment must be >= 0, got {args.augment}")
@@ -143,7 +150,8 @@ def cmd_preprocess(args):
                    {"seed": args.seed, "scales": args.scales,
                     "augment": args.augment, "no_dtm": args.no_dtm,
                     "points": len(cloud), "blocks": len(all_blocks),
-                    "peak_rss_mb": f"{_peak_rss_mb():.1f}", **counts},
+                    "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+                    "minor_faults": _minor_faults() - faults, **counts},
                    inputs, {"load": t1 - t0, "attribution": t2 - t1,
                             "blocking": t3 - t2})
     print(f"preprocess: {len(cloud)} points -> {len(all_blocks)} blocks "
@@ -152,6 +160,7 @@ def cmd_preprocess(args):
 
 
 def cmd_train(args):
+    faults = _minor_faults()
     config = training.TrainConfig(
         lr_initial=args.lr, batch_size=args.batch, epoch_total=args.epochs,
         patience=args.patience, val_fraction=args.val_fraction, seed=args.seed)
@@ -196,6 +205,7 @@ def cmd_train(args):
                     "parameters": network.param_count(result.params),
                     "diverged": result.diverged,
                     "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+                    "minor_faults": _minor_faults() - faults,
                     "step_rows_max": result.step_rows_max,
                     "rows_per_s": f"{rows / epoch_s if epoch_s else 0.0:.1f}",
                     # float32 training bits can depend on BLAS threads
@@ -214,6 +224,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    faults = _minor_faults()
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
     # prepared in place, each float32 W freed as it is widened: 15.7 MB
@@ -232,6 +243,7 @@ def cmd_predict(args):
                    {"seed": args.seed, "scales": args.scales,
                     "threads": args.threads,
                     "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+                    "minor_faults": _minor_faults() - faults,
                     "features": blk.feature_set(params.encoder_specs[0].in_width),
                     "points": len(cloud), **counts},
                    [args.points, args.model],

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,21 @@ class TestNormalizeHeight:
         assert len(out) == 1
         assert ("dropped 1 point(s) over nodata terrain and 1 outside the "
                 "DTM extent") in caplog.text
+
+    def test_dtm_covering_no_point_rejected_with_counts(self):
+        data = np.full((8, 8), 2.0)
+        data[4, 4] = -9999.0
+        dtm = Raster(data, origin_x=-1, origin_y=8, cell_size=1)
+        cloud = cloud_of([[3.0, 4.0, 5.0], [20.0, 1.0, 5.0], [1.0, 30.0, 5.0]])
+        counts = {}
+        with pytest.raises(ValueError, match="covers none of the 3 points: 1 "
+                           "over nodata terrain and 2 outside the DTM extent"):
+            blk.normalize_height(cloud, dtm, counts=counts)
+        assert counts == {"dtm_dropped_nodata": 1, "dtm_dropped_outside": 2}
+
+    def test_empty_cloud_stays_empty(self):
+        out = blk.normalize_height(cloud_of(np.zeros((0, 3))), self.dtm())
+        assert len(out) == 0
 
 
 class TestTileBlocks:
@@ -463,6 +480,124 @@ class TestSampleScale:
             assert g.features.tobytes() == w.features.tobytes()
             assert g.parent_idx.tobytes() == w.parent_idx.tobytes()
             assert g.labels.tobytes() == w.labels.tobytes()
+
+    def scale(self, count=16):
+        return type("S", (), {"size": 4.0, "overlap": 1.0,
+                              "sample_count": count})
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_scene_without_kept_footprint_yields_nothing(self, n):
+        # no spectral values and a degenerate extent: nothing is sampled,
+        # so neither is an error
+        cloud = cloud_of(np.ones((n, 3)))
+        counts = {}
+        assert list(blk.sample_scale(cloud, self.scale(), 0, 0, True,
+                                     counts=counts)) == []
+        assert counts["footprints_kept"] == counts["rows"] == 0
+
+    def test_cloud_without_spectral_values_rejected(self, scene):
+        cloud = PointCloud(scene.xyz, None, scene.labels)
+        with pytest.raises(ValueError, match="must be spectrally attributed "
+                           "before feature assembly"):
+            next(blk.sample_scale(cloud, self.scale(), 0, 0, False))
+
+    def test_degenerate_extent_rejected(self):
+        cloud = cloud_of(np.ones((12, 3)), np.full((12, 3), 9.0))
+        with pytest.raises(ValueError,
+                           match="scene extent is degenerate on all axes"):
+            next(blk.sample_scale(cloud, self.scale(), 0, 0, False))
+
+    def test_too_few_points_named(self, rng):
+        cloud = cloud_of(rng.uniform(0, 1, (9, 3)), np.full((9, 3), 1.0))
+        with pytest.raises(ValueError, match="footprint holds 9 points; "
+                           "caller must discard < 10"):
+            blk.sample_block(cloud, one_footprint(cloud), 16, False, rng,
+                             blk.SceneExtent.of(cloud))
+
+
+def reference_block(cloud, footprint, count, training, rng, extent):
+    """One block drawn and assembled row by row, as a per-block sampler
+    does it: (features, parent indices)."""
+    idx = footprint.indices
+    n = len(idx)
+    if n >= count:
+        sel = rng.choice(n, size=count, replace=False)
+    else:
+        sel = np.concatenate([rng.permutation(n),
+                              rng.integers(0, n, size=count - n)])
+    parent = idx[sel]
+    coords = cloud.xyz[parent]
+    if training and n < count:
+        d = np.stack([rng.normal(0.0, sigma, count - n) for sigma in (
+            blk.JITTER_SIGMA_XY, blk.JITTER_SIGMA_XY, blk.JITTER_SIGMA_Z)],
+            axis=1)
+        limit = np.array([blk.JITTER_MAX_XY, blk.JITTER_MAX_XY,
+                          blk.JITTER_MAX_Z])
+        coords[n:] += np.clip(d, -limit, limit)
+    span = extent.maxs - extent.mins
+    features = np.empty((count, blk.FEATURE_DIM), dtype=np.float32)
+    features[:, 0:3] = coords - coords.mean(axis=0)
+    features[:, 3:6] = cloud.spectral[parent] / 255.0
+    norm = np.full_like(coords, 0.5)
+    for ax in np.flatnonzero(span):
+        norm[:, ax] = (coords[:, ax] - extent.mins[ax]) / span[ax]
+    features[:, 6:9] = np.clip(norm, 0.0, 1.0)
+    return features, parent
+
+
+class TestSampleGroups:
+    """sample_scale samples its footprints in groups of at most
+    SAMPLE_GROUP_ROWS rows; no bit depends on the group size."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(per_group=st.sampled_from([1, 2, 3]),
+           count=st.sampled_from([12, 20, 48]),
+           n=st.integers(10, 160), continuous=st.booleans(),
+           easting=st.sampled_from([0.0, 512_345.6]),
+           twins=st.integers(0, 20), flat_z=st.booleans(),
+           negative_zero=st.booleans(), training=st.booleans(),
+           replica=st.sampled_from([0, 2]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_group_size_changes_no_bit(self, per_group, count, n, continuous,
+                                       easting, twins, flat_z, negative_zero,
+                                       training, replica, seed):
+        rng = np.random.default_rng(seed)
+        xyz = rng.uniform(0.0, 6.0, (n, 3))
+        if not continuous:
+            xyz = np.round(xyz * 2.0) / 2.0    # ties, and zeros
+        # far from the origin, a centroid summed in another order than row
+        # by row moves some float32 features
+        xyz[:, 0] += easting
+        twins = min(twins, n // 2)
+        xyz[:twins] = xyz[n - twins:]          # exact xyz twins
+        if flat_z:
+            xyz[:, 2] = 0.0                    # a zero-span z axis
+        if negative_zero:
+            xyz[::5, 2] = 0.0
+            xyz[xyz == 0.0] = -0.0
+        cloud = cloud_of(xyz, rng.uniform(0, 255, (n, 3)),
+                         rng.integers(0, 4, n))
+        sc = type("S", (), {"size": 3.0, "overlap": 1.0, "sample_count": count})
+        footprints = blk.tile_blocks(cloud, sc.size, sc.overlap)
+        want = list(blk.sample_scale(cloud, sc, 1, seed, training, replica))
+        with mock.patch.object(blk, "SAMPLE_GROUP_ROWS", per_group * count):
+            got = list(blk.sample_scale(cloud, sc, 1, seed, training,
+                                        replica))
+        assert len(got) == len(want) == len(footprints)
+        extent = blk.SceneExtent.of(cloud)
+        for bi, (g, w, fp) in enumerate(zip(got, want, footprints)):
+            one = blk.sample_block(cloud, fp, count, training,
+                                   blk.block_rng(seed, 1, bi, replica),
+                                   extent, 1, replica)
+            features, parent = reference_block(
+                cloud, fp, count, training,
+                blk.block_rng(seed, 1, bi, replica), extent)
+            for b in (g, w, one):
+                assert (b.origin_x, b.origin_y, b.size, b.scale_id,
+                        b.replica) == (fp.origin_x, fp.origin_y, fp.size, 1,
+                                       replica)
+                assert b.features.tobytes() == features.tobytes()
+                assert b.parent_idx.tobytes() == parent.tobytes()
+                assert b.labels.tobytes() == cloud.labels[parent].tobytes()
 
 
 class TestFeatureSets:

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -359,6 +360,25 @@ class TestPredictEvaluate:
                             for line in path.read_text().splitlines())
             assert float(manifest["peak_rss_mb"]) > 0, path.name
 
+    def test_manifests_record_minor_faults(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep, epochs=1)
+        out = fixture_dir / "labeled.txt"
+        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
+                       "--model", str(model / "model.ckpt"),
+                       "--out", str(out), "--scales", SCALES])
+        assert rc == 0
+        process_total = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults = []
+        for path in (prep / "run_manifest.txt", model / "run_manifest.txt",
+                     fixture_dir / "labeled.txt.manifest"):
+            manifest = dict(line.split("=", 1)
+                            for line in path.read_text().splitlines())
+            faults.append(int(manifest["minor_faults"]))
+        # each command's own faults, not the process's running total
+        assert min(faults) > 0
+        assert sum(faults) <= process_total
+
     def test_train_manifest_records_most_rows_per_step(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
         model = run_train(fixture_dir, prep, epochs=1,
@@ -594,6 +614,21 @@ class TestRejectedSettings:
                        "--dtm", str(fixture_dir / "dtm.asc"),
                        "--out", str(fixture_dir / "prep"), "--scales", scales])
         assert "scale" in assert_error_exit(rc, capsys)
+        assert not (fixture_dir / "prep").exists()
+
+    def test_preprocess_dtm_covering_no_point(self, fixture_dir, capsys):
+        # the fixture's DTM moved 1000 m east: every point lies outside it
+        dtm = Raster(np.full((14, 14), 1.0), origin_x=998.5, origin_y=11.5,
+                     cell_size=1.0)
+        (fixture_dir / "dtm.asc").write_text(pio.write_ascii_grid(dtm))
+        rc = cli.main(["preprocess",
+                       "--points", str(fixture_dir / "points.txt"),
+                       "--image", str(fixture_dir / "image.ppm"),
+                       "--dtm", str(fixture_dir / "dtm.asc"),
+                       "--out", str(fixture_dir / "prep"), "--scales", SCALES])
+        assert assert_error_exit(rc, capsys) == (
+            "error: the DTM covers none of the 360 points: 0 over nodata "
+            "terrain and 360 outside the DTM extent\n")
         assert not (fixture_dir / "prep").exists()
 
     def test_preprocess_negative_augment(self, fixture_dir, capsys):
