@@ -5,8 +5,8 @@ and the raster-to-points restructuring used for 2D scenes.
 
 Tiling visits points in a canonical order, np.lexsort((z, y, x)) bit for
 bit, found with one stable argsort on x and a lexsort of the tied-x runs
-only; each footprint column's x strip is cut once and shared by the
-footprints above each other in it.
+only. A footprint row is a slice of a y-sort put back in canonical order,
+which sorts by x first, so each footprint is one run of its row.
 
 A scale's blocks are sampled in groups of at most SAMPLE_GROUP_ROWS
 rows. Only each block's random draws run block by block; the gather of
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import (PointCloud, SamplingError, BoundsError, ShapeError, _sample,
-                 raster_overhang, sample_raster)
+                 sample_raster)
 
 log = logging.getLogger(__name__)
 
@@ -128,11 +128,13 @@ def attribute_spectral(cloud, image, counts=None):
     if image.bands != 3:
         raise ShapeError(f"spectral image must have 3 bands, got {image.bands}")
     x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
+    spectral, outside, empty, clamped = _sample(image, x, y)
     try:
-        spectral = sample_raster(image, x, y)
+        if outside.any() or empty.any():
+            sample_raster(image, x, y)   # raises the first failure's error
     except (SamplingError, BoundsError) as exc:
         raise type(exc)(f"point {exc.index}: {exc}") from None
-    clamped = int(raster_overhang(image, x, y)[0].sum())
+    clamped = int(clamped.sum())
     if counts is not None:
         counts["attribution_clamped"] = clamped
     if clamped:
@@ -150,7 +152,7 @@ def normalize_height(cloud, dtm, counts=None):
     ValueError naming both counts."""
     if dtm.bands != 1:
         raise ShapeError(f"DTM must be single-band, got {dtm.bands} bands")
-    terrain, outside, empty = _sample(dtm, cloud.xyz[:, 0], cloud.xyz[:, 1])
+    terrain, outside, empty, _ = _sample(dtm, cloud.xyz[:, 0], cloud.xyz[:, 1])
     nodata = empty[:, 0] & ~outside
     keep = ~(outside | nodata)
     n_nodata, n_outside = int(nodata.sum()), int(outside.sum())
@@ -218,19 +220,15 @@ def _grid(cloud, size, overlap):
                          f"(x={xy[i, 0]}, y={xy[i, 1]}); tiling needs "
                          f"finite x and y")
     stride = size - overlap
-
-    def origins(values):
+    grid = []
+    for values in (xy[:, 0], xy[:, 1]):
         lo, hi = float(values.min()), float(values.max())
-        out = []
-        k = 0
-        while True:
-            o = lo + k * stride
-            out.append(o)
-            if o + stride >= hi:
-                return out
-            k += 1
-
-    return origins(cloud.xyz[:, 0]), origins(cloud.xyz[:, 1])
+        # lo + 0 * stride: a -0.0 minimum gives a 0.0 origin
+        out = [lo + 0 * stride]
+        while out[-1] + stride < hi:
+            out.append(lo + len(out) * stride)
+        grid.append(out)
+    return grid
 
 
 def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
@@ -242,31 +240,32 @@ def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
     Footprints with fewer than min_points points are discarded. A
     footprint's indices follow canonical_order, so which points it holds
     and how they are sampled do not depend on the input point order,
-    except among exact xyz twins.
+    except among exact xyz twins. The cost follows the points, not the
+    grid: Python steps once per row of at least min_points points and
+    once per footprint kept.
     """
     if not 0 <= overlap < size:
         raise ValueError(f"need 0 <= overlap < size, got overlap={overlap}, size={size}")
     if len(cloud) == 0:
         return []
-    xs = cloud.xyz[:, 0]
-    ys = cloud.xyz[:, 1]
     origins_x, origins_y = _grid(cloud, size, overlap)
     order = canonical_order(cloud)
-    xs_sorted = xs[order]
-
-    # one x strip per footprint column, its points in canonical order
-    strips = []
-    for ox in origins_x:
-        lo = np.searchsorted(xs_sorted, ox, side="left")
-        hi = np.searchsorted(xs_sorted, ox + size, side="right")
-        cand = order[lo:hi]
-        strips.append((ox, cand, ys[cand]))
+    by_y = np.argsort(cloud.xyz[order, 1])
+    ys = cloud.xyz[order[by_y], 1]
+    # row r holds the points with origins_y[r] <= y <= origins_y[r] + size
+    row_lo = np.searchsorted(ys, origins_y, side="left")
+    row_hi = np.searchsorted(ys, np.add(origins_y, size), side="right")
+    ox = np.array(origins_x)
     footprints = []
-    for oy in origins_y:
-        for ox, cand, yy in strips:
-            members = cand[(yy >= oy) & (yy <= oy + size)]
-            if len(members) >= min_points:
-                footprints.append(Footprint(ox, oy, size, members))
+    for r in np.flatnonzero(row_hi - row_lo >= min_points):
+        # canonical positions ascending: x ascends, so a footprint is a run
+        members = order[np.sort(by_y[row_lo[r]:row_hi[r]])]
+        xs = cloud.xyz[members, 0]
+        lo = np.searchsorted(xs, ox, side="left")
+        hi = np.searchsorted(xs, ox + size, side="right")
+        footprints.extend(Footprint(origins_x[c], origins_y[r], size,
+                                    members[lo[c]:hi[c]])
+                          for c in np.flatnonzero(hi - lo >= min_points))
     return footprints
 
 

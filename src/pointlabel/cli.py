@@ -54,7 +54,8 @@ def write_manifest(path, command, settings, inputs, timings):
 # ---------------------------------------------------------------------------
 # block store (preprocess output, train input)
 
-# parent indices are stored as float32, which is exact up to 2^24
+# parent indices and labels are stored as float32, which holds every
+# integer up to 2^24 in magnitude exactly
 MAX_STORE_POINTS = 2 ** 24
 
 
@@ -62,6 +63,12 @@ def write_block_store(out_dir, cloud, all_blocks, scales):
     if len(cloud) > MAX_STORE_POINTS:
         raise ValueError(f"cloud holds {len(cloud)} points; the block store "
                          f"indexes at most {MAX_STORE_POINTS}")
+    if cloud.labels is not None:
+        rounded = cloud.labels != cloud.labels.astype(np.float32)
+        if rounded.any():
+            i = int(rounded.argmax())
+            raise ValueError(f"point {i} has label {cloud.labels[i]}, which the "
+                             f"block store's float32 labels would round")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pio.save_points(out_dir / "points.txt", cloud)

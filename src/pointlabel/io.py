@@ -39,7 +39,7 @@ __all__ = [
     "SamplingError", "BoundsError", "parse_points", "write_points",
     "load_points", "save_points", "save_values", "parse_ascii_grid",
     "write_ascii_grid", "read_ascii_grid", "read_ppm_image", "write_ppm_image",
-    "raster_overhang", "sample_raster",
+    "sample_raster",
 ]
 
 # rows write_points renders at a time: bounds its byte matrices
@@ -457,10 +457,11 @@ def parse_ascii_grid(stream):
     any case; every other non-blank line holds grid values. Header numbers
     and grid values must be finite, ncols and nrows positive integers,
     cellsize > 0 and no key given twice; the first bad line raises
-    ParseError naming it. The header's lower-left corner coordinates are
-    converted to the upper-left pixel-center convention used by Raster. A
-    string is split into lines as a file read in text mode is (as in
-    parse_points).
+    ParseError naming it. NODATA_value is optional and defaults to -9999,
+    as the format has it; the other five keys are required. The header's
+    lower-left corner coordinates are converted to the upper-left
+    pixel-center convention used by Raster. A string is split into lines
+    as a file read in text mode is (as in parse_points).
     """
     header = {}
     values = []
@@ -497,7 +498,7 @@ def parse_ascii_grid(stream):
                 raise ParseError(f"line {lineno}: grid value {bad!r} is not "
                                  f"finite")
             values.extend(row)
-    missing = [k for k in _GRID_KEYS if k not in header]
+    missing = [k for k in _GRID_KEYS if k not in header and k != "nodata_value"]
     if missing:
         raise ParseError(f"missing header key(s): {', '.join(missing)}")
     ncols, nrows = header["ncols"], header["nrows"]
@@ -511,7 +512,7 @@ def parse_ascii_grid(stream):
         origin_x=header["xllcorner"] + cell / 2.0,
         origin_y=header["yllcorner"] + nrows * cell - cell / 2.0,
         cell_size=cell,
-        nodata=header["nodata_value"],
+        nodata=header.get("nodata_value", -9999.0),
     )
 
 
@@ -650,27 +651,18 @@ def _pixel_coords(raster, x, y):
     return px, py, outside
 
 
-def raster_overhang(raster, x, y):
-    """Masks (clamped, outside) of world points (arrays) against a raster's
-    footprint: clamped points lie in the half-cell margin beyond the
-    outermost pixel centers and sample edge-clamped values; outside points
-    lie beyond that margin and cannot be sampled."""
-    px, py, outside = _pixel_coords(raster, x, y)
-    span = ((0 <= px) & (px <= raster.width - 1)
-            & (0 <= py) & (py <= raster.height - 1))
-    return ~span & ~outside, outside
-
-
 def _sample(raster, x, y):
     """Array core of sample_raster; raises nothing for a failing query.
 
-    Returns (values, outside, empty): values is (N, bands), outside marks
-    queries beyond the clamped extent, and empty (N, bands) marks bands
-    whose four bilinear neighbors are all nodata. Values of failing
-    queries are meaningless.
+    Returns (values, outside, empty, clamped): values is (N, bands);
+    outside and clamped mark queries beyond the clamped extent and in its
+    half-cell margin; empty (N, bands) marks bands whose four bilinear
+    neighbors are all nodata. Values of failing queries are meaningless.
     """
     w, h = raster.width, raster.height
     px, py, outside = _pixel_coords(raster, x, y)
+    clamped = ~outside & ~((0 <= px) & (px <= w - 1)
+                           & (0 <= py) & (py <= h - 1))
     # outside queries (NaN included) are parked on pixel 0 so that indexing
     # stays valid; their values are never used
     px = np.where(outside, 0.0, np.minimum(np.maximum(px, 0.0), float(w - 1)))
@@ -700,7 +692,7 @@ def _sample(raster, x, y):
         empty[:, band] = wsum <= 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             values[:, band] = acc / wsum
-    return values, outside, empty
+    return values, outside, empty, clamped
 
 
 def sample_raster(raster, x, y):
@@ -721,7 +713,7 @@ def sample_raster(raster, x, y):
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.shape != y.shape:
         raise ShapeError(f"x has {x.size} coordinates, y has {y.size}")
-    values, outside, empty = _sample(raster, x, y)
+    values, outside, empty, _ = _sample(raster, x, y)
     failed = outside | empty.any(axis=1)
     if failed.any():
         k = int(failed.argmax())

@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,63 @@ class TestTileBlocks:
         for fp, (ox, oy, members) in zip(got, want):
             assert (fp.origin_x, fp.origin_y, fp.size) == (ox, oy, size)
             assert fp.indices.tobytes() == members.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 120), levels=st.integers(1, 5),
+           continuous=st.sampled_from([(), (2,), (1, 2), (0,)]),
+           twins=st.integers(0, 30), signed_zeros=st.booleans(),
+           size=st.sampled_from([0.5, 1.0, 2.5]),
+           overlap=st.sampled_from([0.0, 0.25, 0.5]),
+           strays=st.integers(1, 3), axes=st.sampled_from([(0,), (1,), (0, 1)]),
+           away=st.sampled_from([1.0, -1.0]),
+           min_points=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_far_points_match_lexsort_reference(self, n, levels, continuous,
+                                                twins, signed_zeros, size,
+                                                overlap, strays, axes, away,
+                                                min_points, seed):
+        # the reference's clouds, with 1-3 points moved 40-400 strides away
+        # in x, in y or both: most cells of the grid are then empty
+        rng = np.random.default_rng(seed)
+        xyz = rng.integers(0, levels, (n, 3)) * 0.5
+        for ax in continuous:
+            xyz[:, ax] = rng.uniform(0.0, levels * 0.5, n)
+        xyz = np.vstack([xyz, xyz[rng.integers(0, n, twins)]])
+        if signed_zeros:
+            xyz[(xyz == 0) & (rng.random(xyz.shape) < 0.5)] = -0.0
+        stride = size - overlap * size
+        for ax in axes:
+            moved = rng.integers(0, len(xyz), strays)
+            xyz[moved, ax] += away * rng.uniform(40, 400, strays) * stride
+        xyz = xyz[rng.permutation(len(xyz))]
+        cloud = cloud_of(xyz)
+        got = blk.tile_blocks(cloud, size, overlap * size, min_points)
+        want = self.lexsort_tiling(cloud, size, overlap * size, min_points)
+        assert len(got) == len(want)
+        for fp, (ox, oy, members) in zip(got, want):
+            assert (fp.origin_x, fp.origin_y, fp.size) == (ox, oy, size)
+            assert fp.indices.tobytes() == members.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_far_stray_adds_no_per_cell_work(self, axis):
+        # a 20 m tile of 63 x 63 jittered scan points, one point 200 km past
+        # its far edge: 2:1 tiling then spans 200 000 columns or rows
+        rng = np.random.default_rng(63)
+        ij = np.stack(np.meshgrid(np.arange(63), np.arange(63)), -1).reshape(-1, 2)
+        xy = (ij + rng.uniform(0.0, 1.0, ij.shape)) * (20.0 / 63)
+        xyz = np.column_stack([xy, rng.uniform(0.0, 11.0, len(xy))])
+        stray = xyz[:1].copy()
+        stray[0, axis] = xyz[:, axis].max() + 200_000.0
+        far = cloud_of(np.vstack([xyz, stray]))
+        start = time.perf_counter()
+        got = blk.tile_blocks(far, 2.0, 1.0)
+        assert time.perf_counter() - start < 2.0
+        want = blk.tile_blocks(cloud_of(xyz), 2.0, 1.0)
+        assert len(got) == len(want) > 0
+
+        def key(fp):
+            return (repr(fp.origin_x), repr(fp.origin_y), fp.size,
+                    fp.indices.tobytes())
+        assert [key(fp) for fp in got] == [key(fp) for fp in want]
 
 
 def one_footprint(cloud, size=100.0):

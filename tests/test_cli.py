@@ -106,6 +106,35 @@ class TestPreprocess:
             cli.write_block_store(tmp_path / "store", cloud, [], ())
         assert not (tmp_path / "store").exists()
 
+    def test_preprocess_refuses_labels_float32_would_round(self, fixture_dir,
+                                                           capsys):
+        # float32 holds every integer up to 2^24; 2^24 + 1 would come back
+        # from the store as 2^24
+        raw = pio.load_points(fixture_dir / "points.txt")
+        raw.labels[5] = 2 ** 24 + 1
+        pio.save_points(fixture_dir / "points.txt", raw)
+        rc = cli.main(["preprocess",
+                       "--points", str(fixture_dir / "points.txt"),
+                       "--image", str(fixture_dir / "image.ppm"),
+                       "--dtm", str(fixture_dir / "dtm.asc"),
+                       "--out", str(fixture_dir / "prep"), "--scales", SCALES])
+        err = assert_error_exit(rc, capsys)
+        assert "point 5 has label 16777217" in err
+        assert not (fixture_dir / "prep" / "blocks.bin").exists()
+
+    def test_preprocess_refuses_clouds_beyond_store_indices(
+            self, fixture_dir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STORE_POINTS", 359)
+        rc = cli.main(["preprocess",
+                       "--points", str(fixture_dir / "points.txt"),
+                       "--image", str(fixture_dir / "image.ppm"),
+                       "--dtm", str(fixture_dir / "dtm.asc"),
+                       "--out", str(fixture_dir / "prep"), "--scales", SCALES])
+        assert assert_error_exit(rc, capsys) == (
+            "error: cloud holds 360 points; the block store indexes at most "
+            "359\n")
+        assert not (fixture_dir / "prep" / "blocks.bin").exists()
+
     def test_manifest_times_load_attribution_and_blocking(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
         lines = (prep / "run_manifest.txt").read_text().splitlines()
@@ -361,23 +390,44 @@ class TestPredictEvaluate:
             assert float(manifest["peak_rss_mb"]) > 0, path.name
 
     def test_manifests_record_minor_faults(self, fixture_dir):
-        prep = run_preprocess(fixture_dir)
-        model = run_train(fixture_dir, prep, epochs=1)
+        # each command runs in a fresh child (`python -m pointlabel`, src/
+        # on the path), which must fault in pages. The child's count adds
+        # start-up and imports, which a `--help` child measures; a running
+        # total would hold them, so the command's count stays half of them
+        # below the child's
+        import pointlabel
+        src = str(Path(pointlabel.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def child_faults(argv):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            done = subprocess.run([sys.executable, "-m", "pointlabel", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        start_up = child_faults(["--help"])
+        prep, model = fixture_dir / "prep", fixture_dir / "model"
         out = fixture_dir / "labeled.txt"
-        rc = cli.main(["predict", "--points", str(prep / "points.txt"),
-                       "--model", str(model / "model.ckpt"),
-                       "--out", str(out), "--scales", SCALES])
-        assert rc == 0
-        process_total = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        faults = []
-        for path in (prep / "run_manifest.txt", model / "run_manifest.txt",
-                     fixture_dir / "labeled.txt.manifest"):
+        runs = [
+            (["preprocess", "--points", str(fixture_dir / "points.txt"),
+              "--image", str(fixture_dir / "image.ppm"),
+              "--dtm", str(fixture_dir / "dtm.asc"), "--out", str(prep),
+              "--scales", SCALES], prep / "run_manifest.txt"),
+            (["train", "--blocks", str(prep), "--out", str(model),
+              "--epochs", "1", "--batch", "4", "--seed", "1",
+              "--classes", "3"], model / "run_manifest.txt"),
+            (["predict", "--points", str(prep / "points.txt"),
+              "--model", str(model / "model.ckpt"), "--out", str(out),
+              "--scales", SCALES], fixture_dir / "labeled.txt.manifest"),
+        ]
+        for argv, path in runs:
+            child = child_faults(argv)
             manifest = dict(line.split("=", 1)
                             for line in path.read_text().splitlines())
-            faults.append(int(manifest["minor_faults"]))
-        # each command's own faults, not the process's running total
-        assert min(faults) > 0
-        assert sum(faults) <= process_total
+            faults = int(manifest["minor_faults"])
+            assert 0 < faults < child - start_up // 2, (path.name, child)
 
     def test_train_manifest_records_most_rows_per_step(self, fixture_dir):
         prep = run_preprocess(fixture_dir)

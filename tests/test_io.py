@@ -479,6 +479,13 @@ class TestAsciiGrid:
         with pytest.raises(SchemaError, match="expected 4"):
             parse_ascii_grid(text)
 
+    def test_nodata_value_optional(self):
+        # the format's default when the line is absent
+        r = parse_ascii_grid(GRID_1X1.replace("NODATA_value -9999\n", "")
+                             .replace("7\n", "-9999\n"))
+        assert r.nodata == -9999.0 and r.data[0, 0, 0] == -9999.0
+        assert parse_ascii_grid(GRID_1X1.replace("-9999", "-1")).nodata == -1.0
+
     def test_missing_header_key(self):
         with pytest.raises(ParseError, match="cellsize"):
             parse_ascii_grid("ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\n"
