@@ -223,11 +223,15 @@ def _grid(cloud, size, overlap):
     grid = []
     for values in (xy[:, 0], xy[:, 1]):
         lo, hi = float(values.min()), float(values.max())
-        # lo + 0 * stride: a -0.0 minimum gives a 0.0 origin
-        out = [lo + 0 * stride]
-        while out[-1] + stride < hi:
-            out.append(lo + len(out) * stride)
-        grid.append(out)
+        # origin j = lo + j * stride (a -0.0 minimum gives a 0.0 origin),
+        # and origin j + 1 follows while origin j + stride < hi: the loop
+        # that test comes from, run from an estimate of the last j
+        last = max(0, math.ceil((hi - lo) / stride) - 1)
+        while last > 0 and not lo + (last - 1) * stride + stride < hi:
+            last -= 1
+        while lo + last * stride + stride < hi:
+            last += 1
+        grid.append((lo + np.arange(last + 1) * stride).tolist())
     return grid
 
 

@@ -14,8 +14,8 @@ every scale, largest sample count first, so a scale with fewer chunks
 than workers leaves none idle; each scale's votes still merge in its
 block order. Scales are then averaged per point over the scales that
 covered it, and points never sampled at any scale copy the class
-probabilities of their nearest covered neighbor (one k=2 kd-tree query;
-only queries whose two nearest distances nearly tie re-check a ball).
+probabilities of their nearest covered neighbor, ties to the lowest
+index, found by an exact uniform-grid search in numpy.
 """
 
 from collections import deque
@@ -26,7 +26,15 @@ import numpy as np
 
 from . import blocks as blk
 from . import network
-from .io import PointCloud
+from .io import COLUMN_NAMES, PointCloud
+
+# (query, covered point) pairs scored per chunk of the nearest-covered
+# search. It bounds the chunk's arrays: about 80 bytes a pair (5 MB at
+# 2^16 pairs); one query whose block holds more is a chunk of its own
+NEAREST_CANDIDATES = 2 ** 16
+# cells along an axis of that search's first grid, so a cell key of
+# three axes fits an int64
+_MAX_AXIS_CELLS = 2 ** 20
 
 ISPRS_CLASS_NAMES = ("power", "low_veg", "imp_surf", "car", "fence_hedge",
                      "roof", "fac", "shrub", "tree")
@@ -222,28 +230,138 @@ def average_scales(fields):
     return ProbabilityField(out, covered_scales)
 
 
-def _nearest_covered(query_xyz, covered_xyz):
-    """Index into covered_xyz of each query's nearest point by a kd-tree;
-    ties go to the lowest index, re-derived exactly from the candidates'
-    squared distances."""
-    from scipy.spatial import cKDTree
+def _cell_keys(xyz, lo, hi, edge, cells):
+    """Per point, its cell along each axis of the grid of cell edge `edge`
+    over the box [lo, hi] (a point outside takes the nearest cell), and
+    its cell key, z the fastest axis."""
+    t = np.clip(xyz, lo, hi)
+    t -= lo
+    t /= edge
+    index = np.floor(t, out=t).astype(np.int64)
+    return index, (index[:, 0] * cells[1] + index[:, 1]) * cells[2] + index[:, 2]
 
-    tree = cKDTree(covered_xyz)
-    # a second neighbor (inf if there is none) within an inflated radius
-    # of the first may tie it: only those queries re-check all candidates
-    # in that radius, so equal distances resolve to the lowest index
-    d, j = tree.query(query_xyz, k=2)
-    out = np.asarray(j[:, 0], dtype=np.int64)
-    radius = d[:, 0] * (1.0 + 1e-9) + 1e-9
-    tied = np.flatnonzero(d[:, 1] <= radius)
-    for qi, cand in zip(tied, tree.query_ball_point(query_xyz[tied],
-                                                   radius[tied])):
-        if len(cand) <= 1:
-            continue
-        cand = np.sort(np.asarray(cand, dtype=np.int64))
-        d2 = ((covered_xyz[cand] - query_xyz[qi]) ** 2).sum(axis=1)
-        out[qi] = cand[d2.argmin()]
+
+def _nearest_covered(query_xyz, covered_xyz):
+    """Index into covered_xyz of each query's nearest point: the argmin
+    of ((covered_xyz - query) ** 2).sum(axis=1), ties to the lowest index.
+
+    An exact search on a uniform grid over the covered points' bounding
+    box (Bentley, Weide & Yao, ACM TOMS 1980). Each round sorts the
+    covered points by cell key and scores every open query against the
+    points of the 3 x 3 x 3 cells around its own (clipped into the grid),
+    one key range per (x, y) column, with the reference's arithmetic. A
+    query is answered once its best squared distance is below the
+    squared distance to the nearest face of that block with cells beyond
+    it, less a rounding slack, or once no cell lies beyond the block;
+    the rest go to the next round with the cell edge doubled. The first
+    edge is the covered points' spacing over the axes they spread along,
+    refined twice to the cells they occupy; it has at most
+    _MAX_AXIS_CELLS cells an axis, so a round's grid is one cell wide
+    after at most 21 doublings. Queries are scored in chunks of at most
+    NEAREST_CANDIDATES (query, point) pairs, or one query.
+    """
+    if not (np.isfinite(query_xyz).all() and np.isfinite(covered_xyz).all()):
+        raise ValueError("nearest-covered search needs finite coordinates")
+    n = len(covered_xyz)
+    lo, hi = covered_xyz.min(axis=0), covered_xyz.max(axis=0)
+    extent = hi - lo
+    spread = extent > 0
+    floor = max(extent.max() / _MAX_AXIS_CELLS, np.finfo(np.float64).tiny)
+    edge = floor
+    if spread.any():
+        # the spacing of n points over the spread axes of the bounding
+        # box, refined twice to the cells they occupy at the edge before
+        root = 1.0 / spread.sum()
+        edge = max(edge * (np.prod(extent[spread] / edge) / n) ** root, floor)
+        for _ in range(2):
+            cells = np.floor(extent / edge).astype(np.int64) + 1
+            keys = np.sort(_cell_keys(covered_xyz, lo, hi, edge, cells)[1])
+            occupied = 1 + np.count_nonzero(np.diff(keys))
+            edge = max(edge * (occupied / n) ** root, floor)
+    scale = max(np.abs(covered_xyz).max(), np.abs(query_xyz).max(initial=0.0))
+    # queries whose blocks are found at once: one chunk at 27 points a block
+    per_slice = NEAREST_CANDIDATES // 27
+    out = np.empty(len(query_xyz), dtype=np.int64)
+    pending = np.arange(len(query_xyz))
+    while len(pending):
+        cells = np.floor(extent / edge).astype(np.int64) + 1
+        # bounds the rounding of a cell index, a face and a squared
+        # distance, so a point outside the block scores above the best
+        slack = 64 * np.finfo(np.float64).eps * (scale + extent.max() + 3 * edge)
+        keys = _cell_keys(covered_xyz, lo, hi, edge, cells)[1]
+        order = np.argsort(keys)
+        keys = keys[order]
+        by_cell = [covered_xyz[order, a] for a in range(3)]
+        # queries in cell order search the sorted keys in order
+        pending = pending[np.argsort(
+            _cell_keys(query_xyz[pending], lo, hi, edge, cells)[1])]
+        still = []
+        for s in range(0, len(pending), per_slice):
+            idx = pending[s:s + per_slice]
+            q = query_xyz[idx]
+            qc = _cell_keys(q, lo, hi, edge, cells)[0]
+            # distance to the block's nearest face with cells beyond it
+            below = np.where(qc >= 2, q - (lo + (qc - 1) * edge), np.inf)
+            above = np.where(qc <= cells - 3, (lo + (qc + 2) * edge) - q,
+                             np.inf)
+            face = np.minimum(below, above).min(axis=1) - slack
+            best, best_d2 = _score_block(q, qc, keys, cells, by_cell, order)
+            done = ((best_d2 < np.maximum(face, 0) ** 2 * (1 - 1e-12))
+                    | np.isinf(face))
+            out[idx[done]] = best[done]
+            still.append(idx[~done])
+        pending = np.concatenate(still)
+        edge *= 2
     return out
+
+
+def _score_block(q, qc, keys, cells, by_cell, order):
+    """Per query of q (its cells qc), the lowest index of the nearest
+    covered point in its 3 x 3 x 3 block and that point's squared
+    distance (inf for an empty block).
+
+    `keys` are the covered points' sorted cell keys, `by_cell` their x,
+    y and z in that order and `order` their indices; a block is nine key
+    ranges, one per (x, y) column. Pairs are scored in chunks of at most
+    NEAREST_CANDIDATES, or one query."""
+    z_lo = np.maximum(qc[:, 2] - 1, 0)
+    z_hi = np.minimum(qc[:, 2] + 1, cells[2] - 1)
+    starts = np.empty((len(q), 9), dtype=np.int64)
+    lengths = np.empty((len(q), 9), dtype=np.int64)
+    for k, (dx, dy) in enumerate(np.ndindex(3, 3)):
+        ix, iy = qc[:, 0] + dx - 1, qc[:, 1] + dy - 1
+        column = (ix * cells[1] + iy) * cells[2]
+        starts[:, k] = np.searchsorted(keys, column + z_lo, "left")
+        ends = np.searchsorted(keys, column + z_hi, "right")
+        inside = (ix >= 0) & (ix < cells[0]) & (iy >= 0) & (iy < cells[1])
+        lengths[:, k] = np.where(inside, ends - starts[:, k], 0)
+    counts = lengths.sum(axis=1)
+    stop = np.cumsum(counts)
+    best = np.zeros(len(q), dtype=np.int64)
+    best_d2 = np.full(len(q), np.inf)
+    i = 0
+    while i < len(q):
+        base = stop[i - 1] if i else 0
+        j = max(int(np.searchsorted(stop, base + NEAREST_CANDIDATES, "right")),
+                i + 1)
+        c, size = counts[i:j], lengths[i:j].reshape(-1)
+        # positions in the sorted points of every (query, point) pair
+        pos = (np.repeat(starts[i:j].reshape(-1) - (np.cumsum(size) - size),
+                         size)
+               + np.arange(stop[j - 1] - base))
+        # the reference's arithmetic: ((dx * dx + dy * dy) + dz * dz)
+        d2 = np.zeros(len(pos))
+        for a in range(3):
+            d = by_cell[a][pos] - np.repeat(q[i:j, a], c)
+            d2 += d * d
+        has = c > 0
+        first = (np.cumsum(c) - c)[has]
+        low = np.minimum.reduceat(d2, first)
+        best_d2[i:j][has] = low
+        ties = np.where(d2 == np.repeat(low, c[has]), order[pos], len(order))
+        best[i:j][has] = np.minimum.reduceat(ties, first)
+        i = j
+    return best, best_d2
 
 
 def interpolate_labels(field, cloud):
@@ -272,7 +390,9 @@ def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, threads=1,
             counts=None):
     """Tile, forward and merge every scale; returns (labels, probabilities).
 
-    The network's input width names the feature set it reads
+    Every coordinate and spectral value must be finite; the first point
+    holding another raises ValueError naming it and its column. The
+    network's input width names the feature set it reads
     (blocks.feature_set). A cloud without spectral values is accepted by
     an "xyz" network only, and is blocked with zero spectral values that
     network never reads; any other network raises ValueError on it.
@@ -283,6 +403,13 @@ def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, threads=1,
     no scale sampled) and `coverage` (the share of points some scale
     sampled).
     """
+    values = [cloud.xyz] + ([cloud.spectral] if cloud.has_spectral else [])
+    if not all(np.isfinite(v).all() for v in values):
+        bad = ~np.isfinite(np.column_stack(values))
+        i, column = (int(k) for k in np.argwhere(bad)[0])
+        raise ValueError(f"point {i} has a non-finite {COLUMN_NAMES[column]} "
+                         f"({values[column // 3][i, column % 3]}); prediction "
+                         f"needs finite coordinates and spectral values")
     features = blk.feature_set(params.encoder_specs[0].in_width)
     if not cloud.has_spectral:
         if features != "xyz":

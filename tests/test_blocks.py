@@ -274,6 +274,46 @@ class TestTileBlocks:
                     fp.indices.tobytes())
         assert [key(fp) for fp in got] == [key(fp) for fp in want]
 
+    @staticmethod
+    def loop_grid(cloud, size, overlap):
+        """Reference for blocks._grid: the origin loop it replaced."""
+        stride = size - overlap
+        grid = []
+        for values in (cloud.xyz[:, 0], cloud.xyz[:, 1]):
+            lo, hi = float(values.min()), float(values.max())
+            out = [lo + 0 * stride]
+            while out[-1] + stride < hi:
+                out.append(lo + len(out) * stride)
+            grid.append(out)
+        return grid
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e7, 1e7),
+                        st.integers(-10 ** 7, 10 ** 7).map(float)),
+           span=st.one_of(st.just(0.0), st.floats(0.0, 60.0),
+                          st.integers(0, 60).map(float)),
+           size=st.one_of(st.floats(0.01, 20.0), st.sampled_from([0.5, 1, 2.0, 3])),
+           overlap_share=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           stray=st.sampled_from([None, 2e5, -2e5]), n=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_matches_origin_loop(self, lo, span, size, overlap_share,
+                                      stray, n, seed):
+        # x and y run from lo to lo + span (y from lo's negation), with a
+        # point up to 200 km (and 10 000 strides, for the reference's sake)
+        # out on one axis; strides mostly do not divide spans
+        rng = np.random.default_rng(seed)
+        xs = np.concatenate([[lo, lo + span], lo + rng.uniform(0, 1, n) * span])
+        ys = np.concatenate([[-lo, -lo + span], -lo + rng.uniform(0, 1, n) * span])
+        overlap = overlap_share * size
+        if stray is not None:
+            away = np.sign(stray) * min(abs(stray), 1e4 * (size - overlap))
+            (xs if seed % 2 else ys)[0] += away
+        cloud = cloud_of(np.column_stack([xs, ys, np.zeros(len(xs))]))
+        got = blk._grid(cloud, size, overlap)
+        want = self.loop_grid(cloud, size, overlap)
+        for g, w in zip(got, want):
+            assert [(type(v), repr(v)) for v in g] == [(type(v), repr(v)) for v in w]
+
 
 def one_footprint(cloud, size=100.0):
     fps = blk.tile_blocks(cloud, size=size, overlap=0.0, min_points=1)

@@ -603,6 +603,38 @@ class TestPredictEvaluate:
         assert filled == (~covered_any).sum() > 0
         assert float(manifest["coverage"]) == covered_any.mean()
 
+    def test_predict_runs_without_scipy(self, fixture_dir):
+        # `python -m pointlabel predict` in a child whose imports of scipy
+        # fail, on scales that leave points to the nearest-covered fill;
+        # its labels are the in-process run's bytes
+        import pointlabel
+        src = str(Path(pointlabel.__file__).resolve().parent.parent)
+        prep = run_preprocess(fixture_dir)
+        model = run_train(fixture_dir, prep) / "model.ckpt"
+        argv = ["predict", "--points", str(prep / "points.txt"),
+                "--model", str(model), "--scales", "2:1:64,10:2:12",
+                "--seed", "5"]
+        child = fixture_dir / "child.txt"
+        refuse = (
+            "import runpy, sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(name + ' is refused')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "sys.argv[0] = 'pointlabel'\n"
+            "runpy.run_module('pointlabel', run_name='__main__', alter_sys=True)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", refuse, *argv, "--out", str(child)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        manifest = dict(line.split("=", 1) for line in
+                        Path(str(child) + ".manifest").read_text().splitlines())
+        assert int(manifest["nn_filled"]) > 0
+        assert cli.main([*argv, "--out", str(fixture_dir / "own.txt")]) == 0
+        assert child.read_bytes() == (fixture_dir / "own.txt").read_bytes()
+
     def test_missing_model_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["predict", "--points", "x", "--out", "y"])

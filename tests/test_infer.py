@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from pointlabel import blocks as blk
 from pointlabel import infer, network
 from pointlabel.io import PointCloud
 
-from conftest import strata_scene, toy_params
+from conftest import strata_scene, toy_params, traced
 
 
 def uniform_params():
@@ -411,6 +412,95 @@ class TestInterpolateLabels:
         assert np.array_equal(labels, want.argmax(axis=1))
 
 
+class TestNearestCovered:
+    """The grid search of infer._nearest_covered against brute_nearest,
+    on the clouds a uniform grid finds hardest."""
+
+    @staticmethod
+    def cloud(rng, n, shape):
+        if shape == "lattice":
+            return rng.integers(0, 4, (n, 3)) * 0.5
+        if shape == "coincident":
+            return np.repeat(rng.uniform(0, 3, (1, 3)), n, axis=0)
+        if shape == "collinear":
+            return np.outer(rng.uniform(-5, 5, n), rng.uniform(-1, 1, 3)) + 2.0
+        xyz = rng.uniform(0, 20, (n, 3))
+        if shape == "coplanar":
+            xyz[:, 2] = 3.0
+        return xyz
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_covered=st.integers(1, 150), n_query=st.integers(1, 80),
+           shape=st.sampled_from(["uniform", "lattice", "coincident",
+                                  "collinear", "coplanar"]),
+           query_shape=st.sampled_from(["same", "uniform", "far_cluster"]),
+           offset=st.sampled_from([0.0, 5e5, 5e6]),
+           covered_stray=st.booleans(), query_stray=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_covered=1, n_query=5, shape="uniform", query_shape="uniform",
+             offset=0.0, covered_stray=False, query_stray=False, seed=0)
+    def test_matches_brute(self, n_covered, n_query, shape, query_shape,
+                           offset, covered_stray, query_stray, seed):
+        # a far cluster of queries sits 1 km from every covered point;
+        # strays sit 200 km out; offsets are UTM-sized eastings/northings
+        rng = np.random.default_rng(seed)
+        covered = self.cloud(rng, n_covered, shape)
+        if query_shape == "same":
+            query = self.cloud(rng, n_query, shape)
+        else:
+            query = rng.uniform(0, 20, (n_query, 3))
+            if query_shape == "far_cluster":
+                query[:, 0] += 1000.0
+        if covered_stray:
+            covered[rng.integers(0, n_covered)] = [2e5, 1.0, 0.5]
+        if query_stray:
+            query[rng.integers(0, n_query)] = [-2e5, 3.0, 2.0]
+        covered = covered + [offset, offset, 0.0]
+        query = query + [offset, offset, 0.0]
+        got = infer._nearest_covered(query, covered)
+        assert got.dtype == np.int64
+        assert got.tobytes() == brute_nearest(query, covered).tobytes()
+
+    def test_fill_memory_is_bounded(self):
+        # an airborne-density fill: 100k queries against 150k covered
+        # points at 8 points/m2 on three height layers; unchunked pair
+        # arrays would peak near 200 MB
+        rng = np.random.default_rng(8)
+        n = 250_000
+        side = (n / 8) ** 0.5
+        xyz = np.column_stack([rng.uniform(0, side, (n, 2)),
+                               rng.integers(0, 3, n) * 4.0 + rng.uniform(0, 1, n)])
+        query, covered = xyz[:100_000].copy(), xyz[100_000:].copy()
+        got, _, peak = traced(infer._nearest_covered, query, covered)
+        assert peak < 32 * 2 ** 20
+        for i in rng.integers(0, len(query), 40):
+            assert got[i] == brute_nearest(query[i:i + 1], covered)[0]
+        # 2 000 queries 1 km from a 1 m cluster of 1 000 covered points:
+        # the last round scores every pair, 2M of them
+        cluster = rng.uniform(0, 1, (1000, 3))
+        far = rng.uniform(0, 1, (2000, 3)) + [1000.0, 0.0, 0.0]
+        got, _, peak = traced(infer._nearest_covered, far, cluster)
+        assert peak < 32 * 2 ** 20
+        assert got.tobytes() == brute_nearest(far, cluster).tobytes()
+
+    def test_far_query_ends_quickly(self):
+        # the grid's edge doubles until the search reaches 200 km
+        scene = strata_scene(9000, seed=3, extent=3.0)
+        query = np.array([[2e5, 1.5, 5.0]])
+        start = time.perf_counter()
+        got = infer._nearest_covered(query, scene.xyz)
+        assert time.perf_counter() - start < 1.0
+        assert got.tolist() == brute_nearest(query, scene.xyz).tolist()
+
+    @pytest.mark.parametrize("which", ["query", "covered"])
+    def test_non_finite_refused(self, which):
+        # the search's rounds would never end on a NaN
+        arrays = {"query": np.zeros((2, 3)), "covered": np.ones((3, 3))}
+        arrays[which][1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            infer._nearest_covered(arrays["query"], arrays["covered"])
+
+
 class TestEvaluate:
     def test_perfect_prediction(self):
         r = infer.evaluate([0, 1, 2, 1], [0, 1, 2, 1], n_classes=3)
@@ -513,6 +603,22 @@ class TestEndToEnd:
     def test_unknown_input_width_rejected(self, scene):
         with pytest.raises(ValueError, match="width 5"):
             infer.predict(scene, toy_params(in_width=5),
+                          (infer.ScaleConfig(6.0, 2.0, 64),))
+
+    @pytest.mark.parametrize("array, row, column, name", [
+        ("spectral", 7, 1, "r"), ("xyz", 3, 2, "z"), ("xyz", 0, 0, "x"),
+        ("spectral", 5, 0, "ir")])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_input_refused(self, scene, array, row, column, name,
+                                      value):
+        # a later point's bad value must not hide this one's
+        xyz, spectral = scene.xyz.copy(), scene.spectral.copy()
+        {"xyz": xyz, "spectral": spectral}[array][row, column] = value
+        spectral[row + 20, 2] = np.nan
+        cloud = PointCloud(xyz, spectral, scene.labels)
+        with pytest.raises(ValueError,
+                           match=rf"point {row} has a non-finite {name} \({value}\)"):
+            infer.predict(cloud, toy_params(seed=2),
                           (infer.ScaleConfig(6.0, 2.0, 64),))
 
     def test_permutation_invariance_end_to_end(self, scene):
