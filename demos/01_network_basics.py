@@ -5,6 +5,8 @@ concatenation, and the softmax output.
 Run:  python demos/01_network_basics.py
 """
 
+import copy
+
 import numpy as np
 
 from pointlabel import network as net
@@ -41,7 +43,7 @@ train_trace = net.forward(x, params, "train")
 # deepest encoder layer (enc4), here recomputed layer by layer on a copy
 # (a train-mode layer moves its batch-norm running statistics)
 f = x
-shadow = net.copy_params(params)
+shadow = copy.deepcopy(params)
 for spec, lp in zip(shadow.encoder_specs, shadow.encoder):
     f, _ = net.pointwise_forward(f, spec, lp, "train")
 assert np.array_equal(train_trace.g_segments[0], f.max(axis=0))

@@ -11,8 +11,8 @@ which sorts by x first, so each footprint is one run of its row.
 A scale's blocks are sampled in groups of at most SAMPLE_GROUP_ROWS
 rows. Only each block's random draws run block by block; the gather of
 its points, the jitter and the features run once per group over
-(blocks, rows) arrays, and a single block (sample_block,
-assemble_features) is the one-block case of the same code.
+(blocks, rows) arrays, and a single block (sample_block) is the
+one-block case of the same code.
 
 Feature columns per sampled point (all float32):
 
@@ -246,7 +246,8 @@ def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
     and how they are sampled do not depend on the input point order,
     except among exact xyz twins. The cost follows the points, not the
     grid: Python steps once per row of at least min_points points and
-    once per footprint kept.
+    once per footprint kept, and a row searches only the columns its
+    points span (every column when min_points < 1 keeps empty cells).
     """
     if not 0 <= overlap < size:
         raise ValueError(f"need 0 <= overlap < size, got overlap={overlap}, size={size}")
@@ -260,14 +261,20 @@ def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
     row_lo = np.searchsorted(ys, origins_y, side="left")
     row_hi = np.searchsorted(ys, np.add(origins_y, size), side="right")
     ox = np.array(origins_x)
+    ox_far = ox + size
     footprints = []
     for r in np.flatnonzero(row_hi - row_lo >= min_points):
         # canonical positions ascending: x ascends, so a footprint is a run
         members = order[np.sort(by_y[row_lo[r]:row_hi[r]])]
         xs = cloud.xyz[members, 0]
-        lo = np.searchsorted(xs, ox, side="left")
-        hi = np.searchsorted(xs, ox + size, side="right")
-        footprints.extend(Footprint(origins_x[c], origins_y[r], size,
+        first, stop = 0, len(ox)
+        if min_points >= 1:
+            # the other columns end short of the row or start past its end
+            first = int(np.searchsorted(ox_far, xs[0], side="left"))
+            stop = int(np.searchsorted(ox, xs[-1], side="right"))
+        lo = np.searchsorted(xs, ox[first:stop], side="left")
+        hi = np.searchsorted(xs, ox_far[first:stop], side="right")
+        footprints.extend(Footprint(origins_x[first + c], origins_y[r], size,
                                     members[lo[c]:hi[c]])
                           for c in np.flatnonzero(hi - lo >= min_points))
     return footprints
@@ -346,25 +353,16 @@ def _sample_group(cloud, footprints, count, training, rngs, extent,
             for b, fp in enumerate(footprints)]
 
 
-def assemble_features(coords, spectral, extent):
-    """Build the (S,9) float32 feature matrix for one block.
+def _features(coords, spectral, extent):
+    """The float32 feature matrices of blocks of S rows: (..., S, 3)
+    float64 coords and spectral values give (..., S, 9) features.
 
     coords are the sampled (possibly jittered) world coordinates. Columns
-    0-2 subtract the centroid of these rows; 6-8 normalize against the
-    scene extent with degenerate axes pinned at 0.5 and values clipped to
-    [0,1] (jitter can push a point slightly outside the extent).
+    0-2 subtract the centroid of each block's rows; 3-5 scale IR, R, G
+    by 1/255; 6-8 normalize against the scene extent with degenerate
+    axes pinned at 0.5 and values clipped to [0,1] (jitter can push a
+    point slightly outside the extent).
     """
-    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
-    if spectral is not None:
-        spectral = np.asarray(spectral, dtype=np.float64).reshape(-1, 3)
-        if len(spectral) != len(coords):
-            raise ShapeError("spectral length != coordinate length")
-    return _features(coords, spectral, extent)
-
-
-def _features(coords, spectral, extent):
-    """assemble_features of blocks of S rows: (..., S, 3) float64 coords
-    and spectral values give (..., S, 9) float32 features."""
     if spectral is None:
         raise ValueError("points must be spectrally attributed before feature "
                          "assembly")
@@ -393,11 +391,10 @@ def _features(coords, spectral, extent):
 # ---------------------------------------------------------------------------
 # augmentation
 
-def augment_rotate_z(cloud, angle, pivot=None):
-    """Rotate x,y about a pivot (default: scene xy-centroid); z, spectral
-    and labels are untouched."""
-    if pivot is None:
-        pivot = cloud.xyz[:, :2].mean(axis=0)
+def augment_rotate_z(cloud, angle):
+    """Rotate x,y about the scene's xy-centroid; z, spectral and labels
+    are untouched."""
+    pivot = cloud.xyz[:, :2].mean(axis=0)
     c, s = np.cos(angle), np.sin(angle)
     xy = cloud.xyz[:, :2] - pivot
     rot = np.empty_like(cloud.xyz)

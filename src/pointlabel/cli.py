@@ -118,13 +118,21 @@ def read_block_store(in_dir):
             raise pio.ParseError(
                 f"block {i}: {rows} feature rows but sample_count {sizes[0]}, "
                 f"{sizes[1]} parents, {sizes[2]} labels")
+        scale_id, size, replica = int(f[0]), float(f[3]), int(f[5])
+        scale = scales[scale_id] if 0 <= scale_id < len(scales) else None
+        bad = ("scale id" if scale is None else "replica" if replica < 0
+               else "size" if size != scale.size
+               else "row count" if rows != scale.sample_count else None)
+        if bad:
+            raise pio.ParseError(f"block {i}: bad {bad} in manifest line "
+                                 f"{line!r} ({rows} rows; {lines[0]})")
         out.append(blk.Block(
-            origin_x=float(f[1]), origin_y=float(f[2]), size=float(f[3]),
-            scale_id=int(f[0]),
+            origin_x=float(f[1]), origin_y=float(f[2]), size=size,
+            scale_id=scale_id,
             features=features,
             parent_idx=parent.reshape(-1).astype(np.int64),
             labels=None if labels is None else labels.reshape(-1).astype(np.int32),
-            replica=int(f[5])))
+            replica=replica))
     return out, scales
 
 

@@ -438,7 +438,6 @@ class ForwardTrace:
     mode: str
     encoder_traces: list | None   # per layer; None in eval mode
     head_traces: list | None      # per layer; None in eval mode
-    segments: tuple               # rows per block in this forward
     g_segments: np.ndarray        # (S, G) pooled feature per block
     argmax_segments: np.ndarray | None  # (S, G) winning absolute row per
                                         # column; None in eval mode
@@ -544,8 +543,8 @@ def forward(x, params, mode="eval", segments=None):
             logits = np.empty((n, f.shape[1]), dtype=f.dtype)
         logits[start:stop] = f
     return ForwardTrace(mode, enc_traces if train else None,
-                        head_traces if train else None, segments, g_seg,
-                        am_seg, softmax_rows(logits))
+                        head_traces if train else None, g_seg, am_seg,
+                        softmax_rows(logits))
 
 
 def backward(trace, labels, params):
@@ -630,12 +629,6 @@ def params_astype(params, dtype):
     return out
 
 
-def copy_params(params):
-    """Deep copy in which every tensor keeps its dtype (a prepared
-    network's float32 b stays float32 beside its float64 W)."""
-    return copy.deepcopy(params)
-
-
 def fold_batch_norm(params):
     """Prepare params for eval-mode forwards, in place; returns params.
 
@@ -664,7 +657,7 @@ def eval_weights(params):
     were."""
     if all(_prepared(spec, lp) for spec, lp in params.layers()):
         return params
-    return fold_batch_norm(copy_params(params))
+    return fold_batch_norm(copy.deepcopy(params))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ cross-entropy over the batch's points, and blocks are assembled in a
 fixed order, so training is deterministic for a given seed.
 """
 
+import copy
 import logging
 import math
 import time
@@ -242,7 +243,7 @@ def fit(train_blocks, val_blocks, config, encoder_specs=None,
     params = network.init_params(encoder_specs, head_specs, init_rng)
     state = AdamState.for_params(params)
 
-    best = network.copy_params(params)
+    best = copy.deepcopy(params)
     best_loss = np.inf
     best_epoch = -1
     bad_epochs = 0
@@ -300,7 +301,7 @@ def fit(train_blocks, val_blocks, config, encoder_specs=None,
         epoch_seconds.append(time.perf_counter() - t0)
         if val_loss < best_loss:
             best_loss = val_loss
-            best = network.copy_params(params)
+            best = copy.deepcopy(params)
             best_epoch = epoch
             bad_epochs = 0
         else:

@@ -252,16 +252,21 @@ class TestTileBlocks:
             assert (fp.origin_x, fp.origin_y, fp.size) == (ox, oy, size)
             assert fp.indices.tobytes() == members.tobytes()
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_far_stray_adds_no_per_cell_work(self, axis):
+    @pytest.mark.parametrize("axis, rows, away", [
+        (0, 63, 200_000.0), (1, 63, 200_000.0), (0, 945, 2_000_000.0)])
+    def test_far_stray_adds_no_per_cell_work(self, axis, rows, away):
         # a 20 m tile of 63 x 63 jittered scan points, one point 200 km past
-        # its far edge: 2:1 tiling then spans 200 000 columns or rows
+        # its far edge: 2:1 tiling then spans 200 000 columns or rows. On a
+        # 20 m x 300 m strip (63 x 945 points) with a point 2000 km out in
+        # x, searching all 2 000 000 columns in each of its 300 rows takes
+        # seconds; a row's points span at most 20 of them
         rng = np.random.default_rng(63)
-        ij = np.stack(np.meshgrid(np.arange(63), np.arange(63)), -1).reshape(-1, 2)
+        ij = np.stack(np.meshgrid(np.arange(63), np.arange(rows)),
+                      -1).reshape(-1, 2)
         xy = (ij + rng.uniform(0.0, 1.0, ij.shape)) * (20.0 / 63)
         xyz = np.column_stack([xy, rng.uniform(0.0, 11.0, len(xy))])
         stray = xyz[:1].copy()
-        stray[0, axis] = xyz[:, axis].max() + 200_000.0
+        stray[0, axis] = xyz[:, axis].max() + away
         far = cloud_of(np.vstack([xyz, stray]))
         start = time.perf_counter()
         got = blk.tile_blocks(far, 2.0, 1.0)
@@ -273,6 +278,58 @@ class TestTileBlocks:
             return (repr(fp.origin_x), repr(fp.origin_y), fp.size,
                     fp.indices.tobytes())
         assert [key(fp) for fp in got] == [key(fp) for fp in want]
+
+    @staticmethod
+    def all_column_tiling(cloud, size, overlap, min_points):
+        """Reference for tile_blocks: every row searches every column,
+        not only the columns its points span."""
+        origins_x, origins_y = blk._grid(cloud, size, overlap)
+        order = blk.canonical_order(cloud)
+        by_y = np.argsort(cloud.xyz[order, 1])
+        ys = cloud.xyz[order[by_y], 1]
+        row_lo = np.searchsorted(ys, origins_y, side="left")
+        row_hi = np.searchsorted(ys, np.add(origins_y, size), side="right")
+        ox = np.array(origins_x)
+        footprints = []
+        for r in np.flatnonzero(row_hi - row_lo >= min_points):
+            members = order[np.sort(by_y[row_lo[r]:row_hi[r]])]
+            xs = cloud.xyz[members, 0]
+            lo = np.searchsorted(xs, ox, side="left")
+            hi = np.searchsorted(xs, ox + size, side="right")
+            footprints.extend((origins_x[c], origins_y[r], members[lo[c]:hi[c]])
+                              for c in np.flatnonzero(hi - lo >= min_points))
+        return footprints
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 200), levels=st.sampled_from([None, 4, 12]),
+           size=st.sampled_from([0.5, 1.0, 2.5]),
+           overlap=st.sampled_from([0.0, 0.25, 0.5]),
+           strays=st.lists(st.tuples(st.sampled_from([0, 1]),
+                                     st.sampled_from([1.0, -1.0]),
+                                     st.floats(1.0, 60.0)), max_size=3),
+           min_points=st.sampled_from([0, 1, 10]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_column_span_matches_all_column_search(
+            self, n, levels, size, overlap, strays, min_points, seed):
+        # a few metres of points, on a 0.5 m lattice (points on footprint
+        # edges) or not, with up to 3 moved 1-60 strides out on either
+        # side in x or y
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            xyz = rng.uniform(0.0, 6.0, (n, 3))
+        else:
+            xyz = rng.integers(0, levels, (n, 3)) * 0.5
+        stride = size - overlap * size
+        for axis, away, strides in strays:
+            xyz[rng.integers(0, n), axis] += away * strides * stride
+        cloud = cloud_of(xyz)
+        got = blk.tile_blocks(cloud, size, overlap * size, min_points)
+        want = self.all_column_tiling(cloud, size, overlap * size, min_points)
+        assert len(got) == len(want)
+        for fp, (ox, oy, members) in zip(got, want):
+            assert (repr(fp.origin_x), repr(fp.origin_y), fp.size) == (
+                repr(ox), repr(oy), size)
+            assert fp.indices.tobytes() == members.tobytes()
 
     @staticmethod
     def loop_grid(cloud, size, overlap):
@@ -368,39 +425,43 @@ class TestSampleBlock:
         assert np.array_equal(a.parent_idx, b.parent_idx)
 
 
-class TestAssembleFeatures:
+class TestFeatures:
     def extent(self):
         return blk.SceneExtent(0, 0, 0, 10, 10, 10)
 
+    @staticmethod
+    def features(coords, spectral, extent):
+        return blk._features(np.array(coords, dtype=np.float64),
+                             np.array(spectral, dtype=np.float64), extent)
+
     def test_scene_min_corner(self):
-        f = blk.assemble_features([[0.0, 0.0, 0.0]], [[128, 128, 128]],
-                                  self.extent())
+        f = self.features([[0.0, 0.0, 0.0]], [[128, 128, 128]], self.extent())
         assert np.array_equal(f[0, 6:9], [0, 0, 0])
 
     def test_scene_max_corner(self):
-        f = blk.assemble_features([[10.0, 10.0, 10.0]], [[128, 128, 128]],
-                                  self.extent())
+        f = self.features([[10.0, 10.0, 10.0]], [[128, 128, 128]],
+                          self.extent())
         assert np.array_equal(f[0, 6:9], [1, 1, 1])
 
     def test_symmetric_points_negate(self):
-        f = blk.assemble_features([[2.0, 2.0, 2.0], [4.0, 4.0, 4.0]],
-                                  np.full((2, 3), 100.0), self.extent())
+        f = self.features([[2.0, 2.0, 2.0], [4.0, 4.0, 4.0]],
+                          np.full((2, 3), 100.0), self.extent())
         assert np.allclose(f[0, 0:3], -f[1, 0:3])
 
     def test_spectral_scaled_to_unit(self):
-        f = blk.assemble_features([[1.0, 1.0, 1.0]], [[255.0, 0.0, 51.0]],
-                                  self.extent())
+        f = self.features([[1.0, 1.0, 1.0]], [[255.0, 0.0, 51.0]],
+                          self.extent())
         assert np.allclose(f[0, 3:6], [1.0, 0.0, 0.2])
 
     def test_degenerate_axis_pinned(self):
         ext = blk.SceneExtent(0, 0, 5, 10, 10, 5)
-        f = blk.assemble_features([[5.0, 5.0, 5.0]], [[0, 0, 0]], ext)
+        f = self.features([[5.0, 5.0, 5.0]], [[0, 0, 0]], ext)
         assert f[0, 8] == 0.5
 
     def test_fully_degenerate_extent_rejected(self):
         ext = blk.SceneExtent(1, 1, 1, 1, 1, 1)
         with pytest.raises(ValueError):
-            blk.assemble_features([[1.0, 1.0, 1.0]], [[0, 0, 0]], ext)
+            self.features([[1.0, 1.0, 1.0]], [[0, 0, 0]], ext)
 
     def test_zero_mean_centering(self, scene, rng):
         fp = one_footprint(scene)
@@ -419,7 +480,7 @@ class TestAugment:
 
     def test_quarter_turn(self):
         cloud = cloud_of([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = blk.augment_rotate_z(cloud, np.pi / 2, pivot=(1.0, 0.0))
+        out = blk.augment_rotate_z(cloud, np.pi / 2)
         assert np.allclose(out.xyz[1, :2], [1.0, 1.0], atol=1e-12)
 
     def test_full_turn_identity(self, scene):

@@ -1,15 +1,18 @@
+import copy
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointlabel import blocks as blk
-from pointlabel import cli, network
+from pointlabel import cli, infer, network
 from pointlabel import io as pio
 from pointlabel.container import read_container_file, write_container_file
 from pointlabel.io import PointCloud, Raster
@@ -96,6 +99,66 @@ class TestPreprocess:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(pio.ParseError, match="block"):
             cli.read_block_store(prep)
+
+    @pytest.mark.parametrize("field, value, name", [
+        (0, "7", "scale id"), (0, "-1", "scale id"), (5, "-3", "replica"),
+        (3, "99.0", "size")])
+    def test_block_store_manifest_fields_fit_scales(self, fixture_dir, field,
+                                                    value, name):
+        # read unchecked, train used a block of no stored scale unless
+        # --scales dropped it, and a negative replica skipped the split
+        prep = run_preprocess(fixture_dir)
+        path = prep / "blocks.manifest"
+        lines = path.read_text().splitlines()
+        f = lines[2].split()
+        f[field] = value
+        lines[2] = " ".join(f)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pio.ParseError, match=f"block 1: bad {name} "):
+            cli.read_block_store(prep)
+
+    def test_block_store_rows_fit_scale_sample_count(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        blocks, scales = cli.read_block_store(prep)
+        b = blocks[1]
+        b.features, b.parent_idx, b.labels = (
+            b.features[:-1], b.parent_idx[:-1], b.labels[:-1])
+        cli.write_block_store(prep, pio.load_points(prep / "points.txt"),
+                              blocks, scales)
+        with pytest.raises(pio.ParseError, match="block 1: bad row count "):
+            cli.read_block_store(prep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), labeled=st.booleans(),
+           training=st.booleans(), augment=st.integers(0, 1),
+           scales=st.lists(st.sampled_from(["2:1:16", "3.5:0.5:8",
+                                            "2.7:0.3:24", "5:2:32"]),
+                           min_size=1, max_size=3, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_store_round_trips(self, n, labeled, training, augment,
+                                     scales, seed):
+        rng = np.random.default_rng(seed)
+        cloud = PointCloud(rng.uniform(0.0, 4.0, (n, 3)),
+                           rng.integers(0, 256, (n, 3)),
+                           rng.integers(0, 5, n) if labeled else None)
+        scales = infer.ScaleConfig.parse(",".join(scales))
+        blocks = blk.build_blocks(cloud, scales, seed, training=training,
+                                  augment_copies=augment)
+        with tempfile.TemporaryDirectory() as tmp:
+            cli.write_block_store(tmp, cloud, blocks, scales)
+            back, back_scales = cli.read_block_store(tmp)
+        assert back_scales == scales
+        assert len(back) == len(blocks)
+        for b, r in zip(blocks, back):
+            assert r.features.tobytes() == b.features.tobytes()
+            assert np.array_equal(r.parent_idx, b.parent_idx)
+            if b.labels is None:
+                assert r.labels is None
+            else:
+                assert np.array_equal(r.labels, b.labels)
+            assert (repr(r.origin_x), repr(r.origin_y), repr(r.size)) == (
+                repr(b.origin_x), repr(b.origin_y), repr(b.size))
+            assert (r.scale_id, r.replica) == (b.scale_id, b.replica)
 
     def test_store_refuses_clouds_beyond_float32_indices(self, tmp_path):
         # zero strides: 2^24 + 1 points without allocating them
@@ -519,7 +582,7 @@ class TestPredictEvaluate:
         assert (probs_out.read_bytes()
                 == (fixture_dir / "library_probs.txt").read_bytes())
         # 6-decimal text cannot show a 1e-7 difference; the arrays can
-        folded = cli.network.fold_batch_norm(cli.network.copy_params(params))
+        folded = cli.network.fold_batch_norm(copy.deepcopy(params))
         cloud = pio.load_points(prep / "points.txt")
         for threads in (1, 2):
             _, unfolded_probs = cli.infer.predict(

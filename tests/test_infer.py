@@ -1,3 +1,4 @@
+import copy
 import time
 import tracemalloc
 
@@ -258,7 +259,7 @@ class TestPredictScale:
         assert all(s.has_bn for s in params.encoder_specs)
         assert before == [a.tobytes()
                           for _, a in network.iter_tensors(params, False)]
-        folded = fold(network.copy_params(params))
+        folded = fold(copy.deepcopy(params))
         folds.clear()
         infer.predict(scene, folded, scales, threads=2)
         assert folds == []

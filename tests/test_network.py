@@ -347,7 +347,7 @@ class TestEvalPanels:
         params = _moved_stats_params(seed % 1000)
         x = np.random.default_rng(seed).normal(
             0, 2, (sum(segments), 9)).astype(np.float32)
-        want_params, got_params = (net.copy_params(params) for _ in range(2))
+        want_params, got_params = (copy.deepcopy(params) for _ in range(2))
         want = net.forward(x, want_params, "train", segments=segments)
         with mock.patch.object(net, "EXACT_PANEL_ROWS", panel):
             got = net.forward(x, got_params, "train", segments=segments)
@@ -626,7 +626,7 @@ class TestParamCount:
 def _encoder_reference(x, params, mode):
     """The last encoder layer's rows from a pointwise_forward chain over
     all of x, on a copy of params (train mode moves running statistics)."""
-    params = net.copy_params(params)
+    params = copy.deepcopy(params)
     f = x
     for spec, lp in zip(params.encoder_specs, params.encoder):
         f, _ = net.pointwise_forward(f, spec, lp, mode)
@@ -726,7 +726,7 @@ class TestSplitHead:
         params = _moved_stats_params(seed % 1000, dtype=np.float64, forwards=1)
         x = rng.standard_normal((sum(segments), 9))
         labels = rng.integers(0, 3, len(x))
-        ref_params = net.copy_params(params)
+        ref_params = copy.deepcopy(params)
         q_ref, grads_ref = _concat_reference(x, ref_params, mode, segments, labels)
         trace = net.forward(x, params, mode, segments=segments)
         assert _rel_err(trace.q, q_ref) <= 1e-10
@@ -776,7 +776,7 @@ class TestFoldBatchNorm:
         # an eval forward folds each batch norm as fold_batch_norm does,
         # so folding first changes no bit
         params = _moved_stats_params(seed, dtype, forwards)
-        folded = net.fold_batch_norm(net.copy_params(params))
+        folded = net.fold_batch_norm(copy.deepcopy(params))
         x = np.random.default_rng(x_seed).normal(
             0, 2, (sum(segments), 9)).astype(dtype)
         q = net.forward(x, params, "eval", segments=segments).q
@@ -814,7 +814,7 @@ class TestFoldBatchNorm:
 
     def test_copies_are_not_folded(self):
         params = _moved_stats_params(6)
-        keep = net.copy_params(params)
+        keep = copy.deepcopy(params)
         net.fold_batch_norm(params)
         assert all(s.has_bn for s, _ in keep.layers()[:-1])
         assert keep.encoder[0].gamma is not None
@@ -881,7 +881,7 @@ class TestEvalWeights:
         x = np.random.default_rng(seed).normal(
             0, 2, (sum(segments), 9)).astype(dtype)
         rows = panel or net.EXACT_PANEL_ROWS
-        folded = net.fold_batch_norm(net.copy_params(params))
+        folded = net.fold_batch_norm(copy.deepcopy(params))
         with mock.patch.object(net, "EXACT_PANEL_ROWS", rows):
             outs = [net.forward(x, weights, "eval", segments=segments)
                     for weights in (params, net.eval_weights(params), folded)]
@@ -936,7 +936,7 @@ class TestEvalWeights:
         # a copy that cast b to float64 added head0's global term to the
         # local one unrounded, and most forwards changed bits
         weights = net.eval_weights(_moved_stats_params(10))
-        copied = net.copy_params(weights)
+        copied = copy.deepcopy(weights)
         for (n, a), (_, b) in zip(net.iter_tensors(weights),
                                   net.iter_tensors(copied)):
             assert a is not b and a.dtype == b.dtype, n
@@ -1135,7 +1135,7 @@ class TestInPlaceStep:
             segments = segments + [1]
         rng = np.random.default_rng(seed)
         params = _mixed_params(flags, dtype, seed % 1000)
-        ref = net.copy_params(params)
+        ref = copy.deepcopy(params)
         state = training.AdamState.for_params(params)
         ref_state = training.AdamState.for_params(ref)
         n = sum(segments)

@@ -1,3 +1,4 @@
+import copy
 import weakref
 
 import numpy as np
@@ -353,7 +354,8 @@ class TestFit:
         params = net.init_params(enc, head, np.random.default_rng(0))
         params.encoder[-1].beta[0] = np.nan
         x = np.concatenate([b.features for b in train[:2]])
-        trace = net.forward(x, net.copy_params(params), "train", segments=(16, 16))
+        trace = net.forward(x, copy.deepcopy(params), "train",
+                            segments=(16, 16))
         assert np.isnan(trace.g_segments[:, 0]).all()
         assert np.isfinite(trace.g_segments[:, 1:]).all()
         assert trace.argmax_segments[:, 0].tolist() == [0, 16]
