@@ -14,6 +14,11 @@ its points, the jitter and the features run once per group over
 (blocks, rows) arrays, and a single block (sample_block) is the
 one-block case of the same code.
 
+A whole scene is tiled first (tile_scene: every replica and scale once,
+so the block count is known) and then sampled lazily (sample_scene),
+which lets the block store take each group as it is drawn and free it
+before the next; build_blocks is that stream as a list.
+
 Feature columns per sampled point (all float32):
 
     0-2  x, y, z minus the centroid of the block's sampled points
@@ -393,8 +398,9 @@ def _features(coords, spectral, extent):
 
 def augment_rotate_z(cloud, angle):
     """Rotate x,y about the scene's xy-centroid; z, spectral and labels
-    are untouched."""
-    pivot = cloud.xyz[:, :2].mean(axis=0)
+    are untouched. An empty cloud, which has no centroid, stays empty."""
+    # an empty mean warns "Mean of empty slice"; any pivot rotates no point
+    pivot = cloud.xyz[:, :2].mean(axis=0) if len(cloud) else np.zeros(2)
     c, s = np.cos(angle), np.sin(angle)
     xy = cloud.xyz[:, :2] - pivot
     rot = np.empty_like(cloud.xyz)
@@ -456,25 +462,15 @@ def block_rng(seed, scale_id, block_index, replica=0):
                                 int(replica))))
 
 
-def sample_scale(scene, scale, scale_id, seed, training, replica=0,
-                 counts=None):
-    """Yield one scale's blocks of `scene` in footprint order.
+def tile_scale(scene, scale, counts=None):
+    """The kept footprints of one scale of `scene`, in tiling order.
 
-    scale is an object with size/overlap/sample_count fields. Each block
-    is drawn from its own block_rng(seed, scale_id, footprint index,
-    replica), so a block depends only on the scene, the scale, the seed
-    and the replica, never on which blocks were drawn before it. Blocks
-    are sampled in groups of at most SAMPLE_GROUP_ROWS rows (at least one
-    block), each bitwise what sample_block gives on its footprint and
-    generator. The scene extent is taken once a footprint is kept, so a
-    scene that is empty or whose footprints are all discarded yields
-    nothing and raises nothing.
-
-    A dict passed as `counts` gains, when sampling starts, the scale's
-    `footprints_kept`, `footprints_discarded` (fewer than
-    MIN_BLOCK_POINTS points), `rows` sampled and `duplicated_rows` (rows
-    repeating a point of their block: a footprint of n < sample_count
-    points repeats sample_count - n).
+    scale is an object with size/overlap/sample_count fields. A dict
+    passed as `counts` gains the scale's `footprints_kept`,
+    `footprints_discarded` (fewer than MIN_BLOCK_POINTS points), `rows`
+    to be sampled and `duplicated_rows` (rows repeating a point of their
+    block: a footprint of n < sample_count points repeats sample_count -
+    n), each added to what the dict already holds.
     """
     footprints = tile_blocks(scene, scale.size, scale.overlap)
     if counts is not None:
@@ -489,6 +485,22 @@ def sample_scale(scene, scale, scale_id, seed, training, replica=0,
                 ("duplicated_rows", sum(max(count - len(fp.indices), 0)
                                         for fp in footprints))):
             counts[key] = counts.get(key, 0) + value
+    return footprints
+
+
+def sample_footprints(scene, footprints, scale, scale_id, seed, training,
+                      replica=0):
+    """Yield the blocks of one scale's footprints in order, sampled in
+    groups of at most SAMPLE_GROUP_ROWS rows (at least one block); a
+    spent group is let go before the next is drawn.
+
+    Footprint i is drawn from its own block_rng(seed, scale_id, i,
+    replica), so a block depends only on the scene, the scale, the seed
+    and the replica, never on which blocks were drawn before it, and
+    each is bitwise what sample_block gives on its footprint and
+    generator. The scene extent is taken only when there is a footprint
+    to sample, so no footprints yield nothing and raise nothing.
+    """
     if not footprints:
         return
     # taken only once a footprint is kept: an empty scene has no extent
@@ -502,15 +514,34 @@ def sample_scale(scene, scale, scale_id, seed, training, replica=0,
                                  rngs, extent, scale_id, replica)
 
 
-def build_blocks(cloud, scales, seed, training=True, augment_copies=0,
+def sample_scale(scene, scale, scale_id, seed, training, replica=0,
                  counts=None):
-    """Tile and sample a whole scene at every scale.
+    """Yield one scale's blocks of `scene` in footprint order: tile_scale,
+    then sample_footprints. `counts` gains the tile_scale counts when
+    sampling starts."""
+    yield from sample_footprints(scene, tile_scale(scene, scale, counts),
+                                 scale, scale_id, seed, training, replica)
+
+
+@dataclass
+class Tiling:
+    """The kept footprints of one (replica, scale) pair of a scene."""
+
+    scene: PointCloud             # the scene or its augmented replica
+    replica: int
+    scale_id: int
+    footprints: list
+
+
+def tile_scene(cloud, scales, seed, augment_copies=0, counts=None):
+    """Tile a whole scene at every scale: one Tiling per (replica, scale)
+    pair, replica-major, each tiled once.
 
     scales is a sequence of objects with size/overlap/sample_count fields.
     augment_copies (>= 0) adds that many rotated+jittered replicas of the
-    scene (training only); replica blocks carry replica >= 1.
+    scene (training only); their footprints carry replica >= 1.
 
-    A dict passed as `counts` receives per scale i the sample_scale counts
+    A dict passed as `counts` receives per scale i the tile_scale counts
     as `scale{i}.footprints_kept`, `.footprints_discarded`, `.rows` and
     `.duplicated_rows`, summed over the scene and its replicas, and
     `.duplicated_fraction` (duplicated rows over rows).
@@ -518,7 +549,7 @@ def build_blocks(cloud, scales, seed, training=True, augment_copies=0,
     if augment_copies < 0:
         raise ValueError(f"augment_copies must be >= 0, got {augment_copies}")
     tallies = [{} for _ in scales]
-    out = []
+    tilings = []
     scene_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xA46)))
     for replica in range(augment_copies + 1):
         if replica == 0:
@@ -527,11 +558,29 @@ def build_blocks(cloud, scales, seed, training=True, augment_copies=0,
             angle = scene_rng.uniform(0.0, 2.0 * np.pi)
             scene = augment_jitter(augment_rotate_z(cloud, angle), scene_rng)
         for scale_id, sc in enumerate(scales):
-            out.extend(sample_scale(scene, sc, scale_id, seed, training,
-                                    replica, tallies[scale_id]))
+            tilings.append(Tiling(scene, replica, scale_id,
+                                  tile_scale(scene, sc, tallies[scale_id])))
     if counts is not None:
         for scale_id, tally in enumerate(tallies):
             tally["duplicated_fraction"] = (
                 tally["duplicated_rows"] / tally["rows"] if tally["rows"] else 0.0)
             counts.update({f"scale{scale_id}.{k}": v for k, v in tally.items()})
-    return out
+    return tilings
+
+
+def sample_scene(tilings, scales, seed, training=True):
+    """Yield the blocks of tile_scene's tilings in order, sampled one
+    group at a time: a group's arrays are freed once the consumer has
+    let go of its blocks, before the next group is drawn."""
+    for t in tilings:
+        yield from sample_footprints(t.scene, t.footprints, scales[t.scale_id],
+                                     t.scale_id, seed, training, t.replica)
+
+
+def build_blocks(cloud, scales, seed, training=True, augment_copies=0,
+                 counts=None):
+    """Tile and sample a whole scene at every scale: the blocks of
+    sample_scene over tile_scene, as a list. The arguments and `counts`
+    are tile_scene's."""
+    return list(sample_scene(tile_scene(cloud, scales, seed, augment_copies,
+                                        counts), scales, seed, training))

@@ -6,6 +6,10 @@ command, configuration, input digests, seed and timings (and, for
 preprocess, train and predict, the peak resident memory and the minor
 page faults the command took); artifacts
 themselves are bit-reproducible for identical inputs and seeds.
+
+preprocess streams its block store: it tiles the scene at every scale,
+then samples one group of blocks at a time as write_block_store writes
+them, so it never holds the whole store.
 """
 
 import argparse
@@ -19,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blocks as blk, infer, io as pio, network, training
+from .container import read_container_file, write_container_file
 
 
 def _sha256(path):
@@ -59,7 +64,23 @@ def write_manifest(path, command, settings, inputs, timings):
 MAX_STORE_POINTS = 2 ** 24
 
 
-def write_block_store(out_dir, cloud, all_blocks, scales):
+# the files of a store, each written as <name>.partial and renamed into
+# place only once every block is written
+STORE_FILES = ("points.txt", "blocks.bin", "blocks.manifest")
+
+
+def write_block_store(out_dir, cloud, all_blocks, scales, n_blocks=None):
+    """Write `cloud` and its blocks as a block store in out_dir.
+
+    all_blocks is a sequence of blocks, or any iterable of them when
+    `n_blocks` gives their count (the container header precedes the first
+    payload). Each block is written as it comes and not kept, so an
+    iterator such as blocks.sample_scene's keeps one sample group in
+    memory, not the store. The files are written under temporary names
+    and renamed into place after the last block: a write that fails
+    leaves no partial store and any store already in out_dir unchanged.
+    The cloud's size and labels are checked before anything is written.
+    """
     if len(cloud) > MAX_STORE_POINTS:
         raise ValueError(f"cloud holds {len(cloud)} points; the block store "
                          f"indexes at most {MAX_STORE_POINTS}")
@@ -69,29 +90,75 @@ def write_block_store(out_dir, cloud, all_blocks, scales):
             i = int(rounded.argmax())
             raise ValueError(f"point {i} has label {cloud.labels[i]}, which the "
                              f"block store's float32 labels would round")
+    if n_blocks is None:
+        n_blocks = len(all_blocks)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pio.save_points(out_dir / "points.txt", cloud)
-    tensors = []
-    for i, b in enumerate(all_blocks):
-        tensors.append((f"b{i}.features", b.features))
-        tensors.append((f"b{i}.parent", b.parent_idx.astype(np.float32)))
-        if b.labels is not None:
-            tensors.append((f"b{i}.labels", b.labels.astype(np.float32)))
-    from .container import write_container_file
-    offsets = write_container_file(out_dir / "blocks.bin", len(all_blocks), tensors)
-    lines = ["scales " + ",".join(map(str, scales))]
-    for i, b in enumerate(all_blocks):
-        lines.append(f"{b.scale_id} {b.origin_x!r} {b.origin_y!r} {b.size!r} "
-                     f"{b.sample_count} {b.replica} {offsets[f'b{i}.features']}")
-    (out_dir / "blocks.manifest").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8")
+    partial = {name: out_dir / f"{name}.partial" for name in STORE_FILES}
+    lines = []
+
+    def tensors():
+        # no name holds a block while the next is drawn, which may start a
+        # new group: not b, and not enumerate, whose reused result tuple
+        # would keep the last one
+        for b in all_blocks:
+            i = len(lines)
+            lines.append(f"{b.scale_id} {b.origin_x!r} {b.origin_y!r} "
+                         f"{b.size!r} {b.sample_count} {b.replica}")
+            yield f"b{i}.features", b.features
+            yield f"b{i}.parent", b.parent_idx.astype(np.float32)
+            if b.labels is not None:
+                yield f"b{i}.labels", b.labels.astype(np.float32)
+            del b
+
+    try:
+        pio.save_points(partial["points.txt"], cloud)
+        offsets = write_container_file(partial["blocks.bin"], n_blocks,
+                                       tensors())
+        if len(lines) != n_blocks:
+            raise ValueError(f"block store given {len(lines)} blocks, "
+                             f"not the {n_blocks} declared")
+        partial["blocks.manifest"].write_text("\n".join(
+            ["scales " + ",".join(map(str, scales))]
+            + [f"{line} {offsets[f'b{i}.features']}"
+               for i, line in enumerate(lines)]) + "\n", encoding="utf-8")
+    except BaseException:
+        for path in partial.values():
+            path.unlink(missing_ok=True)
+        raise
+    for name, path in partial.items():
+        path.replace(out_dir / name)
+
+
+# manifest block line: field name and type, in order
+MANIFEST_FIELDS = (("scale id", int), ("origin x", float), ("origin y", float),
+                   ("size", float), ("sample count", int), ("replica", int),
+                   ("offset", int))
+
+
+def _manifest_fields(i, line):
+    """The parsed fields of block i's manifest line; ParseError naming the
+    block and the field that does not parse."""
+    f = line.split()
+    if len(f) != len(MANIFEST_FIELDS):
+        raise pio.ParseError(f"block {i}: manifest line {line!r} has {len(f)} "
+                             f"fields, not {len(MANIFEST_FIELDS)}")
+    out = []
+    for (name, kind), text in zip(MANIFEST_FIELDS, f):
+        try:
+            out.append(kind(text))
+        except ValueError:
+            raise pio.ParseError(
+                f"block {i}: {name} {text!r} is not "
+                f"{'an integer' if kind is int else 'a number'} in manifest "
+                f"line {line!r}") from None
+    return out
 
 
 def read_block_store(in_dir):
     in_dir = Path(in_dir)
-    from .container import read_container_file
-    _, tensors = read_container_file(in_dir / "blocks.bin")
+    offsets = {}
+    _, tensors = read_container_file(in_dir / "blocks.bin", offsets)
     lines = (in_dir / "blocks.manifest").read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("scales "):
         raise pio.ParseError("blocks.manifest: missing scales line")
@@ -103,22 +170,26 @@ def read_block_store(in_dir):
                              f"blocks.bin holds {stored}")
     out = []
     for i, line in enumerate(entries):
-        f = line.split()
         features = tensors.get(f"b{i}.features")
         parent = tensors.get(f"b{i}.parent")
         labels = tensors.get(f"b{i}.labels")
-        if len(f) != 7 or features is None or parent is None:
-            raise pio.ParseError(f"block {i}: manifest line or tensors missing")
+        if features is None or parent is None:
+            raise pio.ParseError(f"block {i}: tensors missing")
+        (scale_id, origin_x, origin_y, size, sample_count, replica,
+         offset) = _manifest_fields(i, line)
+        if offset != offsets[f"b{i}.features"]:
+            raise pio.ParseError(
+                f"block {i}: manifest offset {offset}, but b{i}.features "
+                f"starts at byte {offsets[f'b{i}.features']} of blocks.bin")
         if features.shape[1] != blk.FEATURE_DIM:
             raise pio.ParseError(f"block {i}: features are {features.shape[1]} "
                                  f"columns wide, not {blk.FEATURE_DIM}")
         rows = len(features)
-        sizes = (int(f[4]), parent.size, rows if labels is None else labels.size)
+        sizes = (sample_count, parent.size, rows if labels is None else labels.size)
         if sizes != (rows, rows, rows):
             raise pio.ParseError(
                 f"block {i}: {rows} feature rows but sample_count {sizes[0]}, "
                 f"{sizes[1]} parents, {sizes[2]} labels")
-        scale_id, size, replica = int(f[0]), float(f[3]), int(f[5])
         scale = scales[scale_id] if 0 <= scale_id < len(scales) else None
         bad = ("scale id" if scale is None else "replica" if replica < 0
                else "size" if size != scale.size
@@ -127,7 +198,7 @@ def read_block_store(in_dir):
             raise pio.ParseError(f"block {i}: bad {bad} in manifest line "
                                  f"{line!r} ({rows} rows; {lines[0]})")
         out.append(blk.Block(
-            origin_x=float(f[1]), origin_y=float(f[2]), size=size,
+            origin_x=origin_x, origin_y=origin_y, size=size,
             scale_id=scale_id,
             features=features,
             parent_idx=parent.reshape(-1).astype(np.int64),
@@ -157,19 +228,26 @@ def cmd_preprocess(args):
         cloud = blk.normalize_height(cloud, dtm, counts=counts)
         inputs.append(args.dtm)
     t2 = time.perf_counter()
-    all_blocks = blk.build_blocks(cloud, scales, args.seed, training=True,
-                                  augment_copies=args.augment, counts=counts)
+    # every pair is tiled first: the store's header needs the block count.
+    # Blocks are then sampled a group at a time as the store takes them
+    tilings = blk.tile_scene(cloud, scales, args.seed,
+                             augment_copies=args.augment, counts=counts)
+    n_blocks = sum(len(t.footprints) for t in tilings)
+    write_block_store(args.out, cloud,
+                      blk.sample_scene(tilings, scales, args.seed), scales,
+                      n_blocks)
     t3 = time.perf_counter()
-    write_block_store(args.out, cloud, all_blocks, scales)
+    rows = sum(counts[f"scale{i}.rows"] for i in range(len(scales)))
     write_manifest(Path(args.out) / "run_manifest.txt", "preprocess",
                    {"seed": args.seed, "scales": args.scales,
                     "augment": args.augment, "no_dtm": args.no_dtm,
-                    "points": len(cloud), "blocks": len(all_blocks),
+                    "points": len(cloud), "blocks": n_blocks, "rows": rows,
+                    "store_bytes": (Path(args.out) / "blocks.bin").stat().st_size,
                     "peak_rss_mb": f"{_peak_rss_mb():.1f}",
                     "minor_faults": _minor_faults() - faults, **counts},
                    inputs, {"load": t1 - t0, "attribution": t2 - t1,
                             "blocking": t3 - t2})
-    print(f"preprocess: {len(cloud)} points -> {len(all_blocks)} blocks "
+    print(f"preprocess: {len(cloud)} points -> {n_blocks} blocks "
           f"in {args.out}")
     return 0
 

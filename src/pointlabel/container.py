@@ -42,7 +42,9 @@ def write_container(fh, layers, tensors):
             raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {a.shape}")
         offsets[name] = fh.tell()
         fh.write(f"tensor {name} {a.shape[0]} {a.shape[1]}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
+        # the array's own buffer once contiguous and little-endian: no
+        # copy of a payload that is already both
+        fh.write(np.ascontiguousarray(a.astype("<f4", copy=False)).data)
     fh.write(b"end\n")
     return offsets
 
@@ -54,8 +56,10 @@ def _read_line(fh):
     return line[:-1]
 
 
-def read_container(fh):
-    """Read a container stream; returns (layers, {name: float32 array})."""
+def read_container(fh, offsets=None):
+    """Read a container stream; returns (layers, {name: float32 array}).
+    A dict passed as `offsets` receives {name: byte offset of the
+    tensor's header line}, as write_container returns it."""
     if fh.read(len(MAGIC) + 1) != MAGIC + b"\n":
         raise ContainerError("bad magic, not a PTLBL1 container")
     parts = _read_line(fh).split()
@@ -64,6 +68,7 @@ def read_container(fh):
     layers = int(parts[1])
     tensors = {}
     while True:
+        start = fh.tell()
         line = _read_line(fh)
         if line == b"end":
             return layers, tensors
@@ -79,6 +84,8 @@ def read_container(fh):
         if fh.readinto(tensor) != tensor.nbytes:
             raise ContainerError(f"truncated payload for tensor {name!r}")
         tensors[name] = tensor
+        if offsets is not None:
+            offsets[name] = start
 
 
 def write_container_file(path, layers, tensors):
@@ -86,6 +93,6 @@ def write_container_file(path, layers, tensors):
         return write_container(fh, layers, tensors)
 
 
-def read_container_file(path):
+def read_container_file(path, offsets=None):
     with open(path, "rb") as fh:
-        return read_container(fh)
+        return read_container(fh, offsets)

@@ -5,11 +5,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointlabel import blocks as blk
 from pointlabel import cli, infer, network
@@ -17,7 +19,7 @@ from pointlabel import io as pio
 from pointlabel.container import read_container_file, write_container_file
 from pointlabel.io import PointCloud, Raster
 
-from conftest import strata_scene, toy_params
+from conftest import strata_scene, toy_params, traced
 
 
 @pytest.fixture
@@ -313,6 +315,181 @@ class TestPreprocess:
         assert rc == 0
         out = pio.load_points(tmp_path / "prep" / "points.txt")
         assert len(out) == len(cloud) and out.has_labels
+
+
+def store_files(out):
+    return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+class TestStreamedStore:
+    """preprocess tiles every (replica, scale) pair, then samples and
+    writes one group at a time."""
+
+    def test_manifest_records_rows_and_store_bytes(self, fixture_dir):
+        prep = run_preprocess(fixture_dir, extra=("--augment", "1"))
+        manifest = dict(line.split("=", 1) for line in
+                        (prep / "run_manifest.txt").read_text().splitlines())
+        blocks, _ = cli.read_block_store(prep)
+        assert int(manifest["rows"]) == sum(b.sample_count for b in blocks)
+        assert int(manifest["store_bytes"]) == (prep / "blocks.bin").stat().st_size
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_preprocess_leaves_no_partial_store(
+            self, fixture_dir, capsys, monkeypatch, existing):
+        if existing:
+            run_preprocess(fixture_dir)
+        before = store_files(fixture_dir / "prep") if existing else None
+        sample_group, calls = blk._sample_group, []
+
+        def second_group_fails(*args):
+            calls.append(len(args[1]))
+            if len(calls) == 2:
+                raise ValueError("second group failed")
+            return sample_group(*args)
+
+        monkeypatch.setattr(blk, "SAMPLE_GROUP_ROWS", 128)
+        monkeypatch.setattr(blk, "_sample_group", second_group_fails)
+        rc = cli.main(["preprocess",
+                       "--points", str(fixture_dir / "points.txt"),
+                       "--image", str(fixture_dir / "image.ppm"),
+                       "--dtm", str(fixture_dir / "dtm.asc"),
+                       "--out", str(fixture_dir / "prep"), "--scales", SCALES,
+                       "--seed", "5"])
+        assert assert_error_exit(rc, capsys) == "error: second group failed\n"
+        assert calls == [2, 2]
+        if existing:
+            assert store_files(fixture_dir / "prep") == before
+        else:
+            assert list((fixture_dir / "prep").iterdir()) == []
+
+    def test_store_refuses_a_wrong_block_count(self, tmp_path, scene):
+        sc = infer.ScaleConfig(6.0, 2.0, 16)
+        blocks = blk.build_blocks(scene, [sc], 0)
+        with pytest.raises(ValueError, match=f"given {len(blocks)} blocks, "
+                           f"not the {len(blocks) + 1} declared"):
+            cli.write_block_store(tmp_path, scene, iter(blocks), [sc],
+                                  len(blocks) + 1)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        (0, "x", "scale id 'x' is not an integer"),
+        (4, "64.0", "sample count '64.0' is not an integer"),
+        (1, "east", "origin x 'east' is not a number"),
+        (6, "12.5", "offset '12.5' is not an integer")])
+    def test_manifest_field_that_does_not_parse_named(self, fixture_dir, field,
+                                                      value, message):
+        prep = run_preprocess(fixture_dir)
+        path = prep / "blocks.manifest"
+        lines = path.read_text().splitlines()
+        f = lines[2].split()
+        f[field] = value
+        lines[2] = " ".join(f)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pio.ParseError, match=f"^block 1: {message} "):
+            cli.read_block_store(prep)
+
+    def test_manifest_offset_checked(self, fixture_dir):
+        prep = run_preprocess(fixture_dir)
+        path = prep / "blocks.manifest"
+        lines = path.read_text().splitlines()
+        f = lines[2].split()
+        f[6] = str(int(f[6]) + 4)
+        lines[2] = " ".join(f)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pio.ParseError, match=(
+                f"^block 1: manifest offset {f[6]}, but b1.features starts "
+                f"at byte {int(f[6]) - 4} of blocks.bin$")):
+            cli.read_block_store(prep)
+
+    def streamed_peak(self, tmp, extent):
+        """(blocks, tracemalloc peak bytes) of writing a store of an
+        extent x extent scene at 12 points/m², one 2 m scale of 1024
+        rows, as preprocess streams it."""
+        cloud = strata_scene(n_points=int(12 * extent ** 2), seed=3,
+                             extent=extent)
+        scales = [infer.ScaleConfig(2.0, 1.0, 1024)]
+        tilings = blk.tile_scene(cloud, scales, 0)
+        n_blocks = sum(len(t.footprints) for t in tilings)
+        _, _, peak = traced(cli.write_block_store, tmp, cloud,
+                            blk.sample_scene(tilings, scales, 0), scales,
+                            n_blocks)
+        return n_blocks, peak
+
+    def test_memory_follows_one_group_not_the_store(self, tmp_path,
+                                                    monkeypatch):
+        # two blocks a group; point text rendered 256 rows at a time
+        monkeypatch.setattr(blk, "SAMPLE_GROUP_ROWS", 2048)
+        monkeypatch.setattr(pio, "WRITE_CHUNK_ROWS", 256)
+        small, small_peak = self.streamed_peak(tmp_path / "small", 8.0)
+        large, large_peak = self.streamed_peak(tmp_path / "large", 16.0)
+        assert small >= 64 and large >= 4 * small - 40
+        # 0.38 and 0.47 MB traced; the large store's features alone take
+        # 9.4 MB, and the small store built as a list peaked at 3.6 MB
+        bound = 2 ** 20
+        assert large * 1024 * 9 * 4 > 8 * bound
+        assert small_peak < bound and large_peak < bound
+
+    def test_each_group_freed_before_the_next_is_drawn(self, tmp_path,
+                                                       monkeypatch):
+        sample_group, groups, alive = blk._sample_group, [], []
+
+        def spy(*args):
+            alive.append(sum(g() is not None for g in groups))
+            blocks = sample_group(*args)
+            groups.append(weakref.ref(blocks[0].features.base))
+            return blocks
+
+        monkeypatch.setattr(blk, "SAMPLE_GROUP_ROWS", 128)
+        monkeypatch.setattr(blk, "_sample_group", spy)
+        cloud = strata_scene(n_points=360, seed=11, extent=10.0)
+        scales = infer.ScaleConfig.parse(SCALES)
+        tilings = blk.tile_scene(cloud, scales, 0, augment_copies=1)
+        cli.write_block_store(tmp_path, cloud,
+                              blk.sample_scene(tilings, scales, 0), scales,
+                              sum(len(t.footprints) for t in tilings))
+        assert len(alive) > 8 and set(alive) == {0}
+
+    @settings(max_examples=25, deadline=None)
+    # an empty cloud's replica warned "Mean of empty slice"
+    @example(n=0, labeled=False, augment=1, scales=["2:1:16"], per_group=1,
+             seed=0)
+    @given(n=st.integers(0, 120), labeled=st.booleans(),
+           augment=st.integers(0, 2),
+           scales=st.lists(st.sampled_from(["1:0.5:8", "2:1:16", "3:1:12",
+                                            "9:0:24"]),
+                           min_size=1, max_size=3, unique=True),
+           per_group=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_streamed_store_matches_listed_blocks(self, n, labeled, augment,
+                                                  scales, per_group, seed):
+        # 1 m footprints of a sparse cloud are mostly discarded, and a
+        # cloud of fewer than 10 points keeps none at any scale
+        rng = np.random.default_rng(seed)
+        cloud = PointCloud(rng.uniform(0.0, 6.0, (n, 3)), None,
+                           rng.integers(0, 5, n) if labeled else None)
+        image = Raster(rng.uniform(0, 255, (3, 8, 8)).round(),
+                       origin_x=-0.5, origin_y=6.5, cell_size=1.0)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                blk, "SAMPLE_GROUP_ROWS", per_group * 8):
+            tmp = Path(tmp)
+            pio.save_points(tmp / "points.txt", cloud)
+            pio.write_ppm_image(tmp / "image.ppm", image)
+            rc = cli.main(["preprocess", "--points", str(tmp / "points.txt"),
+                           "--image", str(tmp / "image.ppm"), "--no-dtm",
+                           "--out", str(tmp / "streamed"),
+                           "--scales", ",".join(scales),
+                           "--augment", str(augment), "--seed", str(seed)])
+            assert rc == 0
+            attributed = blk.attribute_spectral(
+                pio.load_points(tmp / "points.txt"),
+                pio.read_ppm_image(tmp / "image.ppm"))
+            parsed = infer.ScaleConfig.parse(",".join(scales))
+            cli.write_block_store(tmp / "listed", attributed, blk.build_blocks(
+                attributed, parsed, seed, augment_copies=augment), parsed)
+            streamed = store_files(tmp / "streamed")
+            listed = store_files(tmp / "listed")
+        for name in cli.STORE_FILES:
+            assert streamed[name] == listed[name], name
 
 
 class TestTrain:
