@@ -8,16 +8,18 @@ bit, found with one stable argsort on x and a lexsort of the tied-x runs
 only. A footprint row is a slice of a y-sort put back in canonical order,
 which sorts by x first, so each footprint is one run of its row.
 
-A scale's blocks are sampled in groups of at most SAMPLE_GROUP_ROWS
-rows. Only each block's random draws run block by block; the gather of
-its points, the jitter and the features run once per group over
-(blocks, rows) arrays, and a single block (sample_block) is the
-one-block case of the same code.
+tile_scale gives one Tiling, the kept footprints of a scene (or
+replica) at one scale; tile_scene lists them for every replica and
+scale, and tiling_counts counts them. sample_scene, the one sampler,
+yields the blocks of a list of tilings lazily, so the block store can
+free each group before the next is drawn. build_blocks is the whole
+scene's stream as a list.
 
-A whole scene is tiled first (tile_scene: every replica and scale once,
-so the block count is known) and then sampled lazily (sample_scene),
-which lets the block store take each group as it is drawn and free it
-before the next; build_blocks is that stream as a list.
+Footprints are sampled in groups of at most SAMPLE_GROUP_ROWS rows.
+Only each block's random draws run block by block; the gather of its
+points, the jitter and the features run once per group over (blocks,
+rows) arrays, and a single block (sample_block) is the one-block case of
+the same code.
 
 Feature columns per sampled point (all float32):
 
@@ -53,7 +55,7 @@ JITTER_SIGMA_Z = 0.04
 JITTER_MAX_XY = 0.30
 JITTER_MAX_Z = 0.15
 
-# rows sampled per group in sample_scale. It bounds the group's arrays:
+# rows sampled per group in sample_scene. It bounds the group's arrays:
 # about 140 bytes a row at peak (9 MB at 2^16 rows), of which the blocks
 # keep 49 (features, parents, labels)
 SAMPLE_GROUP_ROWS = 2 ** 16
@@ -71,7 +73,7 @@ class SceneExtent:
     @classmethod
     def of(cls, cloud):
         # one reduction per column: on an (N, 3) array, min(axis=0) is
-        # about 8x slower, and sample_scale takes the extent once per scale
+        # about 8x slower, and sample_scene takes the extent once per tiling
         lo = [cloud.xyz[:, ax].min() for ax in range(3)]
         hi = [cloud.xyz[:, ax].max() for ax in range(3)]
         return cls(*lo, *hi)
@@ -263,8 +265,9 @@ def tile_blocks(cloud, size, overlap, min_points=MIN_BLOCK_POINTS):
     by_y = np.argsort(cloud.xyz[order, 1])
     ys = cloud.xyz[order[by_y], 1]
     # row r holds the points with origins_y[r] <= y <= origins_y[r] + size
-    row_lo = np.searchsorted(ys, origins_y, side="left")
-    row_hi = np.searchsorted(ys, np.add(origins_y, size), side="right")
+    oy = np.array(origins_y)
+    row_lo = np.searchsorted(ys, oy, side="left")
+    row_hi = np.searchsorted(ys, oy + size, side="right")
     ox = np.array(origins_x)
     ox_far = ox + size
     footprints = []
@@ -308,7 +311,7 @@ def sample_block(cloud, footprint, count, training, rng, extent,
     the remainder is drawn with replacement; in training mode each
     duplicate row is jittered so no two rows coincide, at test time
     duplicates are exact repeats. parent_idx maps every row back to its
-    source point. This is the one-block case of sample_scale's groups.
+    source point. This is the one-block case of sample_scene's groups.
     """
     n = len(footprint.indices)
     if n < MIN_BLOCK_POINTS:
@@ -462,93 +465,33 @@ def block_rng(seed, scale_id, block_index, replica=0):
                                 int(replica))))
 
 
-def tile_scale(scene, scale, counts=None):
-    """The kept footprints of one scale of `scene`, in tiling order.
-
-    scale is an object with size/overlap/sample_count fields. A dict
-    passed as `counts` gains the scale's `footprints_kept`,
-    `footprints_discarded` (fewer than MIN_BLOCK_POINTS points), `rows`
-    to be sampled and `duplicated_rows` (rows repeating a point of their
-    block: a footprint of n < sample_count points repeats sample_count -
-    n), each added to what the dict already holds.
-    """
-    footprints = tile_blocks(scene, scale.size, scale.overlap)
-    if counts is not None:
-        cells = 0
-        if len(scene):
-            cells = math.prod(map(len, _grid(scene, scale.size, scale.overlap)))
-        count = scale.sample_count
-        for key, value in (
-                ("footprints_kept", len(footprints)),
-                ("footprints_discarded", cells - len(footprints)),
-                ("rows", count * len(footprints)),
-                ("duplicated_rows", sum(max(count - len(fp.indices), 0)
-                                        for fp in footprints))):
-            counts[key] = counts.get(key, 0) + value
-    return footprints
-
-
-def sample_footprints(scene, footprints, scale, scale_id, seed, training,
-                      replica=0):
-    """Yield the blocks of one scale's footprints in order, sampled in
-    groups of at most SAMPLE_GROUP_ROWS rows (at least one block); a
-    spent group is let go before the next is drawn.
-
-    Footprint i is drawn from its own block_rng(seed, scale_id, i,
-    replica), so a block depends only on the scene, the scale, the seed
-    and the replica, never on which blocks were drawn before it, and
-    each is bitwise what sample_block gives on its footprint and
-    generator. The scene extent is taken only when there is a footprint
-    to sample, so no footprints yield nothing and raise nothing.
-    """
-    if not footprints:
-        return
-    # taken only once a footprint is kept: an empty scene has no extent
-    extent = SceneExtent.of(scene)
-    per_group = max(1, SAMPLE_GROUP_ROWS // scale.sample_count)
-    for start in range(0, len(footprints), per_group):
-        group = footprints[start:start + per_group]
-        rngs = [block_rng(seed, scale_id, bi, replica)
-                for bi in range(start, start + len(group))]
-        yield from _sample_group(scene, group, scale.sample_count, training,
-                                 rngs, extent, scale_id, replica)
-
-
-def sample_scale(scene, scale, scale_id, seed, training, replica=0,
-                 counts=None):
-    """Yield one scale's blocks of `scene` in footprint order: tile_scale,
-    then sample_footprints. `counts` gains the tile_scale counts when
-    sampling starts."""
-    yield from sample_footprints(scene, tile_scale(scene, scale, counts),
-                                 scale, scale_id, seed, training, replica)
-
-
 @dataclass
 class Tiling:
     """The kept footprints of one (replica, scale) pair of a scene."""
 
     scene: PointCloud             # the scene or its augmented replica
-    replica: int
+    scale: object                 # size/overlap/sample_count fields
     scale_id: int
-    footprints: list
+    replica: int
+    footprints: list              # in tiling order
 
 
-def tile_scene(cloud, scales, seed, augment_copies=0, counts=None):
+def tile_scale(scene, scale, scale_id, replica):
+    """The Tiling of `scene` at one scale."""
+    return Tiling(scene, scale, scale_id, replica,
+                  tile_blocks(scene, scale.size, scale.overlap))
+
+
+def tile_scene(cloud, scales, seed, augment_copies=0):
     """Tile a whole scene at every scale: one Tiling per (replica, scale)
     pair, replica-major, each tiled once.
 
     scales is a sequence of objects with size/overlap/sample_count fields.
     augment_copies (>= 0) adds that many rotated+jittered replicas of the
     scene (training only); their footprints carry replica >= 1.
-
-    A dict passed as `counts` receives per scale i the tile_scale counts
-    as `scale{i}.footprints_kept`, `.footprints_discarded`, `.rows` and
-    `.duplicated_rows`, summed over the scene and its replicas, and
-    `.duplicated_fraction` (duplicated rows over rows).
     """
     if augment_copies < 0:
         raise ValueError(f"augment_copies must be >= 0, got {augment_copies}")
-    tallies = [{} for _ in scales]
     tilings = []
     scene_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xA46)))
     for replica in range(augment_copies + 1):
@@ -557,30 +500,70 @@ def tile_scene(cloud, scales, seed, augment_copies=0, counts=None):
         else:
             angle = scene_rng.uniform(0.0, 2.0 * np.pi)
             scene = augment_jitter(augment_rotate_z(cloud, angle), scene_rng)
-        for scale_id, sc in enumerate(scales):
-            tilings.append(Tiling(scene, replica, scale_id,
-                                  tile_scale(scene, sc, tallies[scale_id])))
-    if counts is not None:
-        for scale_id, tally in enumerate(tallies):
-            tally["duplicated_fraction"] = (
-                tally["duplicated_rows"] / tally["rows"] if tally["rows"] else 0.0)
-            counts.update({f"scale{scale_id}.{k}": v for k, v in tally.items()})
+        tilings.extend(tile_scale(scene, sc, scale_id, replica)
+                       for scale_id, sc in enumerate(scales))
     return tilings
 
 
-def sample_scene(tilings, scales, seed, training=True):
-    """Yield the blocks of tile_scene's tilings in order, sampled one
-    group at a time: a group's arrays are freed once the consumer has
-    let go of its blocks, before the next group is drawn."""
+def tiling_counts(tilings):
+    """Per scale id i of `tilings`, summed over its replicas:
+    `scale{i}.footprints_kept`, `.footprints_discarded` (fewer than
+    MIN_BLOCK_POINTS points), `.rows` to be sampled, `.duplicated_rows`
+    (rows repeating a point of their block: a footprint of n <
+    sample_count points repeats sample_count - n) and
+    `.duplicated_fraction` (duplicated rows over rows, 0.0 without rows).
+    """
+    counts = {}
     for t in tilings:
-        yield from sample_footprints(t.scene, t.footprints, scales[t.scale_id],
-                                     t.scale_id, seed, training, t.replica)
+        count, kept = t.scale.sample_count, len(t.footprints)
+        cells = 0
+        if len(t.scene):
+            cells = math.prod(map(len, _grid(t.scene, t.scale.size,
+                                             t.scale.overlap)))
+        for key, value in (
+                ("footprints_kept", kept),
+                ("footprints_discarded", cells - kept),
+                ("rows", count * kept),
+                ("duplicated_rows", sum(max(count - len(fp.indices), 0)
+                                        for fp in t.footprints))):
+            key = f"scale{t.scale_id}.{key}"
+            counts[key] = counts.get(key, 0) + value
+    for i in {t.scale_id for t in tilings}:
+        rows = counts[f"scale{i}.rows"]
+        counts[f"scale{i}.duplicated_fraction"] = (
+            counts[f"scale{i}.duplicated_rows"] / rows if rows else 0.0)
+    return counts
 
 
-def build_blocks(cloud, scales, seed, training=True, augment_copies=0,
-                 counts=None):
+def sample_scene(tilings, seed, training=True):
+    """Yield the blocks of `tilings` in order, sampled at each tiling's
+    sample_count in groups of at most SAMPLE_GROUP_ROWS rows (at least
+    one block); a group's arrays are freed once the consumer lets go of
+    its blocks, before the next group is drawn.
+
+    Footprint i of a tiling is drawn from block_rng(seed, scale_id, i,
+    replica), so each block is bitwise what sample_block gives on its
+    footprint and generator, whatever was drawn before it. A tiling
+    without footprints yields nothing and raises nothing: the scene
+    extent is taken only when there is a footprint to sample.
+    """
+    for t in tilings:
+        if not t.footprints:
+            continue
+        extent = SceneExtent.of(t.scene)
+        count = t.scale.sample_count
+        per_group = max(1, SAMPLE_GROUP_ROWS // count)
+        for start in range(0, len(t.footprints), per_group):
+            group = t.footprints[start:start + per_group]
+            rngs = [block_rng(seed, t.scale_id, bi, t.replica)
+                    for bi in range(start, start + len(group))]
+            yield from _sample_group(t.scene, group, count, training, rngs,
+                                     extent, t.scale_id, t.replica)
+
+
+def build_blocks(cloud, scales, seed, training=True, augment_copies=0):
     """Tile and sample a whole scene at every scale: the blocks of
-    sample_scene over tile_scene, as a list. The arguments and `counts`
-    are tile_scene's."""
-    return list(sample_scene(tile_scene(cloud, scales, seed, augment_copies,
-                                        counts), scales, seed, training))
+    sample_scene over tile_scene, as a list. The arguments are
+    tile_scene's and sample_scene's."""
+    return list(sample_scene(tile_scene(cloud, scales, seed, augment_copies),
+                             seed, training))

@@ -231,11 +231,11 @@ def cmd_preprocess(args):
     # every pair is tiled first: the store's header needs the block count.
     # Blocks are then sampled a group at a time as the store takes them
     tilings = blk.tile_scene(cloud, scales, args.seed,
-                             augment_copies=args.augment, counts=counts)
+                             augment_copies=args.augment)
+    counts.update(blk.tiling_counts(tilings))
     n_blocks = sum(len(t.footprints) for t in tilings)
-    write_block_store(args.out, cloud,
-                      blk.sample_scene(tilings, scales, args.seed), scales,
-                      n_blocks)
+    write_block_store(args.out, cloud, blk.sample_scene(tilings, args.seed),
+                      scales, n_blocks)
     t3 = time.perf_counter()
     rows = sum(counts[f"scale{i}.rows"] for i in range(len(scales)))
     write_manifest(Path(args.out) / "run_manifest.txt", "preprocess",

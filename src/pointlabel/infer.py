@@ -69,7 +69,16 @@ class ScaleConfig:
             fields = part.split(":")
             if len(fields) != 3:
                 raise ValueError(f"bad scale spec {part!r}, want size:overlap:count")
-            out.append(cls(float(fields[0]), float(fields[1]), int(fields[2])))
+            values = []
+            for name, kind, field in zip(("size", "overlap", "sample count"),
+                                         (float, float, int), fields):
+                try:
+                    values.append(kind(field))
+                except ValueError:
+                    noun = "a number" if kind is float else "an integer"
+                    raise ValueError(f"bad scale spec {part!r}: {name} "
+                                     f"{field!r} is not {noun}") from None
+            out.append(cls(*values))
         return tuple(out)
 
 
@@ -112,15 +121,15 @@ def _forward_scales(cloud, params, scales, seed=0, threads=1):
     """One ProbabilityField per (scale_id, ScaleConfig) of `scales`, in
     that order, from one scheduler for all of them.
 
-    Blocks come from blocks.sample_scale in test mode, and the network's
-    input width picks the feature columns forwarded (blocks.feature_set).
-    Each block keeps one row per distinct source point. Consecutive
-    blocks are packed into chunks of at most `scale.sample_count`
-    distinct rows, and each chunk is one segmented eval forward: pooling
-    and the head's global term stay per block and every other layer acts
-    row by row, so a chunk gives each block the bits its own forward
-    would. A field's `stats` count blocks, forward calls and rows
-    forwarded.
+    Each scale is tiled alone (blocks.tile_scale, replica 0) and sampled
+    in test mode (blocks.sample_scene), and the network's input width
+    picks the feature columns forwarded (blocks.feature_set). Each block
+    keeps one row per distinct source point. Consecutive blocks are
+    packed into chunks of at most `scale.sample_count` distinct rows,
+    and each chunk is one segmented eval forward: pooling and the head's
+    global term stay per block and every other layer acts row by row, so
+    a chunk gives each block the bits its own forward would. A field's
+    `stats` count blocks, forward calls and rows forwarded.
 
     Scales are chunked largest sample_count first (ties in the given
     order), so the biggest chunks start first and smaller ones fill the
@@ -149,7 +158,8 @@ def _forward_scales(cloud, params, scales, seed=0, threads=1):
         """Lists of consecutive blocks' (parent_idx, inverse, distinct
         feature rows), at most scale.sample_count rows per list."""
         chunk, rows = [], 0
-        for block in blk.sample_scale(cloud, scale, scale_id, seed, False):
+        tiling = blk.tile_scale(cloud, scale, scale_id, 0)
+        for block in blk.sample_scene([tiling], seed, training=False):
             field.stats["blocks"] += 1
             # features come from the full sample (centering counts repeats);
             # only the forward is restricted to one row per source point

@@ -580,11 +580,8 @@ class TestBuildBlocks:
     def test_counts_footprints_and_duplicated_rows(self, scene):
         scales = [type("S", (), {"size": 1.5, "overlap": 0.0, "sample_count": 16}),
                   type("S", (), {"size": 6.0, "overlap": 2.0, "sample_count": 64})]
-        counts = {}
-        out = blk.build_blocks(scene, scales, seed=0, counts=counts)
-        # counting leaves the blocks as they are
-        assert [b.features.tobytes() for b in out] == [
-            b.features.tobytes() for b in blk.build_blocks(scene, scales, seed=0)]
+        counts = blk.tiling_counts(blk.tile_scene(scene, scales, 0))
+        out = blk.build_blocks(scene, scales, seed=0)
         for i, sc in enumerate(scales):
             raw = blk.tile_blocks(scene, sc.size, sc.overlap, min_points=0)
             blocks = [b for b in out if b.scale_id == i]
@@ -602,10 +599,10 @@ class TestBuildBlocks:
 
     def test_counts_sum_over_replicas(self, scene):
         scales = [type("S", (), {"size": 6.0, "overlap": 2.0, "sample_count": 64})]
-        plain, augmented = {}, {}
-        blk.build_blocks(scene, scales, seed=0, counts=plain)
-        out = blk.build_blocks(scene, scales, seed=0, augment_copies=2,
-                               counts=augmented)
+        plain = blk.tiling_counts(blk.tile_scene(scene, scales, 0))
+        augmented = blk.tiling_counts(blk.tile_scene(scene, scales, 0,
+                                                     augment_copies=2))
+        out = blk.build_blocks(scene, scales, seed=0, augment_copies=2)
         assert augmented["scale0.footprints_kept"] == len(out) \
             > plain["scale0.footprints_kept"]
         assert augmented["scale0.rows"] == 64 * len(out)
@@ -614,6 +611,44 @@ class TestBuildBlocks:
         scales = [type("S", (), {"size": 6.0, "overlap": 2.0, "sample_count": 64})]
         with pytest.raises(ValueError, match="augment_copies"):
             blk.build_blocks(scene, scales, seed=0, augment_copies=-1)
+
+
+class TestTilingCounts:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 150),
+           scales=st.lists(st.sampled_from([(1.5, 0.0, 16), (2.0, 0.5, 8),
+                                            (3.0, 1.0, 24), (6.0, 2.0, 64)]),
+                           min_size=1, max_size=3, unique=True),
+           augment=st.integers(0, 2), training=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_counts_match_a_brute_force_count(self, n, scales, augment,
+                                              training, seed):
+        # 1.5 m footprints of a sparse scene are mostly discarded, and a
+        # scene of fewer than 10 points keeps none at any scale
+        rng = np.random.default_rng(seed)
+        cloud = cloud_of(rng.uniform(0.0, 8.0, (n, 3)),
+                         rng.uniform(0, 255, (n, 3)))
+        scales = [type("S", (), {"size": size, "overlap": overlap,
+                                 "sample_count": count})
+                  for size, overlap, count in scales]
+        tilings = blk.tile_scene(cloud, scales, seed, augment)
+        counts = blk.tiling_counts(tilings)
+        blocks = list(blk.sample_scene(tilings, seed, training))
+        assert len(counts) == 5 * len(scales)
+        for i, sc in enumerate(scales):
+            mine = [b for b in blocks if b.scale_id == i]
+            cells = sum(len(blk.tile_blocks(t.scene, sc.size, sc.overlap,
+                                            min_points=0))
+                        for t in tilings if t.scale_id == i)
+            rows = sum(b.sample_count for b in mine)
+            duplicated = sum(b.sample_count - len(np.unique(b.parent_idx))
+                             for b in mine)
+            assert counts[f"scale{i}.footprints_kept"] == len(mine)
+            assert counts[f"scale{i}.footprints_discarded"] == cells - len(mine)
+            assert counts[f"scale{i}.rows"] == rows
+            assert counts[f"scale{i}.duplicated_rows"] == duplicated
+            assert counts[f"scale{i}.duplicated_fraction"] == (
+                duplicated / rows if rows else 0.0)
 
 
 class TestSampleScale:
@@ -631,7 +666,8 @@ class TestSampleScale:
                                  replica)
                 for bi, fp in enumerate(blk.tile_blocks(scene, sc.size,
                                                         sc.overlap))]
-        got = list(blk.sample_scale(scene, sc, 2, 11, training, replica))
+        got = list(blk.sample_scene([blk.tile_scale(scene, sc, 2, replica)],
+                                    11, training))
         assert len(got) == len(want) > 1
         for g, w in zip(got, want):
             assert (g.origin_x, g.origin_y, g.size, g.scale_id, g.replica) \
@@ -649,22 +685,24 @@ class TestSampleScale:
         # no spectral values and a degenerate extent: nothing is sampled,
         # so neither is an error
         cloud = cloud_of(np.ones((n, 3)))
-        counts = {}
-        assert list(blk.sample_scale(cloud, self.scale(), 0, 0, True,
-                                     counts=counts)) == []
-        assert counts["footprints_kept"] == counts["rows"] == 0
+        tiling = blk.tile_scale(cloud, self.scale(), 0, 0)
+        assert list(blk.sample_scene([tiling], 0, True)) == []
+        counts = blk.tiling_counts([tiling])
+        assert counts["scale0.footprints_kept"] == counts["scale0.rows"] == 0
 
     def test_cloud_without_spectral_values_rejected(self, scene):
         cloud = PointCloud(scene.xyz, None, scene.labels)
         with pytest.raises(ValueError, match="must be spectrally attributed "
                            "before feature assembly"):
-            next(blk.sample_scale(cloud, self.scale(), 0, 0, False))
+            next(blk.sample_scene([blk.tile_scale(cloud, self.scale(), 0, 0)],
+                                  0, False))
 
     def test_degenerate_extent_rejected(self):
         cloud = cloud_of(np.ones((12, 3)), np.full((12, 3), 9.0))
         with pytest.raises(ValueError,
                            match="scene extent is degenerate on all axes"):
-            next(blk.sample_scale(cloud, self.scale(), 0, 0, False))
+            next(blk.sample_scene([blk.tile_scale(cloud, self.scale(), 0, 0)],
+                                  0, False))
 
     def test_too_few_points_named(self, rng):
         cloud = cloud_of(rng.uniform(0, 1, (9, 3)), np.full((9, 3), 1.0))
@@ -705,7 +743,7 @@ def reference_block(cloud, footprint, count, training, rng, extent):
 
 
 class TestSampleGroups:
-    """sample_scale samples its footprints in groups of at most
+    """sample_scene samples a tiling's footprints in groups of at most
     SAMPLE_GROUP_ROWS rows; no bit depends on the group size."""
 
     @settings(max_examples=80, deadline=None)
@@ -737,10 +775,10 @@ class TestSampleGroups:
                          rng.integers(0, 4, n))
         sc = type("S", (), {"size": 3.0, "overlap": 1.0, "sample_count": count})
         footprints = blk.tile_blocks(cloud, sc.size, sc.overlap)
-        want = list(blk.sample_scale(cloud, sc, 1, seed, training, replica))
+        tiling = blk.tile_scale(cloud, sc, 1, replica)
+        want = list(blk.sample_scene([tiling], seed, training))
         with mock.patch.object(blk, "SAMPLE_GROUP_ROWS", per_group * count):
-            got = list(blk.sample_scale(cloud, sc, 1, seed, training,
-                                        replica))
+            got = list(blk.sample_scene([tiling], seed, training))
         assert len(got) == len(want) == len(footprints)
         extent = blk.SceneExtent.of(cloud)
         for bi, (g, w, fp) in enumerate(zip(got, want, footprints)):

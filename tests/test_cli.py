@@ -411,8 +411,7 @@ class TestStreamedStore:
         tilings = blk.tile_scene(cloud, scales, 0)
         n_blocks = sum(len(t.footprints) for t in tilings)
         _, _, peak = traced(cli.write_block_store, tmp, cloud,
-                            blk.sample_scene(tilings, scales, 0), scales,
-                            n_blocks)
+                            blk.sample_scene(tilings, 0), scales, n_blocks)
         return n_blocks, peak
 
     def test_memory_follows_one_group_not_the_store(self, tmp_path,
@@ -444,9 +443,8 @@ class TestStreamedStore:
         cloud = strata_scene(n_points=360, seed=11, extent=10.0)
         scales = infer.ScaleConfig.parse(SCALES)
         tilings = blk.tile_scene(cloud, scales, 0, augment_copies=1)
-        cli.write_block_store(tmp_path, cloud,
-                              blk.sample_scene(tilings, scales, 0), scales,
-                              sum(len(t.footprints) for t in tilings))
+        cli.write_block_store(tmp_path, cloud, blk.sample_scene(tilings, 0),
+                              scales, sum(len(t.footprints) for t in tilings))
         assert len(alive) > 8 and set(alive) == {0}
 
     @settings(max_examples=25, deadline=None)
@@ -937,6 +935,32 @@ class TestRejectedSettings:
                        "--out", str(fixture_dir / "prep"), "--scales", scales])
         assert "scale" in assert_error_exit(rc, capsys)
         assert not (fixture_dir / "prep").exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "predict"])
+    @pytest.mark.parametrize("spec, message", [
+        ("a:1:10", "size 'a' is not a number"),
+        ("2:1x:10", "overlap '1x' is not a number"),
+        ("2:1:1024.5", "sample count '1024.5' is not an integer")])
+    def test_unparsable_scale_named(self, fixture_dir, capsys, command, spec,
+                                    message):
+        out = fixture_dir / "out"
+        if command == "preprocess":
+            argv = ["preprocess", "--points", str(fixture_dir / "points.txt"),
+                    "--image", str(fixture_dir / "image.ppm"),
+                    "--dtm", str(fixture_dir / "dtm.asc"), "--out", str(out)]
+        elif command == "train":
+            argv = ["train", "--blocks", str(run_preprocess(fixture_dir)),
+                    "--out", str(out)]
+        else:
+            model = fixture_dir / "model.ckpt"
+            network.save_checkpoint(model, toy_params())
+            argv = ["predict", "--points", str(fixture_dir / "points.txt"),
+                    "--model", str(model), "--out", str(out)]
+        capsys.readouterr()
+        rc = cli.main(argv + ["--scales", f"5:1:64,{spec}"])
+        assert assert_error_exit(rc, capsys) == (
+            f"error: bad scale spec '{spec}': {message}\n")
+        assert not out.exists()
 
     def test_preprocess_dtm_covering_no_point(self, fixture_dir, capsys):
         # the fixture's DTM moved 1000 m east: every point lies outside it

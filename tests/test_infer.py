@@ -222,24 +222,24 @@ class TestPredictScale:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_one_pool_per_call_largest_scale_first(self, scene, monkeypatch,
                                                    threads):
-        pools, sampled = [], []
-        sample_scale = blk.sample_scale
+        pools, tiled = [], []
+        tile_scale = blk.tile_scale
 
         class CountingPool(infer.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        def recording_sample_scale(cloud, scale, scale_id, *args):
-            sampled.append(scale_id)
-            return sample_scale(cloud, scale, scale_id, *args)
+        def recording_tile_scale(cloud, scale, scale_id, *args):
+            tiled.append(scale_id)
+            return tile_scale(cloud, scale, scale_id, *args)
 
         monkeypatch.setattr(infer, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(blk, "sample_scale", recording_sample_scale)
+        monkeypatch.setattr(blk, "tile_scale", recording_tile_scale)
         scales = infer.ScaleConfig.parse("6:2:64,12:2:256,3:1:32,4:1:256")
         infer.predict(scene, toy_params(seed=4), scales, threads=threads)
         assert pools == ([] if threads == 1 else [threads])
-        assert sampled == [1, 3, 0, 2]
+        assert tiled == [1, 3, 0, 2]
 
     def test_batch_norm_folded_into_a_copy_once_per_call(self, scene,
                                                          monkeypatch):
