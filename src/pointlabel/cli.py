@@ -257,10 +257,10 @@ def cmd_train(args):
     config = training.TrainConfig(
         lr_initial=args.lr, batch_size=args.batch, epoch_total=args.epochs,
         patience=args.patience, val_fraction=args.val_fraction, seed=args.seed)
+    wanted = infer.ScaleConfig.parse(args.scales) if args.scales else None
     t0 = time.perf_counter()
     all_blocks, store_scales = read_block_store(args.blocks)
-    if args.scales:
-        wanted = infer.ScaleConfig.parse(args.scales)
+    if wanted is not None:
         missing = [s for s in wanted if s not in store_scales]
         if missing:
             raise ValueError(f"--scales: {missing[0]} is not a stored scale "
@@ -318,12 +318,12 @@ def cmd_train(args):
 
 def cmd_predict(args):
     faults = _minor_faults()
+    scales = infer.ScaleConfig.parse(args.scales)
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
     # prepared in place, each float32 W freed as it is widened: 15.7 MB
     # traced at most for the default network, 20.4 MB if both were kept
     params = network.fold_batch_norm(network.load_checkpoint(args.model))
-    scales = infer.ScaleConfig.parse(args.scales)
     t1 = time.perf_counter()
     counts = {}
     labels, probs = infer.predict(cloud, params, scales, seed=args.seed,

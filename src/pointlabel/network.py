@@ -46,9 +46,32 @@ results are bitwise theirs. The train-mode pool finds
 each column's winning row by comparing row panels with the column max:
 the first hit is argmax's, and a column holding a NaN falls back to
 argmax, which returns its first NaN.
+
+A layer step runs on two threads, the caller's and one helper thread
+per process: `pointwise_backward` forms the weight gradient (f_in.T·d,
+and g.T·d_seg for a per-block input) on the helper while it forms the
+input gradient (d·W.T) itself, and returns once both are done. An eval
+forward asked to (`helper=True`, validation's) runs its row panels two
+at a time the same way and folds the encoder panels into each block's
+max in panel order. Every product keeps its operands and its shape,
+and nothing is summed across the threads, so no bit depends on the
+helper; BLAS threads are the caller's to pin, as before. The helper is
+started on first use, and again in a forked child, which inherits no
+thread. Its jobs run in a copy of the caller's contextvars, so a
+tracer's spans keep their parents, and an error on either thread
+leaves the call once both have finished. A train step holds no more
+than before, since a layer's two gradients were both held when its step
+returned; an eval forward on the helper holds two panels at a time,
+about 17 MB of allocations for 1024 rows of the default architecture
+against 9 MB. Prediction never uses the helper: its `threads` pool
+runs the chunks.
 """
 
+import contextvars
 import copy
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +234,51 @@ def matmul(a, b):
         return a @ b
     out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
     return out.astype(np.float32) if a.dtype == np.float32 else out
+
+
+# ---------------------------------------------------------------------------
+# the helper thread
+
+_helper = None                  # the process's one helper, started on first use
+_helper_lock = threading.Lock()
+
+
+def _forget_helper():
+    # a forked child inherits the executor but not its thread
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _beside(job, here):
+    """(job(), here()): job runs on the helper thread, in a copy of this
+    thread's contextvars, while here runs on this one. Either's exception
+    is raised here, and only once both have finished."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="pointlabel-helper")
+        future = _helper.submit(contextvars.copy_context().run, job)
+    try:
+        mine = here()
+    except BaseException:
+        wait([future])
+        raise
+    return future.result(), mine
+
+
+def _in_pairs(fn, items):
+    """fn of each item, yielded in order; every second item runs on the
+    helper thread beside the one before it."""
+    for i in range(0, len(items) - 1, 2):
+        second, first = _beside(lambda: fn(items[i + 1]), lambda: fn(items[i]))
+        yield first
+        yield second
+    if len(items) % 2:
+        yield fn(items[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +463,17 @@ def pointwise_backward(d, spec, params, trace):
         d = np.multiply(trace.inv_std, ds_hat, out=ds_hat)
     grads["b"] = _colstat(d, np.sum)
     if trace.g is None:
-        grads["W"] = matmul(trace.f_in.T, d)
-        return matmul(d, params.W.T), grads
+        grads["W"], d_in = _beside(lambda: matmul(trace.f_in.T, d),
+                                   lambda: matmul(d, params.W.T))
+        return d_in, grads
     local_w = trace.f_in.shape[1]
     d_seg = np.add.reduceat(d.astype(np.float64), _offsets(trace.segments),
                             axis=0).astype(d.dtype)
-    grads["W"] = np.vstack([matmul(trace.f_in.T, d),
-                            matmul(trace.g.T, d_seg)])
-    return (matmul(d, params.W[:local_w].T),
-            matmul(d_seg, params.W[local_w:].T)), grads
+    grads["W"], d_in = _beside(
+        lambda: np.vstack([matmul(trace.f_in.T, d), matmul(trace.g.T, d_seg)]),
+        lambda: (matmul(d, params.W[:local_w].T),
+                 matmul(d_seg, params.W[local_w:].T)))
+    return d_in, grads
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +532,7 @@ def _panel_segments(ends, start, stop):
     return first, np.diff(cuts, prepend=start)
 
 
-def forward(x, params, mode="eval", segments=None):
+def forward(x, params, mode="eval", segments=None, helper=False):
     """Run points through both stages; returns the trace.
 
     `segments` lists the per-block row counts when several blocks are
@@ -481,7 +551,9 @@ def forward(x, params, mode="eval", segments=None):
     backward reads. Eval mode reads the weights eval_weights prepares, in
     near-equal panels of at most EXACT_PANEL_ROWS rows (`_row_panels`);
     every eval layer is row-wise and max is exact, so no bit depends on
-    the panels, and its trace holds q and the pooled features only.
+    the panels, and its trace holds q and the pooled features only. With
+    `helper`, every second eval panel of each pass runs on the helper
+    thread beside the one before it.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -501,18 +573,25 @@ def forward(x, params, mode="eval", segments=None):
     else:
         params = eval_weights(params)
         panels = _row_panels(n, EXACT_PANEL_ROWS)
+    walk = _in_pairs if helper else map
     enc_traces, head_traces, local_panels = [], [], []
     ends = np.cumsum(segments)
     begins = _offsets(segments).tolist()
-    g_seg = None
-    for start, stop in panels:
-        f = x[start:stop]
+
+    def encode(panel):
+        f, traces = x[panel[0]:panel[1]], []
         for i, (spec, lp) in enumerate(zip(params.encoder_specs,
                                            params.encoder)):
             f, tr = pointwise_forward(f, spec, lp, mode)
-            enc_traces.append(tr)
+            traces.append(tr)
             if i == LOCAL_LAYER:
-                local_panels.append(f)
+                local = f
+        return local, f, traces
+
+    g_seg = None
+    for (start, stop), (local, f, traces) in zip(panels, walk(encode, panels)):
+        enc_traces += traces
+        local_panels.append(local)
         if g_seg is None:
             g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
             am_seg = np.empty(g_seg.shape, dtype=np.int64) if train else None
@@ -527,18 +606,25 @@ def forward(x, params, mode="eval", segments=None):
             else:
                 np.maximum(g_seg[s], block.max(axis=0), out=g_seg[s])
             at += rows
-    logits = None
-    for (start, stop), local in zip(panels, local_panels):
-        first, parts = _panel_segments(ends, start, stop)
+
+    def head(i):
+        first, parts = _panel_segments(ends, *panels[i])
         # g_seg itself when one panel holds every block: the trace shares it
         g = (g_seg if len(parts) == len(g_seg)
              else g_seg[first:first + len(parts)])
-        f, tr = pointwise_forward(local, params.head_specs[0], params.head[0],
-                                  mode, g=g, segments=tuple(parts.tolist()))
-        head_traces.append(tr)
+        f, tr = pointwise_forward(local_panels[i], params.head_specs[0],
+                                  params.head[0], mode, g=g,
+                                  segments=tuple(parts.tolist()))
+        traces = [tr]
         for spec, lp in zip(params.head_specs[1:], params.head[1:]):
             f, tr = pointwise_forward(f, spec, lp, mode)
-            head_traces.append(tr)
+            traces.append(tr)
+        return f, traces
+
+    logits = None
+    for (start, stop), (f, traces) in zip(panels,
+                                          walk(head, range(len(panels)))):
+        head_traces += traces
         if logits is None:
             logits = np.empty((n, f.shape[1]), dtype=f.dtype)
         logits[start:stop] = f

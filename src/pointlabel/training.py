@@ -194,8 +194,10 @@ class FitResult:
 def evaluate_blocks(blocks, params):
     """Point-weighted mean loss and accuracy over labeled blocks (eval
     mode), on weights prepared once per call (network.eval_weights: a
-    folded, widened copy; params are left as they are). Needs at least
-    one block."""
+    folded, widened copy; params are left as they are). Each block's
+    forward runs its row panels two at a time, on this thread and the
+    network's helper thread; the figures are bitwise a one-thread walk's,
+    summed block by block in order. Needs at least one block."""
     if not blocks:
         raise ValueError("evaluate_blocks needs at least one block")
     params = network.eval_weights(params)
@@ -203,7 +205,7 @@ def evaluate_blocks(blocks, params):
     correct = 0
     count = 0
     for block in blocks:
-        q = network.forward(block.features, params, "eval").q
+        q = network.forward(block.features, params, "eval", helper=True).q
         total_nll += network.cross_entropy(q, block.labels) * len(q)
         correct += int((q.argmax(axis=1) == block.labels).sum())
         count += len(q)

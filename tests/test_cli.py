@@ -962,6 +962,27 @@ class TestRejectedSettings:
             f"error: bad scale spec '{spec}': {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["preprocess", "train", "predict"])
+    def test_scales_parsed_before_any_input_is_read(self, tmp_path, capsys,
+                                                    command):
+        # the inputs do not exist: the spec is refused before any of them
+        # is opened
+        missing = tmp_path / "missing"
+        if command == "preprocess":
+            argv = ["preprocess", "--points", str(missing / "points.txt"),
+                    "--image", str(missing / "image.ppm"),
+                    "--dtm", str(missing / "dtm.asc")]
+        elif command == "train":
+            argv = ["train", "--blocks", str(missing / "store")]
+        else:
+            argv = ["predict", "--points", str(missing / "points.txt"),
+                    "--model", str(missing / "model.ckpt")]
+        rc = cli.main(argv + ["--out", str(tmp_path / "out"),
+                              "--scales", "5:1:64,2:1x:10"])
+        assert assert_error_exit(rc, capsys) == (
+            "error: bad scale spec '2:1x:10': overlap '1x' is not a number\n")
+        assert not (tmp_path / "out").exists()
+
     def test_preprocess_dtm_covering_no_point(self, fixture_dir, capsys):
         # the fixture's DTM moved 1000 m east: every point lies outside it
         dtm = Raster(np.full((14, 14), 1.0), origin_x=998.5, origin_y=11.5,

@@ -1,4 +1,5 @@
 import copy
+import threading
 import time
 import tracemalloc
 
@@ -240,6 +241,27 @@ class TestPredictScale:
         infer.predict(scene, toy_params(seed=4), scales, threads=threads)
         assert pools == ([] if threads == 1 else [threads])
         assert tiled == [1, 3, 0, 2]
+
+    def test_one_thread_runs_every_layer_on_the_calling_thread(
+            self, scene, monkeypatch):
+        # --threads 1 is one thread: predict never hands eval panels to
+        # the helper thread that training's validation uses
+        threads = []
+        layer = network.pointwise_forward
+
+        def recording_forward(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return layer(*args, **kwargs)
+
+        monkeypatch.setattr(network, "pointwise_forward", recording_forward)
+        scales = infer.ScaleConfig.parse("6:2:256,12:2:512")
+        counts = {}
+        infer.predict(scene, toy_params(seed=4), scales, threads=1,
+                      counts=counts)
+        # chunks of several panels, each panel running all eight layers
+        assert counts["scale1.rows_forwarded"] > 2 * network.EXACT_PANEL_ROWS
+        assert len(threads) > 8 * len(scales)
+        assert set(threads) == {threading.get_ident()}
 
     def test_batch_norm_folded_into_a_copy_once_per_call(self, scene,
                                                          monkeypatch):

@@ -1,5 +1,9 @@
 import contextlib
 import copy
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -1425,3 +1429,126 @@ class TestPrecision:
             rows = [stop - start for start, stop in panels]
             assert max(rows) - min(rows) <= 1 and max(rows) <= size
             assert min(rows) >= 2 or m == 1
+
+
+class TestEvalPanelPairs:
+    """`forward(..., helper=True)` runs an eval forward's row panels two
+    at a time, on the calling thread and the helper; each product keeps
+    its operands and shape, and the pool folds the panels in order, so no
+    bit depends on the pairing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=st.sampled_from([4, 7, 64]),
+           segments=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           folded=st.booleans(), nan_column=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pairs_change_no_bit(self, panel, segments, folded, nan_column,
+                                 seed):
+        # blocks of up to 40 rows straddle panels of 4, 7 and 64 rows, in
+        # odd and even panel counts
+        params = _moved_stats_params(seed % 1000)
+        if folded:
+            params = net.fold_batch_norm(params)
+        column = seed % params.encoder_specs[-1].out_width
+        if nan_column:
+            params.encoder[-1].b[column] = np.nan
+        x = np.random.default_rng(seed).normal(
+            0, 2, (sum(segments), 9)).astype(np.float32)
+        threads = set()
+        pointwise_forward = net.pointwise_forward
+
+        def recording_forward(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return pointwise_forward(*args, **kwargs)
+
+        with mock.patch.object(net, "EXACT_PANEL_ROWS", panel):
+            want = net.forward(x, params, "eval", segments=segments)
+            with mock.patch.object(net, "pointwise_forward", recording_forward):
+                got = net.forward(x, params, "eval", segments=segments,
+                                  helper=True)
+        assert len(threads) == (1 if sum(segments) <= panel else 2)
+        assert np.isnan(got.g_segments[:, column]).all() == nan_column
+        assert got.g_segments.tobytes() == want.g_segments.tobytes()
+        assert got.q.tobytes() == want.q.tobytes()
+
+
+def _one_layer_step(per_block, rng):
+    spec = net.LayerSpec(7 if per_block else 4, 6)
+    lp = net.init_layer(spec, rng)
+    f_in = rng.standard_normal((16, 4)).astype(np.float32)
+    g = rng.standard_normal((2, 3)).astype(np.float32) if per_block else None
+    _, trace = net.pointwise_forward(f_in, spec, lp, "train", g=g,
+                                     segments=(9, 7) if per_block else None)
+    return rng.standard_normal((16, 6)).astype(np.float32), spec, lp, trace
+
+
+class TestHelperThread:
+    """A layer step multiplies for its weight gradient on one helper
+    thread per process while it multiplies for its input gradient on the
+    calling thread."""
+
+    @pytest.mark.parametrize("per_block", [False, True])
+    def test_weight_gradient_runs_on_the_helper(self, per_block, rng):
+        d, spec, lp, trace = _one_layer_step(per_block, rng)
+        threads = []
+
+        def recording_matmul(a, b):
+            # the weight gradient's products read the transposed inputs
+            weight = any(a.base is t for t in (trace.f_in, trace.g)
+                         if t is not None)
+            threads.append((threading.get_ident(), weight))
+            return matmul(a, b)
+
+        with mock.patch.object(net, "matmul", recording_matmul):
+            net.pointwise_backward(d, spec, lp, trace)
+        here = threading.get_ident()
+        assert len(threads) == (4 if per_block else 2)
+        assert {ident != here for ident, weight in threads if weight} == {True}
+        assert {ident for ident, weight in threads if not weight} == {here}
+
+    @pytest.mark.parametrize("per_block", [False, True])
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_an_error_on_either_thread_leaves_the_step(self, raiser,
+                                                       per_block, rng):
+        d, spec, lp, trace = _one_layer_step(per_block, rng)
+        here = threading.get_ident()
+        helper_done = threading.Event()
+
+        def failing_matmul(a, b):
+            on_helper = threading.get_ident() != here
+            if on_helper == (raiser == "helper"):
+                raise FloatingPointError(f"raised on the {raiser}")
+            if on_helper:
+                time.sleep(0.05)
+                helper_done.set()
+            return matmul(a, b)
+
+        with mock.patch.object(net, "matmul", failing_matmul), \
+                pytest.raises(FloatingPointError, match=raiser):
+            net.pointwise_backward(d, spec, lp, trace)
+        if raiser == "caller":
+            # the helper's job finished before the error left the step
+            assert helper_done.is_set()
+
+    def test_a_forked_child_trains_again(self, rng):
+        # a child inherits the helper's executor but not its thread
+        params = toy_params()
+        x = rng.standard_normal((12, 9)).astype(np.float32)
+        labels = rng.integers(0, 3, 12)
+        want = net.backward(net.forward(x, copy.deepcopy(params), "train"),
+                            labels, params)
+
+        def step():
+            got = net.backward(net.forward(x, copy.deepcopy(params), "train"),
+                               labels, params)
+            same = all(got[k].tobytes() == want[k].tobytes() for k in want)
+            os._exit(0 if same else 3)
+
+        child = multiprocessing.get_context("fork").Process(target=step)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("a train step in a forked child hung")
+        assert child.exitcode == 0

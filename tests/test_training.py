@@ -1,4 +1,5 @@
 import copy
+import threading
 import weakref
 
 import numpy as np
@@ -375,3 +376,36 @@ class TestFit:
         params = net.init_params(enc, head, np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least one block"):
             tr.evaluate_blocks([], params)
+
+
+class TestValidationPanels:
+    """evaluate_blocks runs each block's eval panels two at a time, on the
+    calling thread and the helper; its figures are a one-thread walk's."""
+
+    @pytest.mark.parametrize("panel", [4, 7, 64])
+    def test_matches_a_per_block_one_thread_reference(self, rng, panel,
+                                                      monkeypatch):
+        # 1-row to 5-panel blocks, in odd and even panel counts
+        enc, head = TestFit().toy_specs()
+        params = net.init_params(enc, head, np.random.default_rng(2))
+        blocks = [make_block(i % 3, rng, n=n)
+                  for i, n in enumerate((1, 3, 16, 29, 5 * 7, 64, 70))]
+        monkeypatch.setattr(net, "EXACT_PANEL_ROWS", panel)
+        prepared = net.eval_weights(params)
+        nll, correct, count = 0.0, 0, 0
+        for b in blocks:
+            q = net.forward(b.features, prepared, "eval").q
+            nll += net.cross_entropy(q, b.labels) * len(q)
+            correct += int((q.argmax(axis=1) == b.labels).sum())
+            count += len(q)
+        assert tr.evaluate_blocks(blocks, params) == (nll / count,
+                                                      correct / count)
+
+    def test_repeated_fits_start_at_most_one_thread(self, rng):
+        train, val = TestFit().build_sets(rng)
+        enc, head = TestFit().toy_specs()
+        before = threading.active_count()
+        for _ in range(3):
+            tr.fit(train, val, toy_fit_config(epoch_total=2),
+                   encoder_specs=enc, head_specs=head, n_classes=3)
+        assert threading.active_count() <= before + 1
