@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import (PointCloud, SamplingError, BoundsError, ShapeError, _sample,
-                 sample_raster)
+from .io import PointCloud, ShapeError, _raise_failure, _sample
 
 log = logging.getLogger(__name__)
 
@@ -127,20 +126,19 @@ class Block:
 def attribute_spectral(cloud, image, counts=None):
     """Attach (IR,R,G) to every point by bilinear lookup in the image.
 
-    Existing spectral values are overwritten. A sampling failure re-raises
-    with the index of the first failing point. A dict passed as `counts`
-    receives `attribution_clamped`, the points beyond the image's pixel
-    centers that took edge-clamped values.
+    Existing spectral values are overwritten. The image is sampled once;
+    the lowest-indexed point that fails raises BoundsError when it lies
+    beyond the half-cell margin around the image's outermost pixel
+    centers, else SamplingError when a band holds only nodata around it,
+    the message naming the point. A dict passed as `counts` receives
+    `attribution_clamped`, the points beyond the image's pixel centers
+    that took edge-clamped values.
     """
     if image.bands != 3:
         raise ShapeError(f"spectral image must have 3 bands, got {image.bands}")
     x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
     spectral, outside, empty, clamped = _sample(image, x, y)
-    try:
-        if outside.any() or empty.any():
-            sample_raster(image, x, y)   # raises the first failure's error
-    except (SamplingError, BoundsError) as exc:
-        raise type(exc)(f"point {exc.index}: {exc}") from None
+    _raise_failure(image, x, y, outside, empty)
     clamped = int(clamped.sum())
     if counts is not None:
         counts["attribution_clamped"] = clamped
@@ -188,7 +186,8 @@ def _copy(a):
 
 def canonical_order(cloud):
     """Point indices sorted by x, then y, then z, ties of all three in
-    input order: np.lexsort((z, y, x)), bit for bit.
+    input order: np.lexsort((z, y, x)), bit for bit, for finite x (its
+    one caller, tile_blocks, refuses any other).
 
     One stable argsort on x orders the points; only the runs of tied x
     are then lexsorted by (y, z), which on a scanned cloud is a small
@@ -198,9 +197,6 @@ def canonical_order(cloud):
     order = np.argsort(xs, kind="stable")
     xs_sorted = xs[order]
     tied = xs_sorted[1:] == xs_sorted[:-1]
-    if len(xs) and np.isnan(xs_sorted[-1]):
-        # NaNs sort last and tie with each other, as in lexsort
-        tied |= np.isnan(xs_sorted[1:]) & np.isnan(xs_sorted[:-1])
     if not tied.any():
         return order
     in_run = np.zeros(len(order), dtype=bool)

@@ -197,6 +197,20 @@ def read_block_store(in_dir):
         if bad:
             raise pio.ParseError(f"block {i}: bad {bad} in manifest line "
                                  f"{line!r} ({rows} rows; {lines[0]})")
+        # stored as float32, each must be an index: astype would truncate
+        # 2.5 to 2 and let -1 through. Compared in float64, since float32
+        # rounds MAX_LABEL up to 2^31
+        for what, values, top in (("parent", parent, MAX_STORE_POINTS - 1),
+                                  ("label", labels, pio.MAX_LABEL)):
+            if values is None:
+                continue
+            values = values.reshape(-1).astype(np.float64)
+            wrong = ~((values >= 0) & (values <= top) & (values == np.floor(values)))
+            if wrong.any():
+                r = int(wrong.argmax())
+                raise pio.ParseError(f"block {i}: row {r} holds {what} "
+                                     f"{float(values[r])}, not an integer in "
+                                     f"0..{top}")
         out.append(blk.Block(
             origin_x=origin_x, origin_y=origin_y, size=size,
             scale_id=scale_id,
@@ -319,6 +333,8 @@ def cmd_train(args):
 def cmd_predict(args):
     faults = _minor_faults()
     scales = infer.ScaleConfig.parse(args.scales)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
     # prepared in place, each float32 W freed as it is widened: 15.7 MB

@@ -405,7 +405,10 @@ def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, threads=1,
     network's input width names the feature set it reads
     (blocks.feature_set). A cloud without spectral values is accepted by
     an "xyz" network only, and is blocked with zero spectral values that
-    network never reads; any other network raises ValueError on it.
+    network never reads; any other network raises ValueError on it. A
+    cloud of which no scale samples a point, because no footprint holds
+    the blocks.MIN_BLOCK_POINTS points a block needs, raises ValueError
+    naming its point count.
 
     A dict passed as `counts` receives the run's counts: per scale i,
     `scale{i}.blocks`, `.forward_calls`, `.rows_forwarded` and `.coverage`
@@ -429,6 +432,10 @@ def predict(cloud, params, scales=DEFAULT_SCALES, seed=0, threads=1,
     fields = _forward_scales(cloud, params, list(enumerate(scales)), seed,
                             threads)
     merged = average_scales(fields)
+    if not merged.covered.any():
+        raise ValueError(f"none of the {len(cloud)} points was sampled: no "
+                         f"footprint at any scale holds the "
+                         f"{blk.MIN_BLOCK_POINTS} points a block needs")
     if counts is not None:
         for scale_id, f in enumerate(fields):
             counts.update({f"scale{scale_id}.{k}": v for k, v in f.stats.items()})

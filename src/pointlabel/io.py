@@ -25,7 +25,8 @@ Rasters come from two carriers: ESRI ASCII grids (DTM/DSM heights) and
 8-bit plain-text PPM `P3` images (IR,R,G bands, maxval 255) with a 6-line
 ESRI world file sidecar. Internally a Raster stores the world coordinate
 of the upper-left pixel *center*; ASCII-grid corner coordinates are
-converted on parse. Rasters are sampled bilinearly.
+converted on parse. Rasters are sampled bilinearly, by one array
+sampler (_sample) that marks failing queries instead of raising.
 """
 
 import math
@@ -36,13 +37,12 @@ import numpy as np
 
 __all__ = [
     "PointCloud", "Raster", "ParseError", "SchemaError", "ShapeError",
-    "SamplingError", "BoundsError", "parse_points", "write_points",
-    "load_points", "save_points", "save_values", "parse_ascii_grid",
-    "write_ascii_grid", "read_ascii_grid", "read_ppm_image", "write_ppm_image",
-    "sample_raster",
+    "SamplingError", "BoundsError", "parse_points", "load_points",
+    "save_points", "save_values", "parse_ascii_grid", "write_ascii_grid",
+    "read_ascii_grid", "read_ppm_image", "write_ppm_image",
 ]
 
-# rows write_points renders at a time: bounds its byte matrices
+# rows the writer renders at a time: bounds its byte matrices
 WRITE_CHUNK_ROWS = 4096
 
 COLUMN_NAMES = ("x", "y", "z", "ir", "r", "g", "label")
@@ -64,21 +64,14 @@ class ShapeError(ValueError):
     """Arrays have incompatible or non-2D shapes."""
 
 
-class _QueryError(ValueError):
-    """A raster query failed; index is its position among the queries of
-    the sample_raster call (0 for a scalar call)."""
-
-    def __init__(self, message, index=0):
-        super().__init__(message)
-        self.index = index
+class SamplingError(ValueError):
+    """A raster query without a value: in some band its four bilinear
+    neighbors are all nodata."""
 
 
-class SamplingError(_QueryError):
-    """Raster query could not produce a value (nodata neighborhood)."""
-
-
-class BoundsError(_QueryError):
-    """Raster query outside the clamped extent."""
+class BoundsError(ValueError):
+    """A raster query beyond the half-cell margin around the outermost
+    pixel centers."""
 
 
 @dataclass
@@ -392,8 +385,18 @@ def _render_rows(values, labels):
     return "".join(pieces)
 
 
-def _text_chunks(cloud, labels):
-    """Yield write_points' text in chunks of WRITE_CHUNK_ROWS rows."""
+def load_points(path, columns=None):
+    """Read a point file; see parse_points for columns."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_points(fh.read(), columns)
+
+
+def save_points(path, cloud, labels=None):
+    """Write a cloud to path as point-file text, labels overriding
+    cloud.labels when given: each value as "%.6f" % v, each label as
+    "%d" % v of it as a float64, rendered WRITE_CHUNK_ROWS rows at a time
+    without per-row Python (see _render_rows for how the digits stay
+    exact). With save_values, the writer's only entry point."""
     if labels is None:
         labels = cloud.labels
     if labels is not None:
@@ -403,34 +406,11 @@ def _text_chunks(cloud, labels):
         # a label goes through float64, as in a row of the other columns
         labels = labels.astype(np.float64)
     cols = [cloud.xyz] + ([cloud.spectral] if cloud.spectral is not None else [])
-    for start in range(0, len(cloud), WRITE_CHUNK_ROWS):
-        stop = start + WRITE_CHUNK_ROWS
-        yield _render_rows(np.hstack([c[start:stop] for c in cols]),
-                           None if labels is None else labels[start:stop])
-
-
-def write_points(cloud, labels=None):
-    """Render a cloud as point-file text.
-
-    labels overrides cloud.labels when given. Coordinates and spectral
-    values are written as "%.6f" % v writes them, labels as "%d" % v of
-    the label as a float64. The text is built without per-row Python:
-    see _render_rows for how the digits stay exact.
-    """
-    return "".join(_text_chunks(cloud, labels))
-
-
-def load_points(path, columns=None):
-    """Read a point file; see parse_points for columns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_points(fh.read(), columns)
-
-
-def save_points(path, cloud, labels=None):
-    """Write write_points' text to path, one chunk at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for chunk in _text_chunks(cloud, labels):
-            fh.write(chunk)
+        for start in range(0, len(cloud), WRITE_CHUNK_ROWS):
+            stop = start + WRITE_CHUNK_ROWS
+            fh.write(_render_rows(np.hstack([c[start:stop] for c in cols]),
+                                  None if labels is None else labels[start:stop]))
 
 
 def save_values(path, values):
@@ -652,7 +632,10 @@ def _pixel_coords(raster, x, y):
 
 
 def _sample(raster, x, y):
-    """Array core of sample_raster; raises nothing for a failing query.
+    """Sample every band of a raster bilinearly at the world coordinates
+    of equal-length 1-D arrays x and y: each value blends the 4 nearest
+    pixel centers, nodata ones excluded and the weights renormalized, and
+    a query in the half-cell margin clamps to the edge. Raises nothing.
 
     Returns (values, outside, empty, clamped): values is (N, bands);
     outside and clamped mark queries beyond the clamped extent and in its
@@ -695,33 +678,18 @@ def _sample(raster, x, y):
     return values, outside, empty, clamped
 
 
-def sample_raster(raster, x, y):
-    """Sample every band of a raster bilinearly at world coordinates (x, y).
-
-    x and y are scalars, giving a (bands,) result, or equal-length 1-D
-    arrays, giving an (N, bands) result. Each value blends the 4
-    surrounding pixel centers; nodata neighbors are excluded and the
-    remaining weights renormalized. Queries up to half a cell outside the
-    outermost pixel centers clamp to the edge; anything farther raises
-    BoundsError. A query without a valid value raises SamplingError. Of
-    several failing queries, the one with the lowest index is reported,
-    its extent checked before its nodata; the exception's `index` holds
-    that index.
-    """
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.shape != y.shape:
-        raise ShapeError(f"x has {x.size} coordinates, y has {y.size}")
-    values, outside, empty, _ = _sample(raster, x, y)
+def _raise_failure(raster, x, y, outside, empty):
+    """Raise the error of the lowest query that _sample's outside and
+    empty masks mark failed, naming the query as a point by its index:
+    BoundsError when it lies outside the extent, else SamplingError for
+    its first band without a valid neighbor. Returns when none failed."""
     failed = outside | empty.any(axis=1)
-    if failed.any():
-        k = int(failed.argmax())
-        if outside[k]:
-            px, py, _ = _pixel_coords(raster, x[k], y[k])
-            raise BoundsError(f"query ({x[k]}, {y[k]}) outside raster extent "
-                              f"(pixel coords {px:.3f}, {py:.3f})", k)
-        band = int(empty[k].argmax())
-        raise SamplingError(f"no valid raster neighbors at ({x[k]}, {y[k]}) "
-                            f"in band {band}", k)
-    return values[0] if scalar else values
+    if not failed.any():
+        return
+    k = int(failed.argmax())
+    if outside[k]:
+        px, py, _ = _pixel_coords(raster, x[k], y[k])
+        raise BoundsError(f"point {k}: query ({x[k]}, {y[k]}) outside raster "
+                          f"extent (pixel coords {px:.3f}, {py:.3f})")
+    raise SamplingError(f"point {k}: no valid raster neighbors at "
+                        f"({x[k]}, {y[k]}) in band {int(empty[k].argmax())}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointlabel import blocks as blk
+from pointlabel import io as pio
 from pointlabel.io import (BoundsError, PointCloud, Raster, SamplingError,
                            ShapeError)
 
@@ -52,6 +53,46 @@ class TestAttributeSpectral:
             blk.attribute_spectral(cloud, img)
         with pytest.raises(BoundsError, match="point 0"):
             blk.attribute_spectral(cloud_of(cloud.xyz[::-1]), img)
+
+    def test_lowest_failing_point_reported_bounds_first(self):
+        band = [[1.0, -9999.0, -9999.0], [2.0, -9999.0, -9999.0]]
+        img = Raster(np.array([band] * 3), origin_x=0.0, origin_y=0.0,
+                     cell_size=1.0)
+        # point 1 has only nodata neighbors, point 2 is outside the extent
+        xyz = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [9.0, 0.0, 0.0]]
+        with pytest.raises(SamplingError, match="^point 1: "):
+            blk.attribute_spectral(cloud_of(xyz), img)
+        with pytest.raises(BoundsError, match="^point 0: "):
+            blk.attribute_spectral(cloud_of(xyz[::-1]), img)
+
+    @pytest.mark.parametrize("xyz, error, message", [
+        ([[9.0, 9.0, 0.0], [0.2, 2.8, 0.0]], BoundsError,
+         "point 0: query (9.0, 9.0) outside raster extent (pixel coords "
+         "9.000, -6.000)"),
+        ([[1.0, 1.0, 0.0], [0.2, 2.8, 0.0], [9.0, 9.0, 0.0]], SamplingError,
+         "point 1: no valid raster neighbors at (0.2, 2.8) in band 0"),
+        ([[1.0, 1.0, 0.0], [np.nan, 1.0, 0.0]], BoundsError,
+         "point 1: query (nan, 1.0) outside raster extent (pixel coords "
+         "nan, 2.000)"),
+        ([[-0.5000001, 3.0, 0.0]], BoundsError,
+         "point 0: query (-0.5000001, 3.0) outside raster extent (pixel "
+         "coords -0.500, 0.000)"),
+    ])
+    def test_failure_messages_from_one_lookup(self, xyz, error, message):
+        # band 0 is nodata around (0.2, 2.8); the image is sampled once
+        # whether or not a point fails
+        data = np.full((3, 4, 4), 50.0)
+        data[0, :2, :2] = -9999.0
+        img = Raster(data, origin_x=0.0, origin_y=3.0, cell_size=1.0)
+        spy = mock.Mock(wraps=pio._sample)
+        with mock.patch.object(blk, "_sample", spy), \
+                mock.patch.object(pio, "_sample", spy):
+            with pytest.raises(error) as info:
+                blk.attribute_spectral(cloud_of(xyz), img)
+            assert str(info.value) == message
+            assert spy.call_count == 1
+            blk.attribute_spectral(cloud_of([[1.0, 1.0, 0.0]]), img)
+            assert spy.call_count == 2
 
     def test_wrong_band_count(self):
         dtm = Raster(np.zeros((1, 4, 4)), origin_x=0, origin_y=4, cell_size=1)

@@ -130,6 +130,30 @@ class TestPreprocess:
         with pytest.raises(pio.ParseError, match="block 1: bad row count "):
             cli.read_block_store(prep)
 
+    @pytest.mark.parametrize("tensor, value, shown, top", [
+        ("labels", -1.0, "-1.0", "2147483647"),
+        ("labels", 2.5, "2.5", "2147483647"),
+        ("labels", 2.0 ** 31, "2147483648.0", "2147483647"),
+        ("parent", -3.0, "-3.0", "16777215"),
+        ("parent", 0.5, "0.5", "16777215"),
+        ("parent", np.nan, "nan", "16777215"),
+        ("parent", 1e9, "1000000000.0", "16777215"),
+        ("parent", 2.0 ** 24, "16777216.0", "16777215")])
+    def test_block_store_indices_checked(self, fixture_dir, tensor, value,
+                                         shown, top):
+        # read unchecked, a label of -1 stopped train with a numpy error
+        # naming no block, 2.5 trained as class 2 and a parent of 1e9 loaded
+        prep = run_preprocess(fixture_dir)
+        path = prep / "blocks.bin"
+        n_layers, tensors = read_container_file(path)
+        tensors[f"b1.{tensor}"].reshape(-1)[3] = value
+        write_container_file(path, n_layers, tensors.items())
+        with pytest.raises(pio.ParseError) as info:
+            cli.read_block_store(prep)
+        what = "label" if tensor == "labels" else tensor
+        assert str(info.value) == (f"block 1: row 3 holds {what} {shown}, "
+                                   f"not an integer in 0..{top}")
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 200), labeled=st.booleans(),
            training=st.booleans(), augment=st.integers(0, 1),
@@ -595,6 +619,21 @@ class TestTrain:
 
 
 class TestPredictEvaluate:
+    def test_predict_unsampled_cloud_says_why(self, tmp_path, capsys):
+        # 5 points: no footprint at any scale holds the 10 a block needs
+        model = tmp_path / "model.ckpt"
+        network.save_checkpoint(model, toy_params())
+        pio.save_points(tmp_path / "points.txt",
+                        strata_scene(n_points=60, seed=2).select(np.arange(5)))
+        out = tmp_path / "pred.txt"
+        rc = cli.main(["predict", "--points", str(tmp_path / "points.txt"),
+                       "--model", str(model), "--out", str(out),
+                       "--scales", SCALES])
+        assert assert_error_exit(rc, capsys) == (
+            "error: none of the 5 points was sampled: no footprint at any "
+            "scale holds the 10 points a block needs\n")
+        assert not out.exists()
+
     def test_predict_writes_labels_probs_manifest(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
         model = run_train(fixture_dir, prep) / "model.ckpt"
@@ -1025,6 +1064,18 @@ class TestRejectedSettings:
                        "--out", str(fixture_dir / "model"), "--lr", lr])
         assert "lr_initial" in assert_error_exit(rc, capsys)
         assert not (fixture_dir / "model").exists()
+
+    def test_predict_threads_checked_before_any_input_is_read(self, tmp_path,
+                                                              capsys):
+        # neither input exists: the setting is refused before either is
+        # opened, as --scales is
+        missing = tmp_path / "missing"
+        rc = cli.main(["predict", "--points", str(missing / "points.txt"),
+                       "--model", str(missing / "model.ckpt"),
+                       "--out", str(tmp_path / "pred.txt"), "--threads", "0"])
+        assert assert_error_exit(rc, capsys) == (
+            "error: --threads must be >= 1, got 0\n")
+        assert not (tmp_path / "pred.txt").exists()
 
     def test_predict_zero_threads(self, fixture_dir, capsys):
         prep = run_preprocess(fixture_dir)

@@ -644,6 +644,19 @@ class TestEndToEnd:
             infer.predict(cloud, toy_params(seed=2),
                           (infer.ScaleConfig(6.0, 2.0, 64),))
 
+    @pytest.mark.parametrize("n", [0, 5, 9])
+    def test_unsampled_cloud_names_the_rule(self, scene, n):
+        # fewer points than blocks.MIN_BLOCK_POINTS: no footprint is kept
+        # at any scale, and the fill would find no covered point
+        cloud = scene.select(np.arange(n))
+        scales = (infer.ScaleConfig(6.0, 2.0, 64),
+                  infer.ScaleConfig(12.0, 2.0, 128))
+        with pytest.raises(ValueError) as info:
+            infer.predict(cloud, toy_params(seed=2), scales)
+        assert str(info.value) == (
+            f"none of the {n} points was sampled: no footprint at any scale "
+            f"holds the 10 points a block needs")
+
     def test_permutation_invariance_end_to_end(self, scene):
         params = toy_params(seed=2)
         scales = (infer.ScaleConfig(6.0, 2.0, 64),)

@@ -1,17 +1,27 @@
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointlabel import blocks as blk
 from pointlabel import io as pio
 from pointlabel.io import (LAYOUTS, BoundsError, ParseError, PointCloud,
                            Raster, SamplingError, SchemaError, ShapeError,
                            load_points, parse_ascii_grid, parse_points,
-                           read_ascii_grid, read_ppm_image, sample_raster,
-                           save_points, write_ascii_grid, write_points,
-                           write_ppm_image)
+                           read_ascii_grid, read_ppm_image, save_points,
+                           write_ascii_grid, write_ppm_image)
+
+
+def points_text(cloud, labels=None):
+    """The text save_points writes for a cloud, read back byte for byte."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "points.txt"
+        save_points(path, cloud, labels)
+        return path.read_bytes().decode("utf-8")
 
 
 class TestParsePoints:
@@ -202,7 +212,7 @@ class TestReader:
         cloud = PointCloud(rng.uniform(-1e4, 1e4, (n, 3)),
                            rng.uniform(0, 255, (n, 3)) if has_spectral else None,
                            rng.integers(0, 2 ** 31, n) if has_labels else None)
-        text = write_points(cloud)
+        text = points_text(cloud)
         layout = LAYOUTS[3 + 3 * has_spectral + has_labels]
         columns = None
         if explicit:
@@ -217,7 +227,7 @@ class TestReader:
                 rows.append(" ".join(toks[k] for k in order) + "\n")
             text = "".join(rows)
         back = parse_points(text, columns)
-        assert write_points(back) == write_points(cloud)
+        assert points_text(back) == points_text(cloud)
         assert np.allclose(back.xyz, cloud.xyz, rtol=0, atol=1e-6)
         if has_spectral:
             assert np.allclose(back.spectral, cloud.spectral, rtol=0, atol=1e-6)
@@ -229,18 +239,19 @@ class TestReader:
             assert back.labels is None
 
 
-class TestWritePoints:
+class TestSavePoints:
     def test_single_labeled_point(self):
         cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
-        assert write_points(cloud, labels=[3]) == "1.000000 2.000000 3.000000 3\n"
+        assert points_text(cloud, labels=[3]) == "1.000000 2.000000 3.000000 3\n"
 
     def test_empty_cloud(self):
-        assert write_points(PointCloud(np.zeros((0, 3)))) == ""
+        assert points_text(PointCloud(np.zeros((0, 3)))) == ""
 
-    def test_label_length_mismatch(self):
+    def test_label_length_mismatch(self, tmp_path):
         cloud = PointCloud(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            write_points(cloud, labels=[1])
+            save_points(tmp_path / "p.txt", cloud, labels=[1])
+        assert not (tmp_path / "p.txt").exists()
 
     def test_roundtrip_random_clouds(self, rng):
         for has_spectral, has_label in [(False, False), (True, False),
@@ -251,7 +262,7 @@ class TestWritePoints:
                 rng.uniform(-100, 100, (n, 3)),
                 rng.uniform(0, 255, (n, 3)) if has_spectral else None,
                 rng.integers(0, 9, n).astype(np.int32) if has_label else None)
-            back = parse_points(write_points(cloud), layout)
+            back = parse_points(points_text(cloud), layout)
             assert np.allclose(back.xyz, cloud.xyz, atol=1e-6)
             if has_spectral:
                 assert np.allclose(back.spectral, cloud.spectral, atol=1e-6)
@@ -284,9 +295,9 @@ class TestWritePoints:
                 spectral[-1] = awkward[:3]
             cloud = PointCloud(xyz, spectral,
                                rng.integers(0, 9, n) if has_labels else None)
-            assert write_points(cloud) == reference(cloud, cloud.labels)
+            assert points_text(cloud) == reference(cloud, cloud.labels)
         labels = rng.integers(0, 9, n)
-        assert write_points(cloud, labels=labels) == reference(cloud, labels)
+        assert points_text(cloud, labels=labels) == reference(cloud, labels)
 
     # every float64, the exact ties k/128 (six decimals end in a 5 with
     # nothing after it), magnitudes around and beyond 2^52 / 1e6, where the
@@ -328,7 +339,7 @@ class TestWritePoints:
                 cols.append("%d" % float(label_values[i]))
             want.append(" ".join(cols) + "\n")
         with mock.patch.object(pio, "WRITE_CHUNK_ROWS", chunk):
-            assert write_points(cloud, label_values) == "".join(want)
+            assert points_text(cloud, label_values) == "".join(want)
 
     def test_file_roundtrip_auto_schema(self, rng, tmp_path):
         cloud = PointCloud(rng.uniform(0, 10, (20, 3)),
@@ -370,7 +381,7 @@ class TestLoadPointsFile:
     def lines(self, rng, n=6000):
         cloud = PointCloud(rng.uniform(-500, 500, (n, 3)),
                            rng.uniform(0, 255, (n, 3)), rng.integers(0, 9, n))
-        lines = write_points(cloud).splitlines()
+        lines = points_text(cloud).splitlines()
         # a header, blank lines, whole-line and trailing comments
         lines[100] += "  # trailing"
         return (["# x y z ir r g label", ""] + lines[:3000]
@@ -497,8 +508,8 @@ class TestAsciiGrid:
         r = parse_ascii_grid(text)
         # row 0 sits at the top: origin_y = 0 + 2*1 - 0.5 = 1.5
         assert r.origin_y == 1.5
-        assert sample_raster(r, 0.5, 1.5)[0] == 10.0
-        assert sample_raster(r, 0.5, 0.5)[0] == 20.0
+        assert sample_one(r, 0.5, 1.5)[0] == 10.0
+        assert sample_one(r, 0.5, 0.5)[0] == 20.0
 
     @pytest.mark.parametrize("text,match", [
         (GRID_1X1.replace("7\n", "nan\n"), "line 7: grid value 'nan'"),
@@ -679,33 +690,60 @@ def grid(data, origin_x=0.0, origin_y=0.0, cell=1.0, nodata=-9999.0):
                   origin_y=origin_y, cell_size=cell, nodata=nodata)
 
 
-class TestSampleRaster:
+def sample_one(raster, x, y):
+    """io._sample's (bands,) values at one query that must not fail: the
+    masks mark no failure, and the values are scalar_sample's bit for
+    bit."""
+    values, outside, empty, _ = pio._sample(raster, np.array([x], float),
+                                            np.array([y], float))
+    assert not outside[0] and not empty[0].any()
+    assert values[0].tobytes() == scalar_sample(raster, x, y).tobytes()
+    return values[0]
+
+
+def failure_of(raster, x, y):
+    """The failure io._sample's masks give one query, BoundsError (its
+    extent checked first), SamplingError or None, after checking that
+    scalar_sample fails the same way."""
+    _, outside, empty, _ = pio._sample(raster, np.array([x], float),
+                                       np.array([y], float))
+    got = BoundsError if outside[0] else SamplingError if empty[0].any() else None
+    try:
+        scalar_sample(raster, x, y)
+        want = None
+    except (BoundsError, SamplingError) as exc:
+        want = type(exc)
+    assert got is want
+    return got
+
+
+class TestSample:
     def test_pixel_center_exact_both_modes(self):
         r = grid([[1.0, 2.0], [3.0, 4.0]])
-        assert sample_raster(r, 1.0, 0.0)[0] == 2.0
+        assert sample_one(r, 1.0, 0.0)[0] == 2.0
 
     def test_midpoint_of_four_pixels(self):
         r = grid([[0.0, 0.0], [1.0, 1.0]])
-        assert sample_raster(r, 0.5, -0.5)[0] == pytest.approx(0.5)
+        assert sample_one(r, 0.5, -0.5)[0] == pytest.approx(0.5)
 
     def test_nodata_neighbor_renormalized(self):
         r = grid([[-9999.0, 0.0], [1.0, 1.0]])
         # equal corner weights, nodata excluded -> (0+1+1)/3
-        assert sample_raster(r, 0.5, -0.5)[0] == pytest.approx(2.0 / 3.0)
+        assert sample_one(r, 0.5, -0.5)[0] == pytest.approx(2.0 / 3.0)
 
     def test_all_nodata_rejected(self):
         r = grid([[-9999.0, -9999.0], [-9999.0, -9999.0]])
-        with pytest.raises(SamplingError):
-            sample_raster(r, 0.5, -0.5)
+        assert failure_of(r, 0.5, -0.5) is SamplingError
 
     def test_edge_clamping_within_margin(self):
         r = grid([[5.0]])
-        assert sample_raster(r, 0.49, 0.0)[0] == 5.0
+        assert sample_one(r, 0.49, 0.0)[0] == 5.0
+        *_, clamped = pio._sample(r, np.array([0.49]), np.array([0.0]))
+        assert clamped[0]
 
     def test_out_of_extent_rejected(self):
         r = grid([[5.0]])
-        with pytest.raises(BoundsError):
-            sample_raster(r, 2.0, 0.0)
+        assert failure_of(r, 2.0, 0.0) is BoundsError
 
     def test_bilinear_exact_on_planar_field(self, rng):
         # data[j, i] = a*x_i + b*y_j + c sampled anywhere in the interior
@@ -718,13 +756,13 @@ class TestSampleRaster:
             x = rng.uniform(xs[0], xs[-1])
             y = rng.uniform(ys[-1], ys[0])
             expect = a * x + b * y + c
-            assert sample_raster(r, x, y)[0] == pytest.approx(expect, abs=1e-5)
+            assert sample_one(r, x, y)[0] == pytest.approx(expect, abs=1e-5)
 
     def test_multiband(self):
         r = Raster(np.stack([np.full((2, 2), 10.0), np.full((2, 2), 20.0),
                              np.full((2, 2), 30.0)]),
                    origin_x=0, origin_y=0, cell_size=1)
-        assert np.array_equal(sample_raster(r, 0.5, -0.5), [10.0, 20.0, 30.0])
+        assert np.array_equal(sample_one(r, 0.5, -0.5), [10.0, 20.0, 30.0])
 
 
 def scalar_sample(raster, x, y):
@@ -762,7 +800,7 @@ def scalar_sample(raster, x, y):
     return out
 
 
-class TestSampleRasterArrays:
+class TestSampleArrays:
     @settings(max_examples=150, deadline=None)
     @given(bands=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
            cell=st.one_of(st.sampled_from([0.25, 1.0, 2.0]), st.floats(0.05, 20.0)),
@@ -795,32 +833,29 @@ class TestSampleRasterArrays:
             except (BoundsError, SamplingError) as exc:
                 expected.append(type(exc))
         failed = [k for k, e in enumerate(expected) if isinstance(e, type)]
+        # the masks give each query the reference's failure kind, its
+        # extent checked before its nodata
+        values, outside, empty, _ = pio._sample(r, x, y)
+        assert values.shape == empty.shape == (n, bands)
+        kinds = [BoundsError if outside[k] else SamplingError
+                 if empty[k].any() else None for k in range(n)]
+        assert kinds == [e if isinstance(e, type) else None for e in expected]
         if failed:
-            with pytest.raises(expected[failed[0]]) as info:
-                sample_raster(r, x, y)
-            assert info.value.index == failed[0]
+            # attribute_spectral reports the lowest failing query, here on
+            # the bands padded to three with copies of the last, which fail
+            # where it does
+            image = Raster(np.concatenate([data] + [data[-1:]] * (3 - bands)),
+                           origin_x=ox, origin_y=oy, cell_size=cell)
+            cloud = PointCloud(np.column_stack([x, y, np.zeros(n)]))
+            with pytest.raises(expected[failed[0]], match=f"^point {failed[0]}: "):
+                blk.attribute_spectral(cloud, image)
         ok = [k for k in range(n) if k not in failed]
-        got = sample_raster(r, x[ok], y[ok])
-        assert got.shape == (len(ok), bands)
         want = np.array([expected[k] for k in ok]).reshape(len(ok), bands)
+        assert values[ok].tobytes() == want.tobytes()
+        got = pio._sample(r, x[ok], y[ok])[0]
+        assert got.shape == (len(ok), bands)
         assert got.tobytes() == want.tobytes()
         if ok:
-            one = sample_raster(r, float(x[ok[0]]), float(y[ok[0]]))
-            assert one.shape == (bands,)
+            one = pio._sample(r, x[ok[:1]], y[ok[:1]])[0]
+            assert one.shape == (1, bands)
             assert one.tobytes() == want[0].tobytes()
-
-    def test_lengths_must_match(self):
-        with pytest.raises(ShapeError):
-            sample_raster(grid([[1.0]]), np.zeros(2), np.zeros(3))
-
-    def test_lowest_failing_query_reported_bounds_first(self):
-        r = grid([[1.0, -9999.0, -9999.0], [2.0, -9999.0, -9999.0]])
-        # query 1 has only nodata neighbors, query 2 is outside the extent
-        x = np.array([0.0, 2.0, 9.0])
-        y = np.array([0.0, 0.0, 0.0])
-        with pytest.raises(SamplingError) as info:
-            sample_raster(r, x, y)
-        assert info.value.index == 1
-        with pytest.raises(BoundsError) as info:
-            sample_raster(r, x[::-1], y)
-        assert info.value.index == 0
