@@ -47,24 +47,40 @@ each column's winning row by comparing row panels with the column max:
 the first hit is argmax's, and a column holding a NaN falls back to
 argmax, which returns its first NaN.
 
-A layer step runs on two threads, the caller's and one helper thread
-per process: `pointwise_backward` forms the weight gradient (f_in.T·d,
-and g.T·d_seg for a per-block input) on the helper while it forms the
-input gradient (d·W.T) itself, and returns once both are done. An eval
-forward asked to (`helper=True`, validation's) runs its row panels two
-at a time the same way and folds the encoder panels into each block's
-max in panel order. Every product keeps its operands and its shape,
-and nothing is summed across the threads, so no bit depends on the
-helper; BLAS threads are the caller's to pin, as before. The helper is
-started on first use, and again in a forked child, which inherits no
-thread. Its jobs run in a copy of the caller's contextvars, so a
-tracer's spans keep their parents, and an error on either thread
-leaves the call once both have finished. A train step holds no more
-than before, since a layer's two gradients were both held when its step
-returned; an eval forward on the helper holds two panels at a time,
-about 17 MB of allocations for 1024 rows of the default architecture
-against 9 MB. Prediction never uses the helper: its `threads` pool
-runs the chunks.
+A layer step runs on two threads, the caller's and one helper thread per
+process: `pointwise_backward` forms the weight gradient (f_in.T·d, and
+g.T·d_seg for a per-block input) on the helper while it forms the input
+gradient (d·W.T) itself, and returns once both are done. A deep train
+batch-norm layer (`_split_at`: the default network's enc4) runs its
+batch norm on both threads too. Its product and every column statistic
+(the batch mean and variance, inv_std and the running statistics;
+backward's sums for gamma, beta, b and the chain rule) run as two column
+halves, and the pooled layer's column max and winners follow the same
+halves; the elementwise steps (deviation, square, scaling, gamma/beta,
+ReLU gate; backward's gate, chain rule and scaling by inv_std) run as
+two row halves, since numpy runs an operation on a column half's view
+one row at a time, at about half the speed of a contiguous block. Each
+statistic reduces along the rows of its own column and each elementwise
+step acts on one element, and BLAS gives a column half of a float32
+product the bits of the same columns of the whole product once the half
+makes enough multiply-adds to take the same blocked path, so the halves
+write the whole step's bits into the arrays it always held. The input
+gradient is not split: halving its sum over columns would move bits. An
+eval forward asked to (`helper=True`, validation's) runs its row panels
+two at a time and folds the encoder panels into each block's max in
+panel order. Every product keeps its operands, and nothing is summed
+across the threads, so no bit depends on the helper; BLAS threads are
+the caller's to pin, as before. The helper is started on first use, and
+again in a forked child, which inherits no thread; a step run on the
+helper itself runs its halves one after the other, since its one thread
+cannot wait for itself. Its jobs run in a copy of the caller's
+contextvars, so a tracer's spans keep their parents, and an error on
+either thread leaves the call once both have finished. A train step
+holds no more than before, since a layer's two gradients were both held
+when its step returned and the halves write into one array; an eval
+forward on the helper holds two panels at a time, about 17 MB of
+allocations for 1024 rows of the default architecture against 9 MB.
+Prediction never uses the helper: its `threads` pool runs the chunks.
 """
 
 import contextvars
@@ -86,6 +102,8 @@ POOL_PANEL = 64           # rows per equality scan for the pool's winners
 EXACT_PANEL_ROWS = 256    # most rows per panel of an eval forward and of
                           # batch norm's backward products; >= 4
 LOCAL_LAYER = 1           # encoder layer whose output is head0's local input
+SPLIT_MIN_INNER = 512     # a train batch-norm layer this deep and this wide
+SPLIT_MIN_WIDTH = 2048    # runs on both threads (see _split_at)
 DEFAULT_ENCODER_WIDTHS = (64, 64, 128, 512, 2048)
 DEFAULT_HEAD_WIDTHS = (256, 128)
 
@@ -212,9 +230,10 @@ def _row_panels(m, size):
     return [(i * m // n, (i + 1) * m // n) for i in range(n)]
 
 
-def matmul(a, b):
+def matmul(a, b, out=None):
     """Matrix product whose operand dtypes pick its form; an empty inner
-    dimension yields zeros.
+    dimension yields zeros. `out`, for operands of one dtype only, is an
+    array (a column slice, say) the product is written into.
 
     Operands of one dtype give `a @ b`: float32 BLAS in a train step and
     its backward, about twice as fast as accumulating in float64 and as
@@ -231,9 +250,11 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     if a.dtype == b.dtype:
-        return a @ b
-    out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-    return out.astype(np.float32) if a.dtype == np.float32 else out
+        return np.matmul(a, b, out=out)
+    if out is not None:
+        raise TypeError("matmul writes into out only for operands of one dtype")
+    prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+    return prod.astype(np.float32) if a.dtype == np.float32 else prod
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +262,7 @@ def matmul(a, b):
 
 _helper = None                  # the process's one helper, started on first use
 _helper_lock = threading.Lock()
+_on_helper = threading.local()  # .flag is set on the helper's own thread
 
 
 def _forget_helper():
@@ -252,15 +274,24 @@ def _forget_helper():
 os.register_at_fork(after_in_child=_forget_helper)
 
 
+def _mark_helper():
+    _on_helper.flag = True
+
+
 def _beside(job, here):
     """(job(), here()): job runs on the helper thread, in a copy of this
     thread's contextvars, while here runs on this one. Either's exception
-    is raised here, and only once both have finished."""
+    is raised here, and only once both have finished. On the helper
+    itself both run here, one after the other: a job that waited for
+    the helper's one thread would wait for itself."""
     global _helper
+    if getattr(_on_helper, "flag", False):
+        return job(), here()
     with _helper_lock:
         if _helper is None:
             _helper = ThreadPoolExecutor(max_workers=1,
-                                         thread_name_prefix="pointlabel-helper")
+                                         thread_name_prefix="pointlabel-helper",
+                                         initializer=_mark_helper)
         future = _helper.submit(contextvars.copy_context().run, job)
     try:
         mine = here()
@@ -370,45 +401,113 @@ def pointwise_forward(f_in, spec, params, mode, g=None, segments=None):
     if mode == "eval" and not _prepared(spec, params):
         params = copy.deepcopy(params)
         spec = _prepare_layer(spec, params)
-    # s comes fresh from matmul and the squares z are made here, so
-    # elementwise steps write into them; nothing is written into f_in, g
-    # or params, and s_hat and mask stay as the trace records them
+    # every product is made here, so elementwise steps write into it;
+    # nothing is written into f_in, g or params but the running
+    # statistics, and s_hat and mask stay as the trace records them
     W = params.W
-    if g is None:
-        s = matmul(f_in, W)
-        s += params.b
-    else:
+    shift = params.b
+    if g is not None:
         if (segments is None or len(segments) != len(g)
                 or sum(segments) != len(f_in)):
             raise ShapeError(f"segments {segments} do not match {len(g)} "
                              f"global rows and {len(f_in)} local rows")
-        s = matmul(f_in, W[:local_w])
-        s += np.repeat(matmul(g, W[local_w:]) + params.b, segments, axis=0)
-    s_hat = inv_std = mask = None
-    z = s
+        shift = matmul(g, W[local_w:]) + params.b   # (S, out), per block
     if spec.has_bn:
-        if len(s) < 2:
-            raise ValueError("batch norm in train mode needs N >= 2 points")
-        mu = _colstat(s, np.mean)
-        s_hat = np.subtract(s, mu, out=s)   # deviations, scaled below
-        z = np.multiply(s_hat, s_hat)       # squares, then gamma·s_hat
-        var = _colstat(z, np.mean)
-        inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=s.dtype))
-        s_hat *= inv_std
-        m = params.running_mean.dtype.type(BN_MOMENTUM)
-        params.running_mean += m * (mu.astype(params.running_mean.dtype)
-                                    - params.running_mean)
-        params.running_var += m * (var.astype(params.running_var.dtype)
-                                   - params.running_var)
-        np.multiply(params.gamma, s_hat, out=z)
-        z += params.beta
+        return _batch_norm_forward(f_in, W[:local_w], shift, spec, params,
+                                   g, segments)
+    s = matmul(f_in, W[:local_w])
+    s += shift if g is None else np.repeat(shift, segments, axis=0)
+    mask = None
     if spec.has_relu:
         # only backward reads the gate; a NaN pre-activation stays NaN
         if mode == "train":
-            mask = z > 0
-        np.maximum(z, np.asarray(0, dtype=z.dtype), out=z)
-    return z, (LayerTrace(f_in, s_hat, inv_std, mask, g, segments)
+            mask = s > 0
+        np.maximum(s, np.asarray(0, dtype=s.dtype), out=s)
+    return s, (LayerTrace(f_in, None, None, mask, g, segments)
                if mode == "train" else None)
+
+
+def _split_at(inner, width, dtype):
+    """First column of the second half of a train layer `width` wide
+    whose product is `inner` deep, or 0 when it runs whole. A float32
+    layer at least SPLIT_MIN_INNER deep and SPLIT_MIN_WIDTH wide splits:
+    halving its product saves more than the two threads' steps cost, and
+    each half of a product of N >= 2 rows makes at least 2^20
+    multiply-adds, where BLAS takes the same blocked path for the halves
+    as for the whole (OpenBLAS runs products of at most 10^6 on kernels
+    of their own). float64 products, the gradient checks' shadow, may
+    round a column half differently."""
+    return (width // 2 if dtype == np.float32 and inner >= SPLIT_MIN_INNER
+            and width >= SPLIT_MIN_WIDTH else 0)
+
+
+def _in_halves(step, cut):
+    """step(slice(None)), or, given a cut, step of [0, cut) here and of
+    [cut, ...) on the helper at once (`_beside`)."""
+    if cut:
+        _beside(lambda: step(slice(cut, None)), lambda: step(slice(0, cut)))
+    else:
+        step(slice(None))
+
+
+def _batch_norm_forward(f_in, W, shift, spec, params, g, segments):
+    """Train-mode pointwise_forward of a batch-norm layer, on W's rows
+    that f_in meets and the bias, or each block's global term, `shift`.
+
+    A layer that `_split_at` splits runs each step on both threads: the
+    product and each column's statistics in column halves, the
+    elementwise steps in row halves, which are contiguous (numpy runs an
+    operation on a column half one row at a time, at about half the
+    speed). Every half writes into the one product s (normalized in
+    place: the trace's s_hat), squares z (then the output) and gate."""
+    n = len(f_in)
+    if n < 2:
+        raise ValueError("batch norm in train mode needs N >= 2 points")
+    # float32 only when f_in and W both are: matmul writes into out only
+    # for operands of one dtype
+    cut = _split_at(W.shape[0], spec.out_width, np.result_type(f_in, W))
+    s = (np.empty((n, spec.out_width), dtype=W.dtype) if cut
+         else matmul(f_in, W))
+    z = np.empty_like(s)
+    mask = np.empty(s.shape, dtype=bool) if spec.has_relu else None
+    mu, var, inv_std = (np.empty(spec.out_width, dtype=s.dtype)
+                        for _ in range(3))
+    eps = np.asarray(BN_EPS, dtype=s.dtype)
+    m = params.running_mean.dtype.type(BN_MOMENTUM)
+
+    def means(c):
+        s_c = s[:, c]
+        if cut:
+            matmul(f_in, W[:, c], out=s_c)
+        s_c += shift[c] if g is None else np.repeat(shift[:, c], segments,
+                                                     axis=0)
+        mu[c] = _colstat(s_c, np.mean)
+
+    def squares(r):
+        s[r] -= mu                          # deviations, scaled below
+        np.multiply(s[r], s[r], out=z[r])   # squares, then gamma·s_hat
+
+    def variances(c):
+        var[c] = _colstat(z[:, c], np.mean)
+        inv_std[c] = 1.0 / np.sqrt(var[c] + eps)
+        for stat, batch in ((params.running_mean, mu),
+                            (params.running_var, var)):
+            running = stat[c]
+            running += m * (batch[c].astype(stat.dtype) - running)
+
+    def outputs(r):
+        s[r] *= inv_std
+        np.multiply(params.gamma, s[r], out=z[r])
+        z[r] += params.beta
+        if mask is not None:
+            np.greater(z[r], 0, out=mask[r])
+            np.maximum(z[r], np.asarray(0, dtype=z.dtype), out=z[r])
+
+    rows = n // 2 if cut else 0
+    for step, at in ((means, cut), (squares, rows), (variances, cut),
+                     (outputs, rows)):
+        _in_halves(step, at)
+    return z, LayerTrace(f_in, s, inv_std, mask, g, segments)
 
 
 def _column_dots(a, b):
@@ -430,6 +529,57 @@ def _column_dots(a, b):
     return sums
 
 
+def _batch_norm_backward(d, params, trace, cut):
+    """A batch-norm layer's gate, chain rule and scaling by inv_std, in
+    place on d; returns the gradients of gamma, beta and b. Given a
+    `_split_at` cut, each step runs on both threads as the forward's
+    do: column sums in column halves, elementwise steps in row halves."""
+    n, width = d.shape
+    s_hat = trace.s_hat
+    grads = {name: np.empty(width, dtype=d.dtype)
+             for name in ("gamma", "beta", "b")}
+    mean_ds, mean_ds_s = np.empty((2, width), dtype=d.dtype)
+    rows = n // 2 if cut else 0
+    # the two row halves' buffers together hold one whole step's
+    panel = EXACT_PANEL_ROWS // 2 if cut else EXACT_PANEL_ROWS
+
+    def gate(r):
+        d[r] *= trace.mask[r]
+
+    def scale_sums(c):
+        grads["gamma"][c] = _column_dots(d[:, c], s_hat[:, c])
+        grads["beta"][c] = _colstat(d[:, c], np.sum)
+
+    def scale(r):
+        d[r] *= params.gamma                # ds_hat
+
+    # biased-variance batch-statistics chain rule, evaluated as
+    # inv_std * ((ds_hat - mean(ds_hat)) - s_hat * mean(ds_hat * s_hat))
+    def chain_means(c):
+        mean_ds[c] = _colstat(d[:, c], np.mean)
+        mean_ds_s[c] = _column_dots(d[:, c], s_hat[:, c]) / n
+
+    def chain(r):
+        ds_hat, s_hat_r = d[r], s_hat[r]
+        ds_hat -= mean_ds
+        tmp = np.empty((min(len(ds_hat), panel), width), d.dtype)
+        for start, stop in _row_panels(len(ds_hat), panel):
+            part = ds_hat[start:stop]
+            part -= np.multiply(s_hat_r[start:stop], mean_ds_s,
+                                out=tmp[:stop - start])
+        ds_hat *= trace.inv_std
+
+    def bias_sums(c):
+        grads["b"][c] = _colstat(d[:, c], np.sum)
+
+    steps = [(gate, rows)] if trace.mask is not None else []
+    steps += [(scale_sums, cut), (scale, rows), (chain_means, cut),
+              (chain, rows), (bias_sums, cut)]
+    for step, at in steps:
+        _in_halves(step, at)
+    return grads
+
+
 def pointwise_backward(d, spec, params, trace):
     """Analytic gradients of one layer; returns (d_in, {name: grad}).
 
@@ -441,27 +591,13 @@ def pointwise_backward(d, spec, params, trace):
     row panels, so neither gate nor batch norm allocates an (N, out)
     array beside d. params and the trace are only read.
     """
-    if spec.has_relu:
-        d *= trace.mask
-    grads = {}
     if spec.has_bn:
-        s_hat = trace.s_hat
-        n = len(d)
-        grads["gamma"] = _column_dots(d, s_hat).astype(d.dtype)
-        grads["beta"] = _colstat(d, np.sum)
-        ds_hat = np.multiply(d, params.gamma, out=d)
-        # biased-variance batch-statistics chain rule, evaluated as
-        # inv_std * ((ds_hat - mean(ds_hat)) - s_hat * mean(ds_hat * s_hat))
-        mean_ds = _colstat(ds_hat, np.mean)
-        mean_ds_s = (_column_dots(ds_hat, s_hat) / n).astype(d.dtype)
-        ds_hat -= mean_ds
-        tmp = np.empty((min(n, EXACT_PANEL_ROWS), d.shape[1]), d.dtype)
-        for start, stop in _row_panels(n, EXACT_PANEL_ROWS):
-            part = ds_hat[start:stop]
-            part -= np.multiply(s_hat[start:stop], mean_ds_s,
-                                out=tmp[:stop - start])
-        d = np.multiply(trace.inv_std, ds_hat, out=ds_hat)
-    grads["b"] = _colstat(d, np.sum)
+        grads = _batch_norm_backward(d, params, trace, _split_at(
+            trace.f_in.shape[1], d.shape[1], d.dtype))
+    else:
+        if spec.has_relu:
+            d *= trace.mask
+        grads = {"b": _colstat(d, np.sum)}
     if trace.g is None:
         grads["W"], d_in = _beside(lambda: matmul(trace.f_in.T, d),
                                    lambda: matmul(d, params.W.T))
@@ -532,6 +668,23 @@ def _panel_segments(ends, start, stop):
     return first, np.diff(cuts, prepend=start)
 
 
+def _train_pool(f, begins, ends, inner):
+    """Each block's column max of the pooled layer's output f and its
+    winning rows, in the column halves the layer ran in (`_split_at`;
+    `inner` is the layer's input width)."""
+    g_seg = np.empty((len(begins), f.shape[1]), dtype=f.dtype)
+    am_seg = np.empty(g_seg.shape, dtype=np.int64)
+
+    def columns(c):
+        for s, (begin, end) in enumerate(zip(begins, ends)):
+            block = f[begin:end, c]
+            block.max(axis=0, out=g_seg[s, c])
+            am_seg[s, c] = _pool_winners(block, g_seg[s, c]) + begin
+
+    _in_halves(columns, _split_at(inner, f.shape[1], f.dtype))
+    return g_seg, am_seg
+
+
 def forward(x, params, mode="eval", segments=None, helper=False):
     """Run points through both stages; returns the trace.
 
@@ -588,21 +741,22 @@ def forward(x, params, mode="eval", segments=None, helper=False):
                 local = f
         return local, f, traces
 
-    g_seg = None
+    g_seg = am_seg = None
     for (start, stop), (local, f, traces) in zip(panels, walk(encode, panels)):
         enc_traces += traces
         local_panels.append(local)
+        if train:
+            g_seg, am_seg = _train_pool(f, begins, ends.tolist(),
+                                        params.encoder_specs[-1].in_width)
+            continue
         if g_seg is None:
             g_seg = np.empty((len(segments), f.shape[1]), dtype=f.dtype)
-            am_seg = np.empty(g_seg.shape, dtype=np.int64) if train else None
         first, parts = _panel_segments(ends, start, stop)
         at = 0
         for s, rows in enumerate(parts.tolist(), first):
             block = f[at:at + rows]
             if begins[s] >= start:
                 block.max(axis=0, out=g_seg[s])
-                if train:
-                    am_seg[s] = _pool_winners(block, g_seg[s]) + start + at
             else:
                 np.maximum(g_seg[s], block.max(axis=0), out=g_seg[s])
             at += rows

@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9            # first-moment decay ("momentum")
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_PIECE = 1 << 16        # elements per piece of an Adam update
 
 
 @dataclass
@@ -85,6 +86,13 @@ def adam_step(params, grads, state, lr):
     Rejects the whole step (no tensor touched) with
     NonFiniteGradientError if any gradient is non-finite, naming the
     first such tensor.
+
+    Every tensor is cut along its first axis into pieces of about
+    ADAM_PIECE elements, and the first half of the pieces (by elements)
+    is updated on this thread while the network's helper thread updates
+    the rest; each thread's intermediates go into two buffers of its
+    own, so no piece allocates. Every element's update is its own, so
+    the bits do not depend on the pieces or the threads.
     """
     bad = next((name for name, g in grads.items()
                 if not np.all(np.isfinite(g))), None)
@@ -93,25 +101,39 @@ def adam_step(params, grads, state, lr):
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
+    pieces = []
     for name, arr in network.iter_tensors(params):
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        # m += (1 - b1)(g - m); v += (1 - b2)(g*g - v);
-        # arr -= (lr/c1) m / (sqrt(v/c2) + eps): each operation in that
-        # order, rounded as written, with tmp holding the intermediates
-        tmp = g - m
-        tmp *= 1.0 - ADAM_BETA1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp -= v
-        tmp *= 1.0 - ADAM_BETA2
-        v += tmp
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        np.divide((lr / c1) * m, tmp, out=tmp)
-        arr -= tmp
+        tensors = (arr, grads[name], state.m[name], state.v[name])
+        rows = max(1, ADAM_PIECE * len(arr) // arr.size)
+        for r in range(0, len(arr), rows):
+            pieces.append([t[r:r + rows] for t in tensors])
+
+    def update(share):
+        buffers = np.empty((2, max(p[0].size for p in share)),
+                           dtype=share[0][0].dtype)
+        for arr, g, m, v in share:
+            tmp, tmp2 = (b[:arr.size].reshape(arr.shape) for b in buffers)
+            # m += (1 - b1)(g - m); v += (1 - b2)(g*g - v);
+            # arr -= (lr/c1) m / (sqrt(v/c2) + eps): each operation in that
+            # order, rounded as written, with tmp and tmp2 holding the
+            # intermediates
+            np.subtract(g, m, out=tmp)
+            tmp *= 1.0 - ADAM_BETA1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp -= v
+            tmp *= 1.0 - ADAM_BETA2
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            np.multiply(lr / c1, m, out=tmp2)
+            np.divide(tmp2, tmp, out=tmp)
+            arr -= tmp
+
+    sizes = np.cumsum([p[0].size for p in pieces])
+    cut = int(np.searchsorted(sizes, sizes[-1] / 2)) + 1
+    network._beside(lambda: update(pieces[cut:]), lambda: update(pieces[:cut]))
     return params, state
 
 

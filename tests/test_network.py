@@ -1552,3 +1552,152 @@ class TestHelperThread:
             child.join()
             pytest.fail("a train step in a forked child hung")
         assert child.exitcode == 0
+
+
+class TestColumnHalves:
+    """A deep and wide float32 train batch-norm layer (`_split_at`) runs
+    its product and column statistics as two column halves and its
+    elementwise steps as two row halves, one of each on the helper
+    thread; every column's sums and every element's steps are its own,
+    so the results are bitwise the whole-array formulas'."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.one_of(st.sampled_from([2, 3, 31, 33, 255, 257, 1000, 1100]),
+                          st.integers(2, 1100)),
+           inner=st.sampled_from([net.SPLIT_MIN_INNER, 640]),
+           extra=st.integers(0, 100),
+           global_width=st.sampled_from([0, 5, 33]),
+           blocks=st.integers(1, 4),
+           has_relu=st.booleans(),
+           nan_row=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_halves_match_the_out_of_place_reference(
+            self, rows, inner, extra, global_width, blocks, has_relu,
+            nan_row, seed):
+        # odd widths; float32 only: float64 layers run whole
+        width = net.SPLIT_MIN_WIDTH + 1 + 2 * extra
+        assert net._split_at(inner, width, np.float32)
+        rng = np.random.default_rng(seed)
+        spec = net.LayerSpec(inner + global_width, width, True, has_relu)
+        lp = net.init_layer(spec, rng)
+        lp.gamma = rng.normal(1.0, 0.5, width).astype(np.float32)
+        lp.beta = rng.normal(0.0, 0.5, width).astype(np.float32)
+        ref = copy.deepcopy(lp)
+        f_in = rng.normal(0, 2, (rows, inner)).astype(np.float32)
+        if nan_row:
+            f_in[rng.integers(rows)] = np.nan
+        g = segments = None
+        if global_width:
+            cuts = np.sort(rng.choice(np.arange(1, rows), min(blocks, rows) - 1,
+                                      replace=False))
+            segments = tuple(np.diff(cuts, prepend=0, append=rows).tolist())
+            g = rng.normal(0, 1, (len(segments), global_width)).astype(
+                np.float32)
+        d_out = rng.standard_normal((rows, width)).astype(np.float32)
+
+        threads = set()
+
+        def recording_matmul(a, b, out=None):
+            threads.add(threading.get_ident())
+            return matmul(a, b, out=out)
+
+        with mock.patch.object(net, "matmul", recording_matmul):
+            out, trace = net.pointwise_forward(f_in, spec, lp, "train", g=g,
+                                               segments=segments)
+        want, ref_trace = _reference_layer_forward(f_in, spec, ref, "train",
+                                                   g=g, segments=segments)
+        assert len(threads) == 2   # a half's product ran on the helper
+        _assert_same_bits(out, want, "output")
+        assert (trace.mask is None) == (not has_relu)
+        for field in ("s_hat", "inv_std", "mask")[:3 if has_relu else 2]:
+            _assert_same_bits(getattr(trace, field), getattr(ref_trace, field),
+                              field)
+        for field in ("running_mean", "running_var"):
+            _assert_same_bits(getattr(lp, field), getattr(ref, field), field)
+        d_in, grads = net.pointwise_backward(d_out.copy(), spec, lp, trace)
+        ref_in, ref_grads = _reference_pointwise_backward(d_out, spec, ref,
+                                                          ref_trace)
+        for got, ref_got in zip(d_in if global_width else [d_in],
+                                ref_in if global_width else [ref_in]):
+            _assert_same_bits(got, ref_got, "d_in")
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            _assert_same_bits(grads[name], ref_grads[name], name)
+
+    @pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float64),
+                                                 (np.float64, np.float32)])
+    def test_mixed_dtypes_run_whole(self, rng, x_dtype, w_dtype):
+        # matmul writes into a column half only for operands of one dtype
+        spec = net.LayerSpec(net.SPLIT_MIN_INNER, net.SPLIT_MIN_WIDTH)
+        lp = net.init_layer(spec, rng)
+        lp = net.LayerParams(*[t.astype(w_dtype) for t in (
+            lp.W, lp.b, lp.gamma, lp.beta, lp.running_mean, lp.running_var)])
+        ref = copy.deepcopy(lp)
+        f_in = rng.standard_normal((300, spec.in_width)).astype(x_dtype)
+        out, trace = net.pointwise_forward(f_in, spec, lp, "train")
+        with mock.patch.object(net, "_split_at", lambda *shape: 0):
+            want, ref_trace = net.pointwise_forward(f_in, spec, ref, "train")
+        for got, ref_got, what in ((out, want, "output"),
+                                   (trace.s_hat, ref_trace.s_hat, "s_hat"),
+                                   (lp.running_var, ref.running_var, "var")):
+            _assert_same_bits(got, ref_got, what)
+
+
+def test_adam_in_pieces_matches_the_out_of_place_reference():
+    # the default network's larger tensors span several ADAM_PIECE pieces,
+    # half of which the helper thread updates
+    params = net.init_params(*net.default_architecture(),
+                             np.random.default_rng(0))
+    assert max(a.size for _, a in net.iter_tensors(params)) > training.ADAM_PIECE
+    ref = copy.deepcopy(params)
+    state = training.AdamState.for_params(params)
+    ref_state = training.AdamState.for_params(ref)
+    rng = np.random.default_rng(1)
+    for step in range(2):
+        grads = {name: rng.normal(0, 1e-2, a.shape).astype(np.float32)
+                 for name, a in net.iter_tensors(params)}
+        training.adam_step(params, grads, state, 0.01)
+        _reference_adam_step(ref, grads, ref_state, 0.01)
+        for (name, a), (_, b) in zip(net.iter_tensors(params),
+                                     net.iter_tensors(ref)):
+            _assert_same_bits(a, b, f"step {step} {name}")
+            _assert_same_bits(state.m[name], ref_state.m[name], f"m {name}")
+            _assert_same_bits(state.v[name], ref_state.v[name], f"v {name}")
+
+
+class TestNestedHelperUse:
+    """A split step never submits from the helper thread itself: its one
+    worker would wait for the job that is waiting for it. A train step
+    run as a helper job runs its halves one after the other."""
+
+    def test_a_train_step_in_a_helper_job_and_beside_it_finishes(self, rng):
+        # the default network's enc4 runs as halves
+        params = net.init_params(*net.default_architecture(),
+                                 np.random.default_rng(0))
+        x = rng.standard_normal((64, 9)).astype(np.float32)
+        labels = rng.integers(0, 9, 64)
+
+        def step():
+            trace = net.forward(x, copy.deepcopy(params), "train",
+                                segments=(30, 34))
+            return net.backward(trace, labels, params)
+
+        assert net._split_at(512, 2048, np.float32)
+        want = step()
+
+        def both():
+            # one step is a helper job, the other is run here while the
+            # helper is busy with it
+            got = net._beside(step, step)
+            same = all(g[k].tobytes() == want[k].tobytes()
+                       for g in got for k in want)
+            os._exit(0 if same else 3)
+
+        child = multiprocessing.get_context("fork").Process(target=both)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("a train step on or beside the helper hung")
+        assert child.exitcode == 0
