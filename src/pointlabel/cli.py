@@ -59,8 +59,8 @@ def write_manifest(path, command, settings, inputs, timings):
 # ---------------------------------------------------------------------------
 # block store (preprocess output, train input)
 
-# parent indices and labels are stored as float32, which holds every
-# integer up to 2^24 in magnitude exactly
+# parent indices are stored as float32, which holds every integer up to
+# 2^24 exactly
 MAX_STORE_POINTS = 2 ** 24
 
 
@@ -72,6 +72,10 @@ STORE_FILES = ("points.txt", "blocks.bin", "blocks.manifest")
 def write_block_store(out_dir, cloud, all_blocks, scales, n_blocks=None):
     """Write `cloud` and its blocks as a block store in out_dir.
 
+    blocks.bin holds each block's features and parent indices and
+    blocks.manifest one MANIFEST_FIELDS line per block; a block's labels
+    are its parents' in points.txt, so they are not stored.
+
     all_blocks is a sequence of blocks, or any iterable of them when
     `n_blocks` gives their count (the container header precedes the first
     payload). Each block is written as it comes and not kept, so an
@@ -79,17 +83,11 @@ def write_block_store(out_dir, cloud, all_blocks, scales, n_blocks=None):
     memory, not the store. The files are written under temporary names
     and renamed into place after the last block: a write that fails
     leaves no partial store and any store already in out_dir unchanged.
-    The cloud's size and labels are checked before anything is written.
+    The cloud's size is checked before anything is written.
     """
     if len(cloud) > MAX_STORE_POINTS:
         raise ValueError(f"cloud holds {len(cloud)} points; the block store "
                          f"indexes at most {MAX_STORE_POINTS}")
-    if cloud.labels is not None:
-        rounded = cloud.labels != cloud.labels.astype(np.float32)
-        if rounded.any():
-            i = int(rounded.argmax())
-            raise ValueError(f"point {i} has label {cloud.labels[i]}, which the "
-                             f"block store's float32 labels would round")
     if n_blocks is None:
         n_blocks = len(all_blocks)
     out_dir = Path(out_dir)
@@ -104,24 +102,20 @@ def write_block_store(out_dir, cloud, all_blocks, scales, n_blocks=None):
         for b in all_blocks:
             i = len(lines)
             lines.append(f"{b.scale_id} {b.origin_x!r} {b.origin_y!r} "
-                         f"{b.size!r} {b.sample_count} {b.replica}")
+                         f"{b.replica}")
             yield f"b{i}.features", b.features
             yield f"b{i}.parent", b.parent_idx.astype(np.float32)
-            if b.labels is not None:
-                yield f"b{i}.labels", b.labels.astype(np.float32)
             del b
 
     try:
         pio.save_points(partial["points.txt"], cloud)
-        offsets = write_container_file(partial["blocks.bin"], n_blocks,
-                                       tensors())
+        write_container_file(partial["blocks.bin"], n_blocks, tensors())
         if len(lines) != n_blocks:
             raise ValueError(f"block store given {len(lines)} blocks, "
                              f"not the {n_blocks} declared")
         partial["blocks.manifest"].write_text("\n".join(
-            ["scales " + ",".join(map(str, scales))]
-            + [f"{line} {offsets[f'b{i}.features']}"
-               for i, line in enumerate(lines)]) + "\n", encoding="utf-8")
+            ["scales " + ",".join(map(str, scales))] + lines) + "\n",
+            encoding="utf-8")
     except BaseException:
         for path in partial.values():
             path.unlink(missing_ok=True)
@@ -132,8 +126,7 @@ def write_block_store(out_dir, cloud, all_blocks, scales, n_blocks=None):
 
 # manifest block line: field name and type, in order
 MANIFEST_FIELDS = (("scale id", int), ("origin x", float), ("origin y", float),
-                   ("size", float), ("sample count", int), ("replica", int),
-                   ("offset", int))
+                   ("replica", int))
 
 
 def _manifest_fields(i, line):
@@ -156,9 +149,17 @@ def _manifest_fields(i, line):
 
 
 def read_block_store(in_dir):
+    """The blocks and scales of the store in in_dir. Each block's size is
+    its scale's, and its labels are its parents' labels in points.txt
+    (None for an unlabeled cloud). ParseError names the first block
+    whose manifest line, tensors or parent indices do not fit."""
     in_dir = Path(in_dir)
-    offsets = {}
-    _, tensors = read_container_file(in_dir / "blocks.bin", offsets)
+    # only the labels and the point count are kept, so the text parse's
+    # memory is freed before blocks.bin is loaded
+    cloud = pio.load_points(in_dir / "points.txt")
+    labels, top = cloud.labels, len(cloud) - 1
+    del cloud
+    _, tensors = read_container_file(in_dir / "blocks.bin")
     lines = (in_dir / "blocks.manifest").read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("scales "):
         raise pio.ParseError("blocks.manifest: missing scales line")
@@ -172,51 +173,36 @@ def read_block_store(in_dir):
     for i, line in enumerate(entries):
         features = tensors.get(f"b{i}.features")
         parent = tensors.get(f"b{i}.parent")
-        labels = tensors.get(f"b{i}.labels")
         if features is None or parent is None:
             raise pio.ParseError(f"block {i}: tensors missing")
-        (scale_id, origin_x, origin_y, size, sample_count, replica,
-         offset) = _manifest_fields(i, line)
-        if offset != offsets[f"b{i}.features"]:
-            raise pio.ParseError(
-                f"block {i}: manifest offset {offset}, but b{i}.features "
-                f"starts at byte {offsets[f'b{i}.features']} of blocks.bin")
+        scale_id, origin_x, origin_y, replica = _manifest_fields(i, line)
         if features.shape[1] != blk.FEATURE_DIM:
             raise pio.ParseError(f"block {i}: features are {features.shape[1]} "
                                  f"columns wide, not {blk.FEATURE_DIM}")
         rows = len(features)
-        sizes = (sample_count, parent.size, rows if labels is None else labels.size)
-        if sizes != (rows, rows, rows):
-            raise pio.ParseError(
-                f"block {i}: {rows} feature rows but sample_count {sizes[0]}, "
-                f"{sizes[1]} parents, {sizes[2]} labels")
+        if parent.size != rows:
+            raise pio.ParseError(f"block {i}: {rows} feature rows but "
+                                 f"{parent.size} parents")
         scale = scales[scale_id] if 0 <= scale_id < len(scales) else None
         bad = ("scale id" if scale is None else "replica" if replica < 0
-               else "size" if size != scale.size
                else "row count" if rows != scale.sample_count else None)
         if bad:
             raise pio.ParseError(f"block {i}: bad {bad} in manifest line "
                                  f"{line!r} ({rows} rows; {lines[0]})")
-        # stored as float32, each must be an index: astype would truncate
-        # 2.5 to 2 and let -1 through. Compared in float64, since float32
-        # rounds MAX_LABEL up to 2^31
-        for what, values, top in (("parent", parent, MAX_STORE_POINTS - 1),
-                                  ("label", labels, pio.MAX_LABEL)):
-            if values is None:
-                continue
-            values = values.reshape(-1).astype(np.float64)
-            wrong = ~((values >= 0) & (values <= top) & (values == np.floor(values)))
-            if wrong.any():
-                r = int(wrong.argmax())
-                raise pio.ParseError(f"block {i}: row {r} holds {what} "
-                                     f"{float(values[r])}, not an integer in "
-                                     f"0..{top}")
+        # stored as float32, each must index the cloud: astype would
+        # truncate 2.5 to 2 and let -1 through
+        values = parent.reshape(-1).astype(np.float64)
+        wrong = ~((values >= 0) & (values <= top) & (values == np.floor(values)))
+        if wrong.any():
+            r = int(wrong.argmax())
+            raise pio.ParseError(f"block {i}: row {r} holds parent "
+                                 f"{float(values[r])}, not an integer in "
+                                 f"0..{top}")
+        parent_idx = values.astype(np.int64)
         out.append(blk.Block(
-            origin_x=origin_x, origin_y=origin_y, size=size,
-            scale_id=scale_id,
-            features=features,
-            parent_idx=parent.reshape(-1).astype(np.int64),
-            labels=None if labels is None else labels.reshape(-1).astype(np.int32),
+            origin_x=origin_x, origin_y=origin_y, size=scale.size,
+            scale_id=scale_id, features=features, parent_idx=parent_idx,
+            labels=None if labels is None else labels[parent_idx],
             replica=replica))
     return out, scales
 
@@ -224,11 +210,17 @@ def read_block_store(in_dir):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _at_least(flag, value, low):
+    """Refuse a setting below `low`, naming its flag."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_preprocess(args):
     faults = _minor_faults()
     scales = infer.ScaleConfig.parse(args.scales)
-    if args.augment < 0:
-        raise ValueError(f"--augment must be >= 0, got {args.augment}")
+    _at_least("--augment", args.augment, 0)
+    _at_least("--seed", args.seed, 0)
     t0 = time.perf_counter()
     columns = args.columns.split(",") if args.columns else None
     cloud = pio.load_points(args.points, columns=columns)
@@ -268,12 +260,22 @@ def cmd_preprocess(args):
 
 def cmd_train(args):
     faults = _minor_faults()
+    _at_least("--seed", args.seed, 0)
+    _at_least("--classes", args.classes, 1)
     config = training.TrainConfig(
         lr_initial=args.lr, batch_size=args.batch, epoch_total=args.epochs,
         patience=args.patience, val_fraction=args.val_fraction, seed=args.seed)
     wanted = infer.ScaleConfig.parse(args.scales) if args.scales else None
     t0 = time.perf_counter()
     all_blocks, store_scales = read_block_store(args.blocks)
+    for i, b in enumerate(all_blocks):
+        if b.labels is None:
+            raise ValueError("training blocks must carry labels")
+        over = b.labels >= args.classes
+        if over.any():
+            r = int(over.argmax())
+            raise ValueError(f"block {i}: row {r} has label {b.labels[r]}, "
+                             f"not below --classes {args.classes}")
     if wanted is not None:
         missing = [s for s in wanted if s not in store_scales]
         if missing:
@@ -281,8 +283,6 @@ def cmd_train(args):
                              f"(stored: {','.join(map(str, store_scales))})")
         keep_ids = {i for i, s in enumerate(store_scales) if s in wanted}
         all_blocks = [b for b in all_blocks if b.scale_id in keep_ids]
-    if any(b.labels is None for b in all_blocks):
-        raise ValueError("training blocks must carry labels")
     cols = blk.FEATURE_SETS[args.features]
     if len(cols) < blk.FEATURE_DIM:
         for b in all_blocks:
@@ -319,7 +319,7 @@ def cmd_train(args):
                     **{f"env.{v}": os.environ.get(v, "unset") for v in (
                         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "MKL_NUM_THREADS")}},
-                   [Path(args.blocks) / "blocks.bin"],
+                   [Path(args.blocks) / name for name in STORE_FILES],
                    {"load": t1 - t0, "fit": t2 - t1,
                     "validation": result.validation_seconds,
                     **{f"epoch{i}": s for i, s in enumerate(result.epoch_seconds)}})
@@ -333,8 +333,8 @@ def cmd_train(args):
 def cmd_predict(args):
     faults = _minor_faults()
     scales = infer.ScaleConfig.parse(args.scales)
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    _at_least("--threads", args.threads, 1)
+    _at_least("--seed", args.seed, 0)
     t0 = time.perf_counter()
     cloud = pio.load_points(args.points)
     # prepared in place, each float32 W freed as it is widened: 15.7 MB
@@ -362,6 +362,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    _at_least("--classes", args.classes, 1)
     pred = pio.load_points(args.pred)
     truth = pio.load_points(args.truth)
     if not pred.has_labels or not truth.has_labels:

@@ -26,10 +26,8 @@ def write_container(fh, layers, tensors):
     """Write tensors to a binary file object.
 
     tensors is an iterable of (name, array) pairs; each array is stored
-    as float32 with vectors written as a 1-row matrix. Returns {name:
-    byte offset of the tensor's header line}.
+    as float32 with vectors written as a 1-row matrix.
     """
-    offsets = {}
     fh.write(MAGIC + b"\n")
     fh.write(f"layers {int(layers)}\n".encode("ascii"))
     for name, arr in tensors:
@@ -40,13 +38,11 @@ def write_container(fh, layers, tensors):
             a = a.reshape(1, -1)
         if a.ndim != 2:
             raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {a.shape}")
-        offsets[name] = fh.tell()
         fh.write(f"tensor {name} {a.shape[0]} {a.shape[1]}\n".encode("ascii"))
         # the array's own buffer once contiguous and little-endian: no
         # copy of a payload that is already both
         fh.write(np.ascontiguousarray(a.astype("<f4", copy=False)).data)
     fh.write(b"end\n")
-    return offsets
 
 
 def _read_line(fh):
@@ -56,10 +52,8 @@ def _read_line(fh):
     return line[:-1]
 
 
-def read_container(fh, offsets=None):
-    """Read a container stream; returns (layers, {name: float32 array}).
-    A dict passed as `offsets` receives {name: byte offset of the
-    tensor's header line}, as write_container returns it."""
+def read_container(fh):
+    """Read a container stream; returns (layers, {name: float32 array})."""
     if fh.read(len(MAGIC) + 1) != MAGIC + b"\n":
         raise ContainerError("bad magic, not a PTLBL1 container")
     parts = _read_line(fh).split()
@@ -68,7 +62,6 @@ def read_container(fh, offsets=None):
     layers = int(parts[1])
     tensors = {}
     while True:
-        start = fh.tell()
         line = _read_line(fh)
         if line == b"end":
             return layers, tensors
@@ -84,15 +77,13 @@ def read_container(fh, offsets=None):
         if fh.readinto(tensor) != tensor.nbytes:
             raise ContainerError(f"truncated payload for tensor {name!r}")
         tensors[name] = tensor
-        if offsets is not None:
-            offsets[name] = start
 
 
 def write_container_file(path, layers, tensors):
     with open(path, "wb") as fh:
-        return write_container(fh, layers, tensors)
+        write_container(fh, layers, tensors)
 
 
-def read_container_file(path, offsets=None):
+def read_container_file(path):
     with open(path, "rb") as fh:
-        return read_container(fh, offsets)
+        return read_container(fh)

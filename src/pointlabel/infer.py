@@ -505,6 +505,9 @@ def evaluate(pred_labels, truth_labels, n_classes=9, class_names=None):
     """Confusion matrix plus per-class precision/recall/F1 and overall
     accuracy. Classes absent from both truth and prediction score 0 and
     are flagged in the report."""
+    if class_names is not None and len(class_names) != n_classes:
+        raise ValueError(f"{len(class_names)} class names for {n_classes} "
+                         f"classes")
     pred = np.asarray(pred_labels).reshape(-1)
     truth = np.asarray(truth_labels).reshape(-1)
     if len(pred) != len(truth):

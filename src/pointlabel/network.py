@@ -912,7 +912,7 @@ def save_checkpoint(path, params):
     tensors = [("meta.momentum", np.array([[BN_MOMENTUM]], dtype=np.float32))]
     tensors += list(iter_tensors(params, learnable_only=False))
     n_layers = len(params.encoder) + len(params.head)
-    return _container.write_container_file(path, n_layers, tensors)
+    _container.write_container_file(path, n_layers, tensors)
 
 
 def load_checkpoint(path):

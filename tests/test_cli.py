@@ -84,27 +84,21 @@ class TestPreprocess:
         assert all(b.features.shape == (b.sample_count, 9) for b in blocks)
         assert all(b.labels is not None for b in blocks)
 
-    @pytest.mark.parametrize("edit", ["drop_last", "repeat_last",
-                                      "sample_count"])
+    @pytest.mark.parametrize("edit", ["drop_last", "repeat_last"])
     def test_block_store_manifest_checked(self, fixture_dir, edit):
         prep = run_preprocess(fixture_dir)
         path = prep / "blocks.manifest"
         lines = path.read_text().splitlines()
         if edit == "drop_last":
             lines = lines[:-1]
-        elif edit == "repeat_last":
-            lines = lines + lines[-1:]
         else:
-            f = lines[1].split()
-            f[4] = str(int(f[4]) + 1)
-            lines[1] = " ".join(f)
+            lines = lines + lines[-1:]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(pio.ParseError, match="block"):
             cli.read_block_store(prep)
 
     @pytest.mark.parametrize("field, value, name", [
-        (0, "7", "scale id"), (0, "-1", "scale id"), (5, "-3", "replica"),
-        (3, "99.0", "size")])
+        (0, "7", "scale id"), (0, "-1", "scale id"), (3, "-3", "replica")])
     def test_block_store_manifest_fields_fit_scales(self, fixture_dir, field,
                                                     value, name):
         # read unchecked, train used a block of no stored scale unless
@@ -130,29 +124,32 @@ class TestPreprocess:
         with pytest.raises(pio.ParseError, match="block 1: bad row count "):
             cli.read_block_store(prep)
 
-    @pytest.mark.parametrize("tensor, value, shown, top", [
-        ("labels", -1.0, "-1.0", "2147483647"),
-        ("labels", 2.5, "2.5", "2147483647"),
-        ("labels", 2.0 ** 31, "2147483648.0", "2147483647"),
-        ("parent", -3.0, "-3.0", "16777215"),
-        ("parent", 0.5, "0.5", "16777215"),
-        ("parent", np.nan, "nan", "16777215"),
-        ("parent", 1e9, "1000000000.0", "16777215"),
-        ("parent", 2.0 ** 24, "16777216.0", "16777215")])
-    def test_block_store_indices_checked(self, fixture_dir, tensor, value,
-                                         shown, top):
-        # read unchecked, a label of -1 stopped train with a numpy error
-        # naming no block, 2.5 trained as class 2 and a parent of 1e9 loaded
+    @pytest.mark.parametrize("value, shown", [
+        (-3.0, "-3.0"), (0.5, "0.5"), (np.nan, "nan"), (1e9, "1000000000.0"),
+        (2.0 ** 24, "16777216.0"), (360.0, "360.0"), (4096.0, "4096.0")])
+    def test_block_store_indices_checked(self, fixture_dir, value, shown):
+        # read unchecked, a parent of 2.5 trained on point 2 and one of 1e9
+        # loaded; a parent at or past the cloud's 360 points indexes no
+        # point of points.txt
         prep = run_preprocess(fixture_dir)
         path = prep / "blocks.bin"
         n_layers, tensors = read_container_file(path)
-        tensors[f"b1.{tensor}"].reshape(-1)[3] = value
+        tensors["b1.parent"].reshape(-1)[3] = value
         write_container_file(path, n_layers, tensors.items())
         with pytest.raises(pio.ParseError) as info:
             cli.read_block_store(prep)
-        what = "label" if tensor == "labels" else tensor
-        assert str(info.value) == (f"block 1: row 3 holds {what} {shown}, "
-                                   f"not an integer in 0..{top}")
+        assert str(info.value) == (f"block 1: row 3 holds parent {shown}, "
+                                   f"not an integer in 0..359")
+
+    def test_store_holds_each_fact_once(self, fixture_dir):
+        # labels come from points.txt, size from the scale and the row
+        # count from the features
+        prep = run_preprocess(fixture_dir)
+        _, tensors = read_container_file(prep / "blocks.bin")
+        lines = (prep / "blocks.manifest").read_text().splitlines()[1:]
+        assert {name.split(".")[1] for name in tensors} == {"features",
+                                                            "parent"}
+        assert {len(line.split()) for line in lines} == {len(cli.MANIFEST_FIELDS)}
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 200), labeled=st.booleans(),
@@ -195,21 +192,17 @@ class TestPreprocess:
             cli.write_block_store(tmp_path / "store", cloud, [], ())
         assert not (tmp_path / "store").exists()
 
-    def test_preprocess_refuses_labels_float32_would_round(self, fixture_dir,
-                                                           capsys):
-        # float32 holds every integer up to 2^24; 2^24 + 1 would come back
-        # from the store as 2^24
+    def test_labels_beyond_float32_survive_the_store(self, fixture_dir):
+        # float32 holds every integer up to 2^24; a stored float32 label
+        # of 2^24 + 1 came back as 2^24
         raw = pio.load_points(fixture_dir / "points.txt")
-        raw.labels[5] = 2 ** 24 + 1
+        raw.labels = np.array([2 ** 24 + 1, 7, pio.MAX_LABEL])[raw.labels]
         pio.save_points(fixture_dir / "points.txt", raw)
-        rc = cli.main(["preprocess",
-                       "--points", str(fixture_dir / "points.txt"),
-                       "--image", str(fixture_dir / "image.ppm"),
-                       "--dtm", str(fixture_dir / "dtm.asc"),
-                       "--out", str(fixture_dir / "prep"), "--scales", SCALES])
-        err = assert_error_exit(rc, capsys)
-        assert "point 5 has label 16777217" in err
-        assert not (fixture_dir / "prep" / "blocks.bin").exists()
+        blocks, _ = cli.read_block_store(run_preprocess(fixture_dir))
+        stored = np.concatenate([b.labels for b in blocks])
+        parents = np.concatenate([b.parent_idx for b in blocks])
+        assert np.array_equal(stored, raw.labels[parents])
+        assert set(stored.tolist()) == {2 ** 24 + 1, 7, pio.MAX_LABEL}
 
     def test_preprocess_refuses_clouds_beyond_store_indices(
             self, fixture_dir, capsys, monkeypatch):
@@ -397,9 +390,7 @@ class TestStreamedStore:
 
     @pytest.mark.parametrize("field, value, message", [
         (0, "x", "scale id 'x' is not an integer"),
-        (4, "64.0", "sample count '64.0' is not an integer"),
-        (1, "east", "origin x 'east' is not a number"),
-        (6, "12.5", "offset '12.5' is not an integer")])
+        (1, "east", "origin x 'east' is not a number")])
     def test_manifest_field_that_does_not_parse_named(self, fixture_dir, field,
                                                       value, message):
         prep = run_preprocess(fixture_dir)
@@ -412,17 +403,18 @@ class TestStreamedStore:
         with pytest.raises(pio.ParseError, match=f"^block 1: {message} "):
             cli.read_block_store(prep)
 
-    def test_manifest_offset_checked(self, fixture_dir):
+    def test_store_of_the_seven_field_layout_refused(self, fixture_dir):
+        # the older layout also held each block's size, sample count and
+        # byte offset, and a b<i>.labels tensor
         prep = run_preprocess(fixture_dir)
         path = prep / "blocks.manifest"
         lines = path.read_text().splitlines()
-        f = lines[2].split()
-        f[6] = str(int(f[6]) + 4)
-        lines[2] = " ".join(f)
+        sid, x, y, replica = lines[1].split()
+        lines[1] = f"{sid} {x} {y} 5.0 64 {replica} 123"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(pio.ParseError, match=(
-                f"^block 1: manifest offset {f[6]}, but b1.features starts "
-                f"at byte {int(f[6]) - 4} of blocks.bin$")):
+                f"^block 0: manifest line '{lines[1]}' has 7 fields, "
+                f"not 4$")):
             cli.read_block_store(prep)
 
     def streamed_peak(self, tmp, extent):
@@ -524,6 +516,10 @@ class TestTrain:
         assert len(history) == 3
         manifest = (out / "run_manifest.txt").read_text()
         assert "command=train" in manifest
+        digests = [line for line in manifest.splitlines()
+                   if line.startswith("digest.")]
+        assert digests == [f"digest.{name}={cli._sha256(prep / name)}"
+                           for name in cli.STORE_FILES]
 
     def test_manifest_times_each_epoch(self, fixture_dir):
         prep = run_preprocess(fixture_dir)
@@ -1021,6 +1017,55 @@ class TestRejectedSettings:
         assert assert_error_exit(rc, capsys) == (
             "error: bad scale spec '2:1x:10': overlap '1x' is not a number\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "predict"])
+    def test_seed_checked_before_any_input_is_read(self, tmp_path, capsys,
+                                                   command):
+        # read first, a negative seed failed in SeedSequence after the
+        # inputs were loaded, with an error naming no flag
+        missing = tmp_path / "missing"
+        if command == "preprocess":
+            argv = ["preprocess", "--points", str(missing / "points.txt"),
+                    "--image", str(missing / "image.ppm"),
+                    "--dtm", str(missing / "dtm.asc")]
+        elif command == "train":
+            argv = ["train", "--blocks", str(missing / "store")]
+        else:
+            argv = ["predict", "--points", str(missing / "points.txt"),
+                    "--model", str(missing / "model.ckpt")]
+        rc = cli.main(argv + ["--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert assert_error_exit(rc, capsys) == (
+            "error: --seed must be >= 0, got -1\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_classes_checked_before_any_input_is_read(self, tmp_path, capsys,
+                                                      command):
+        missing = tmp_path / "missing"
+        if command == "train":
+            argv = ["train", "--blocks", str(missing / "store")]
+        else:
+            argv = ["evaluate", "--pred", str(missing / "pred.txt"),
+                    "--truth", str(missing / "truth.txt")]
+        rc = cli.main(argv + ["--out", str(tmp_path / "out"),
+                              "--classes", "0"])
+        assert assert_error_exit(rc, capsys) == (
+            "error: --classes must be >= 1, got 0\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_train_label_beyond_classes_named(self, fixture_dir, capsys):
+        # refused only at the first step, after the network was built,
+        # naming no block
+        prep = run_preprocess(fixture_dir)
+        blocks, _ = cli.read_block_store(prep)
+        i = next(i for i, b in enumerate(blocks) if (b.labels == 2).any())
+        r = int(np.argmax(blocks[i].labels == 2))
+        capsys.readouterr()
+        rc = cli.main(["train", "--blocks", str(prep),
+                       "--out", str(fixture_dir / "model"), "--classes", "2"])
+        assert assert_error_exit(rc, capsys) == (
+            f"error: block {i}: row {r} has label 2, not below --classes 2\n")
+        assert not (fixture_dir / "model").exists()
 
     def test_preprocess_dtm_covering_no_point(self, fixture_dir, capsys):
         # the fixture's DTM moved 1000 m east: every point lies outside it

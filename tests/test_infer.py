@@ -585,6 +585,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             infer.evaluate([], [])
 
+    def test_class_names_must_match_classes(self):
+        # two names for three classes dropped class 2 from the CSV and
+        # rendered 3-column rows under a 2-name header
+        with pytest.raises(ValueError, match="2 class names for 3 classes"):
+            infer.evaluate([0, 1, 2, 2], [0, 1, 2, 1], n_classes=3,
+                           class_names=("a", "b"))
+
     def test_render_layout(self):
         r = infer.evaluate([0, 1, 1, 1], [0, 0, 1, 1], n_classes=2,
                            class_names=("a", "b"))

@@ -4,6 +4,8 @@ import importlib
 import re
 from pathlib import Path
 
+from pointlabel import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("blocks", "cli", "container", "infer", "io", "network", "training")
 # backticked file names of the block store, not module attributes
@@ -20,3 +22,13 @@ def test_readme_names_existing_attributes():
         importlib.import_module(f"pointlabel.{ref.split('.')[0]}"),
         ref.split(".")[1]))
     assert not missing, f"README.md names attributes pointlabel lacks: {missing}"
+
+
+def test_readme_names_the_manifest_fields_in_order():
+    # a field added, dropped or reordered would leave the README's block
+    # line describing another store
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    at = text.index("block line of `blocks.manifest`")
+    for name, _ in cli.MANIFEST_FIELDS:
+        at = text.find(name, at)
+        assert at >= 0, f"README.md's block line lacks {name!r} or misplaces it"
